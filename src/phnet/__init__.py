@@ -7,7 +7,7 @@ resolvent scans, and contractive time integration.
 """
 
 from .model import (FluxForm, MatrixFunction, PHStructuralError, PHSubsystem,
-                    ValidationReport, flux_form, flux_matrix, trace,
+                    ValidationReport, flux_form, flux_matrix,
                     validate_subsystem)
 from .passivity import (PassivityCertificate, check_dissipative_closure,
                         check_impedance, check_scattering, check_sym_p0,
@@ -17,11 +17,11 @@ from .network import (ClosedLoopDescription, Controller, Network, NotSerial,
                       check_controller_passive, constraint_projector,
                       detect_serial_structure, detect_serial_structure_blocks)
 from .discretize import (DiscreteGenerator, SubsystemGrid, assemble_generator,
-                         discretize_subsystem, dump_generator, make_grid)
+                         discretize_subsystem, make_grid)
 from .analysis import (ResolventScan, SpectrumReport, asp_diagnostic,
                        decay_fit, exponential_verdict, resolvent_scan,
                        spectrum)
-from .simulate import CayleyStepper, EnergyTrace, simulate, step_midpoint
+from .simulate import CayleyStepper, EnergyTrace, simulate
 from .scenarios import (SCENARIOS, ChainOfStringsSpec, CoupledSpec,
                         EulerBernoulliSpec, MassDampedStringSpec,
                         ScenarioError, build_beam, build_chain,

@@ -10,10 +10,8 @@ stability verdicts are surrogates, not proofs: abscissa < -1e-6 plus a
 bounded resolvent growth trend over the trusted frequency band.
 """
 
-import os
 import numpy as np
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 
 ZERO_MODE_REL_TOL = 1e-8
 TRUST_MATCH_RTOL = 1e-6
@@ -104,14 +102,6 @@ class ResolventScan:
                 "diverged": int(self.diverged.sum())}
 
 
-def _max_workers():
-    env = os.environ.get("PHNET_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None,
                    refine_levels=3):
     """Scan the resolvent norm along the imaginary axis.
@@ -155,12 +145,7 @@ def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None,
         sv = np.linalg.svd(1j * b * eye - sim, compute_uv=False)
         return 1.0 / sv[-1] if sv[-1] > 0 else np.inf
 
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            norms = np.array(list(pool.map(norm_at, betas)))
-    else:
-        norms = np.array([norm_at(b) for b in betas])
+    norms = np.array([norm_at(b) for b in betas])
 
     ev_all = rep.raw_eigenvalues
     scale = max(1.0, float(np.abs(ev_all).max())) if len(ev_all) else 1.0
@@ -184,6 +169,8 @@ def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None,
 
 def exponential_verdict(spectrum_report, scan):
     """Artifact-defined surrogate verdict string (not a proof)."""
+    if len(spectrum_report.eigenvalues) == 0:
+        return "inconclusive (no trusted eigenvalues)"
     absc = spectrum_report.abscissa
     if not np.isfinite(absc) or absc > -EXP_ABSCISSA_TOL:
         return "unstable (positive abscissa)"
@@ -206,9 +193,6 @@ def asp_diagnostic(gen, r_selector, spectrum_report=None, tol=None):
     if tol is None:
         scale = max(float(np.abs(gen.a_red).max()), 1e-300)
         tol = ZERO_MODE_REL_TOL * scale * 10
-    rows = []
-    for j, comp in r_selector:
-        rows.append((j, comp))
     out = []
     for i, lam in enumerate(rep.eigenvalues):
         if abs(lam.real) >= tol:
@@ -216,7 +200,7 @@ def asp_diagnostic(gen, r_selector, spectrum_report=None, tol=None):
         v = rep.eigenvectors[:, i]
         nrm = np.sqrt(float(np.real(v.conj() @ gen.m_red @ v)))
         taus = gen.traces(v / nrm if nrm > 0 else v)
-        r_val = np.array([taus[j][comp] for j, comp in rows])
+        r_val = np.array([taus[j][comp] for j, comp in r_selector])
         out.append((complex(lam), float(np.linalg.norm(r_val))))
     return out
 

@@ -2,9 +2,10 @@
 
 Reports are JSON on stdout (schema 1); tabular output goes to CSV files
 with '.' decimals, ',' separators, a header row, and LF line endings.
-Exit codes: 0 success / certified, 1 failed certification, 2 schema or
-parse error.  PHNET_THREADS caps internal parallelism; --seed fixes all
-randomness.
+Non-finite numbers are reported as null.  Exit codes: 0 success /
+certified, 1 failed certification, 2 schema, parse or parameter error
+(one line on stderr).  The only parallelism is BLAS's, set by
+OPENBLAS_NUM_THREADS; --seed fixes all randomness.
 """
 
 import argparse
@@ -20,30 +21,34 @@ from .network import (NotSerial, certify_network_dissipative,
                       check_controller_passive, detect_serial_structure)
 from .passivity import check_impedance, check_scattering, check_sym_p0
 from .scenarios import SCENARIOS, ScenarioError, build_scenario, make_initial_state
-from .simulate import simulate
+from .simulate import simulate, write_csv
 
 DEFAULT_N = 48
 
 
 def _emit(doc):
-    print(json.dumps(doc, indent=1, default=_json_default))
+    print(json.dumps(_finite(doc), indent=1, default=_json_default))
+
+
+def _finite(x):
+    """Copy of a report with NaN and infinities, which JSON lacks, as None."""
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    if isinstance(x, (float, np.floating)) and not np.isfinite(x):
+        return None
+    return x
 
 
 def _json_default(x):
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
-    if isinstance(x, np.ndarray):
-        return x.tolist()
     if isinstance(x, complex):
         return [x.real, x.imag]
     raise TypeError(repr(x))
-
-
-def _write_csv(path, header, columns):
-    with open(path, "w", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            f.write(",".join("%.17g" % v for v in row) + "\n")
 
 
 def cmd_check(args):
@@ -85,8 +90,7 @@ def cmd_spectrum(args):
     net = load_network(args.file)
     gen = _generator(net, args)
     rep = spectrum(gen)
-    _write_csv(args.out, ["re", "im"],
-               [rep.eigenvalues.real, rep.eigenvalues.imag])
+    write_csv(args.out, ["re", "im"], [rep.eigenvalues.real, rep.eigenvalues.imag])
     summary = {"schema": 1, "abscissa": rep.abscissa, "n": args.n}
     summary.update(rep.to_dict())
     summary["verdict"] = exponential_verdict(rep, None)
@@ -100,8 +104,8 @@ def cmd_resolvent(args):
     rep = spectrum(gen)
     scan = resolvent_scan(gen, beta_max=args.beta_max, samples=args.samples,
                           spectrum_report=rep)
-    _write_csv(args.out, ["beta", "norm"],
-               [scan.betas[~scan.diverged], scan.norms[~scan.diverged]])
+    write_csv(args.out, ["beta", "norm"],
+              [scan.betas[~scan.diverged], scan.norms[~scan.diverged]])
     summary = {"schema": 1, "abscissa": rep.abscissa}
     summary.update(scan.to_dict())
     summary["diverged_betas"] = scan.betas[scan.diverged].tolist()
@@ -123,8 +127,12 @@ def cmd_simulate(args):
     if trace.warning:
         summary["warning"] = trace.warning
     if trace.energies[0] > 0:
-        m_const, eta = decay_fit(trace)
-        summary["decay_fit"] = {"M": m_const, "eta": eta}
+        try:
+            m_const, eta = decay_fit(trace)
+            summary["decay_fit"] = {"M": m_const, "eta": eta}
+        except ValueError as exc:       # too few samples or a nonpositive energy
+            summary["decay_fit"] = None
+            summary["decay_fit_reason"] = str(exc)
     _emit(summary)
     return 0
 
@@ -136,13 +144,9 @@ def cmd_scenario(args):
                              for k, v in sorted(SCENARIOS.items())]})
         return 0
     params = json.loads(args.params) if args.params else {}
-    try:
-        net = build_scenario(args.name, params)
-    except (ScenarioError, KeyError, TypeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    net = build_scenario(args.name, params)
     merged = dict(SCENARIOS[args.name]["defaults"])
-    merged.update(params)
+    merged.update(params or {})
     _emit(network_to_dict(net, scenario=(args.name, merged)))
     return 0
 
@@ -198,7 +202,8 @@ def main(argv=None):
         return 2
     try:
         return args.func(args)
-    except (NetworkFileError, ScenarioError, PHStructuralError) as exc:
+    except (NetworkFileError, ScenarioError, PHStructuralError,
+            json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -19,7 +19,6 @@ from numpy.polynomial import legendre as npleg
 
 from .model import PHStructuralError
 from .network import assemble
-from .passivity import null_basis
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,6 @@ class SubsystemOperators:
     m: np.ndarray
     t: np.ndarray
     grid: SubsystemGrid
-    h_blk: np.ndarray
-    p0_sym_quad: np.ndarray
 
 
 def discretize_subsystem(subsystem, n):
@@ -109,12 +106,8 @@ def discretize_subsystem(subsystem, n):
 
     dk = np.eye(n)
     op = np.zeros((n * d_dim, n * d_dim), dtype=complex if is_complex else float)
-    p0_quad = np.zeros_like(op)
     if p0_vals is not None:
         op += sla.block_diag(*p0_vals)
-        p0_quad = sla.block_diag(*[grid.quad[i] *
-                                   0.5 * (p0_vals[i] + p0_vals[i].conj().T)
-                                   for i in range(n)])
     for k in range(1, s.order + 1):
         dk = grid.diff @ dk
         op = op + np.kron(dk, s.p_matrices[k])
@@ -132,8 +125,7 @@ def discretize_subsystem(subsystem, n):
         dk = grid.diff @ dk
     t_mat = np.vstack(rows_one + rows_zero)
 
-    return SubsystemOperators(l=l_mat, m=m_mat, t=t_mat, grid=grid, h_blk=h_blk,
-                              p0_sym_quad=h_blk.conj().T @ p0_quad @ h_blk)
+    return SubsystemOperators(l=l_mat, m=m_mat, t=t_mat, grid=grid)
 
 
 @dataclass
@@ -143,11 +135,11 @@ class DiscreteGenerator:
     a_red v = m_red^{-1} s_red v represents the generator in the discrete
     energy inner product m_red = Z* M Z (Z = lift, an orthonormal basis of
     the discrete constraint null space over sample + controller
-    coordinates).  meta records per-subsystem index ranges, trace
-    extraction matrices, and the measured dissipativity defect sym_drift =
-    max eig of Sym applied in the congruence frame.  companion holds the
-    same network reduced at a coarser resolution, used by the two-grid
-    eigenvalue filter.
+    coordinates).  meta records the full-space m_full, l_full and
+    constraint rows, constraint_residual = max |G Z|, and the measured
+    dissipativity defect sym_drift = max eig of Sym applied in the
+    congruence frame.  companion holds the same network reduced at a
+    coarser resolution, used by the two-grid eigenvalue filter.
     """
 
     a_red: np.ndarray
@@ -178,7 +170,6 @@ class DiscreteGenerator:
                                         % vals.min())
             r_inv = (vecs / np.sqrt(vals)) @ vecs.conj().T
             self.meta["m_inv_sqrt"] = r_inv
-            self.meta["m_sqrt"] = (vecs * np.sqrt(vals)) @ vecs.conj().T
             self.meta["sim_op"] = r_inv @ self.s_red @ r_inv
         return self.meta["sim_op"]
 
@@ -262,17 +253,18 @@ def assemble_generator(net, n_per_subsystem, with_companion=True):
     g = np.zeros((closed.n_constraints, n_full), dtype=dtype)
     g[:, :n_pde] = closed.w_b_net @ t_stack
     g[:, controller_slice] = closed.c_c_net
-    if g.size:
-        u, sv, _ = np.linalg.svd(g)
-        if g.shape[0] and sv.min() <= 1e-10 * max(sv.max(), 1.0):
+    z = np.eye(n_full)
+    if g.shape[0]:
+        u, sv, vh = np.linalg.svd(g)
+        if sv.min() <= 1e-10 * max(sv.max(), 1.0):
             # the smallest left singular vector names the dependent rows
             bad = int(np.argmax(np.abs(u[:, -1])))
             block = _locate_constraint_block(net, closed, bad)
             raise PHStructuralError("constraint matrix rank deficient (smallest "
                                     "singular value %.2e); offending block: %s"
                                     % (sv.min(), block))
-
-    z = null_basis(g)
+        # full row rank: the trailing right singular vectors span ker g
+        z = vh[g.shape[0]:].conj().T
     m_red = z.conj().T @ m_full @ z
     s_red = z.conj().T @ m_full @ l_full @ z
     a_red = np.linalg.solve(m_red, s_red)
@@ -281,8 +273,7 @@ def assemble_generator(net, n_per_subsystem, with_companion=True):
         a_red=a_red, m_red=m_red, s_red=s_red, lift=z,
         trace_mats=[o.t for o in ops], sample_slices=sample_slices,
         controller_slice=controller_slice, grids=[o.grid for o in ops],
-        meta={"m_full": m_full, "l_full": l_full, "n_list": list(n_list),
-              "constraint": g, "network_label": net.label})
+        meta={"m_full": m_full, "l_full": l_full, "constraint": g})
     gen.meta["constraint_residual"] = float(np.abs(g @ z).max()) if g.size else 0.0
     sim = gen.sim_operator()
     gen.meta["sym_drift"] = float(np.linalg.eigvalsh(0.5 * (sim + sim.conj().T)).max())
@@ -328,9 +319,3 @@ def boundary_flux(gen, net, v):
         total += 0.5 * float(np.real(tau.conj() @ q @ tau))
     return total
 
-
-def dump_generator(gen, path_prefix):
-    """Write a_red / m_red in Matrix Market format for external inspection."""
-    from scipy.io import mmwrite
-    mmwrite(str(path_prefix) + "_a.mtx", np.asarray(gen.a_red))
-    mmwrite(str(path_prefix) + "_m.mtx", np.asarray(gen.m_red))

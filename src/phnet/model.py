@@ -113,14 +113,10 @@ class MatrixFunction:
         return float(steps.max()) if len(steps) else 0.0
 
     def min_eig(self, z_grid):
+        """Least eigenvalue of the Hermitian part over the points z_grid."""
         vals = self(z_grid)
         vals = 0.5 * (vals + vals.conj().transpose(0, 2, 1))
-        return float(min(np.linalg.eigvalsh(v).min() for v in vals))
-
-    def max_sym_eig(self, z_grid):
-        vals = self(z_grid)
-        vals = 0.5 * (vals + vals.conj().transpose(0, 2, 1))
-        return float(max(np.linalg.eigvalsh(v).max() for v in vals))
+        return float(np.linalg.eigvalsh(vals).min())
 
     def to_dict(self):
         return {"kind": self.kind, "data": _encode_array(self.data)}
@@ -337,35 +333,6 @@ def validate_subsystem(subsystem, grid_points=None):
     rep.add("H Lipschitz slope (recorded)", True, slope,
             "finite-difference slope bound between adjacent samples")
     return rep
-
-
-def trace(y_samples, order, diff=None):
-    """Boundary trace tau(y) of a grid function.
-
-    Parameters
-    ----------
-    y_samples : (n,) or (n, d) array of point values on a collocation grid
-        whose differentiation matrix is `diff`.
-    order : the differential order N; derivatives up to N-1 are extracted.
-    diff : (n, n) differentiation matrix; required when order > 1.
-
-    Returns the 2Nd vector ordered
-    (y(1), y'(1), ..., y^(N-1)(1), y(0), ..., y^(N-1)(0)).
-    """
-    y = np.asarray(y_samples)
-    if y.ndim == 1:
-        y = y[:, None]
-    n, d = y.shape
-    if order > 1 and diff is None:
-        raise PHStructuralError("trace of order %d needs a differentiation matrix" % order)
-    at_one, at_zero = [], []
-    cur = y
-    for k in range(order):
-        at_one.append(cur[-1])
-        at_zero.append(cur[0])
-        if k + 1 < order:
-            cur = diff @ cur
-    return np.concatenate(at_one + at_zero)
 
 
 def flux_matrix(p_matrices, order, dim):

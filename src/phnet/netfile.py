@@ -45,26 +45,23 @@ def subsystem_to_dict(s):
 
 
 def subsystem_from_dict(d):
-    try:
-        order, dim = int(d["order"]), int(d["dim"])
-        raw = d["p_matrices"]
-        if len(raw) != order + 1:
-            raise NetworkFileError("p_matrices must list P_0..P_%d" % order)
-        p0 = raw[0]
-        if p0 is not None:
-            p0 = (MatrixFunction.from_dict(p0) if isinstance(p0, dict)
-                  else MatrixFunction.constant(_matrix(p0, "P_0")))
-        p_list = [p0] + [_matrix(raw[k], "P_%d" % k) for k in range(1, order + 1)]
-        ham = d["hamiltonian"]
-        ham = (MatrixFunction.from_dict(ham) if isinstance(ham, dict)
-               else MatrixFunction.constant(_matrix(ham, "H")))
-        return PHSubsystem(order=order, dim=dim, p_matrices=tuple(p_list),
-                           hamiltonian=ham,
-                           w_b=_matrix(d["w_b"], "W_B"), w_c=_matrix(d["w_c"], "W_C"),
-                           interval=tuple(d.get("interval", (0.0, 1.0))),
-                           label=d.get("label", ""))
-    except KeyError as exc:
-        raise NetworkFileError("subsystem entry missing key %s" % exc) from exc
+    order, dim = int(d["order"]), int(d["dim"])
+    raw = d["p_matrices"]
+    if len(raw) != order + 1:
+        raise NetworkFileError("p_matrices must list P_0..P_%d" % order)
+    p0 = raw[0]
+    if p0 is not None:
+        p0 = (MatrixFunction.from_dict(p0) if isinstance(p0, dict)
+              else MatrixFunction.constant(_matrix(p0, "P_0")))
+    p_list = [p0] + [_matrix(raw[k], "P_%d" % k) for k in range(1, order + 1)]
+    ham = d["hamiltonian"]
+    ham = (MatrixFunction.from_dict(ham) if isinstance(ham, dict)
+           else MatrixFunction.constant(_matrix(ham, "H")))
+    return PHSubsystem(order=order, dim=dim, p_matrices=tuple(p_list),
+                       hamiltonian=ham,
+                       w_b=_matrix(d["w_b"], "W_B"), w_c=_matrix(d["w_c"], "W_C"),
+                       interval=tuple(d.get("interval", (0.0, 1.0))),
+                       label=d.get("label", ""))
 
 
 def controller_to_dict(c):
@@ -74,12 +71,9 @@ def controller_to_dict(c):
 
 
 def controller_from_dict(d):
-    try:
-        return Controller(a_c=_matrix(d["a_c"], "A_c"), b_c=_matrix(d["b_c"], "B_c"),
-                          c_c=_matrix(d["c_c"], "C_c"), d_c=_matrix(d["d_c"], "D_c"),
-                          state_weight=_matrix(d["state_weight"], "state_weight"))
-    except KeyError as exc:
-        raise NetworkFileError("controller entry missing key %s" % exc) from exc
+    return Controller(a_c=_matrix(d["a_c"], "A_c"), b_c=_matrix(d["b_c"], "B_c"),
+                      c_c=_matrix(d["c_c"], "C_c"), d_c=_matrix(d["d_c"], "D_c"),
+                      state_weight=_matrix(d["state_weight"], "state_weight"))
 
 
 def network_to_dict(net, scenario=None):
@@ -103,20 +97,34 @@ def network_to_dict(net, scenario=None):
 
 
 def network_from_dict(doc):
+    """Network of a document; any malformed content raises NetworkFileError."""
+    try:
+        return _network_from_dict(doc)
+    except NetworkFileError:
+        raise
+    except KeyError as exc:
+        raise NetworkFileError("entry missing key %s" % exc) from exc
+    except (TypeError, ValueError) as exc:    # scenario and structural errors too
+        raise NetworkFileError("cannot decode network: %s" % exc) from exc
+
+
+def _network_from_dict(doc):
     if not isinstance(doc, dict):
         raise NetworkFileError("top level must be a JSON object")
+    if doc.get("schema") != 1:
+        raise NetworkFileError("unsupported schema %r (expected 1)" % (doc.get("schema"),))
     has_scenario = "scenario" in doc and doc["scenario"] is not None
     has_subsystems = bool(doc.get("subsystems"))
     if has_scenario and has_subsystems:
         raise NetworkFileError("give either explicit subsystems or a scenario "
                                "reference, not both")
     if has_scenario:
-        sc = doc["scenario"]
+        sc = doc["scenario"] if isinstance(doc["scenario"], dict) else {}
         name = sc.get("name")
         if name not in SCENARIOS:
             raise NetworkFileError("unknown scenario %r (known: %s)"
                                    % (name, sorted(SCENARIOS)))
-        return build_scenario(name, sc.get("params") or {})
+        return build_scenario(name, sc.get("params"))
     if not has_subsystems:
         raise NetworkFileError("need a 'subsystems' list or a 'scenario' reference")
     subsystems = [subsystem_from_dict(d) for d in doc["subsystems"]]

@@ -15,7 +15,7 @@ the generation theorems the certificates realize.
 
 import numpy as np
 import scipy.linalg as sla
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import PHStructuralError, _as_matrix, flux_form
 from .passivity import _psd_verdict, _tol_for, check_sym_p0, null_basis
@@ -123,15 +123,6 @@ class Network:
         return offs[:-1]
 
     @property
-    def trace_dims(self):
-        return [s.trace_dim for s in self.subsystems]
-
-    @property
-    def trace_offsets(self):
-        offs = np.concatenate([[0], np.cumsum(self.trace_dims)])
-        return offs[:-1]
-
-    @property
     def n_controller_states(self):
         return sum(c.n_state for c in self.controllers)
 
@@ -148,7 +139,6 @@ class ClosedLoopDescription:
                              + x_c* sym_wa x_c + Re(x_c* cross tau).
     """
 
-    w_b_blk: np.ndarray
     w_c_blk: np.ndarray
     w_b_net: np.ndarray
     c_c_net: np.ndarray
@@ -158,9 +148,6 @@ class ClosedLoopDescription:
     controller_weight: np.ndarray
     n_constraints: int
     kept_rows: np.ndarray
-    trace_slices: list
-    state_slices: list
-    subsystem_hamiltonians: list = field(default_factory=list)
 
     def constraint_matrix(self):
         """Rows over the stacked (tau, x_c) vector."""
@@ -171,13 +158,6 @@ class ClosedLoopDescription:
         top = np.hstack([0.5 * self.q_blk, 0.5 * self.cross.conj().T])
         bot = np.hstack([0.5 * self.cross, self.sym_wa])
         return np.vstack([top, bot])
-
-    def to_dict(self):
-        from .model import _encode_array
-        return {"w_b_net": _encode_array(self.w_b_net),
-                "c_c_net": _encode_array(self.c_c_net),
-                "q_blk": _encode_array(self.q_blk),
-                "n_constraints": self.n_constraints}
 
 
 def _embed(rows_idx, n_ports):
@@ -220,7 +200,6 @@ def assemble(net):
 
     used = set()
     col = 0
-    state_slices = []
     for c, ports in zip(net.controllers, net.coupling):
         if len(ports) != c.n_port:
             raise PHStructuralError("controller with %d ports attached to %d rows"
@@ -233,7 +212,6 @@ def assemble(net):
             used.add(r)
         s_c = _embed(ports, p)
         sl = slice(col, col + c.n_state)
-        state_slices.append(sl)
         w = c.state_weight
         # closure B x = K C x - S_c (C_c x_c + D_c S_c^T C x)
         w_b_net = w_b_net + s_c @ c.d_c @ s_c.T @ w_c_blk
@@ -246,16 +224,11 @@ def assemble(net):
     kept = np.array([r for r in range(p) if r not in set(net.external_ports)], dtype=int)
     w_b_net = w_b_net[kept]
     c_c_net = c_c_net[kept]
-
-    offs = net.trace_offsets
-    trace_slices = [slice(int(o), int(o + ddim)) for o, ddim in zip(offs, net.trace_dims)]
     return ClosedLoopDescription(
-        w_b_blk=w_b_blk, w_c_blk=w_c_blk, w_b_net=w_b_net, c_c_net=c_c_net,
+        w_c_blk=w_c_blk, w_b_net=w_b_net, c_c_net=c_c_net,
         q_blk=q_blk, sym_wa=sym_wa, cross=cross,
         controller_weight=sla.block_diag(*weights) if weights else np.zeros((0, 0)),
-        n_constraints=w_b_net.shape[0], kept_rows=kept,
-        trace_slices=trace_slices, state_slices=state_slices,
-        subsystem_hamiltonians=[s.hamiltonian for s in net.subsystems])
+        n_constraints=w_b_net.shape[0], kept_rows=kept)
 
 
 def check_controller_passive(controller, tol=None):

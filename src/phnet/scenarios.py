@@ -31,58 +31,39 @@ class ScenarioError(ValueError):
     """A scenario invariant was violated by the requested parameters."""
 
 
-class ScalarProfile:
-    """Scalar coefficient on [0, 1]: constant, polynomial, or sampled."""
-
-    def __init__(self, kind, data):
-        if kind not in ("constant", "polynomial", "samples"):
-            raise ScenarioError("unknown profile kind %r" % (kind,))
-        self.kind = kind
-        self.data = np.atleast_1d(np.asarray(data, dtype=float))
-
-    def __call__(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        if self.kind == "constant":
-            return np.full_like(z, self.data[0])
-        if self.kind == "polynomial":
-            out = np.zeros_like(z)
-            for c in self.data[::-1]:
-                out = out * z + c
-            return out
-        n_s = len(self.data)
-        t = np.clip(z, 0.0, 1.0) * (n_s - 1)
-        i0 = np.minimum(t.astype(int), n_s - 2)
-        w = t - i0
-        return (1 - w) * self.data[i0] + w * self.data[i0 + 1]
-
-    def min_value(self, n=513):
-        return float(self(np.linspace(0, 1, n)).min())
-
-    def to_dict(self):
-        if self.kind == "constant":
-            return float(self.data[0])
-        return {"kind": self.kind, "data": self.data.tolist()}
+# uniform grid on which non-constant profiles are checked and resampled
+_PROFILE_Z = np.linspace(0.0, 1.0, 513)
 
 
 def scalar_profile(value):
-    if isinstance(value, ScalarProfile):
+    """1 x 1 MatrixFunction from a number, a 1 x 1 MatrixFunction, or a dict
+    {"kind": "constant" | "polynomial" | "samples", "data": [...]}."""
+    if isinstance(value, MatrixFunction) and value.dim == 1:
         return value
     if isinstance(value, dict):
-        return ScalarProfile(value["kind"], value["data"])
+        data = np.atleast_1d(np.asarray(value["data"], dtype=float))
+        if value["kind"] == "constant":
+            return MatrixFunction.constant(data[0])
+        return MatrixFunction(value["kind"], data.reshape(-1, 1, 1))
     if np.isscalar(value):
-        return ScalarProfile("constant", [float(value)])
+        return MatrixFunction.constant(float(value))
     raise ScenarioError("cannot interpret %r as a coefficient profile" % (value,))
 
 
-def _diag_hamiltonian(top, bottom, n_sample=513):
+def _reciprocal(profile):
+    """1 / profile: exact when constant, else sampled on _PROFILE_Z."""
+    if profile.kind == "constant":
+        return MatrixFunction.constant(1.0 / profile.data)
+    return MatrixFunction.samples(1.0 / profile(_PROFILE_Z))
+
+
+def _diag_hamiltonian(top, bottom):
     """MatrixFunction for H = diag(top(z), bottom(z)); exact when constant."""
     if top.kind == "constant" and bottom.kind == "constant":
-        return MatrixFunction.constant(np.diag([top.data[0], bottom.data[0]]))
-    zs = np.linspace(0.0, 1.0, n_sample)
-    tv, bv = top(zs), bottom(zs)
-    vals = np.zeros((n_sample, 2, 2))
-    vals[:, 0, 0] = tv
-    vals[:, 1, 1] = bv
+        return MatrixFunction.constant(np.diag([top.data[0, 0], bottom.data[0, 0]]))
+    vals = np.zeros((len(_PROFILE_Z), 2, 2))
+    vals[:, 0, 0] = top(_PROFILE_Z)[:, 0, 0]
+    vals[:, 1, 1] = bottom(_PROFILE_Z)[:, 0, 0]
     return MatrixFunction.samples(vals)
 
 
@@ -111,15 +92,10 @@ def _wave_subsystem(rho, tension, length=1.0, kind="interior", label=""):
       mass_free     : B = (-y1(0), y2(1)),  C = (y2(0), y1(1))
     """
     rho, tension = scalar_profile(rho), scalar_profile(tension)
-    if rho.min_value() <= 0 or tension.min_value() <= 0:
+    if rho.min_eig(_PROFILE_Z) <= 0 or tension.min_eig(_PROFILE_Z) <= 0:
         raise ScenarioError("rho and T must be uniformly positive")
-    scaled_rho = ScalarProfile(rho.kind, np.asarray(rho.data) * length)
-    scaled_t = ScalarProfile(tension.kind, np.asarray(tension.data) / length)
-    ham = _diag_hamiltonian(
-        ScalarProfile("samples", 1.0 / scaled_rho(np.linspace(0, 1, 513)))
-        if scaled_rho.kind != "constant" else
-        ScalarProfile("constant", [1.0 / scaled_rho.data[0]]),
-        scaled_t)
+    ham = _diag_hamiltonian(_reciprocal(MatrixFunction(rho.kind, rho.data * length)),
+                            MatrixFunction(tension.kind, tension.data / length))
     rows = {"y1(1)": _W1[0], "y2(1)": _W1[1], "y1(0)": _W1[2], "y2(0)": _W1[3]}
     if kind == "interior":
         w_b = np.vstack([-rows["y2(0)"], rows["y1(1)"]])
@@ -157,28 +133,32 @@ _BEAM_PARTNER = {0: (-1.0, 3), 1: (1.0, 2), 2: (1.0, 1), 3: (-1.0, 0),
                  4: (1.0, 7), 5: (-1.0, 6), 6: (-1.0, 5), 7: (1.0, 4)}
 
 
-def _partner_row(row):
-    """Flux-conjugate completion of a constraint row (leading component rule)."""
-    lead = int(np.argmax(np.abs(row)))
-    sign, idx = _BEAM_PARTNER[lead]
-    return sign * _W2[idx]
+def _unit_rows(indices):
+    """(defining trace component, W_B row) pairs of catalog rows."""
+    return tuple((i, _W2[i]) for i in indices)
 
 
 def _beam_subsystem(rho, ei, left_rows, right_rows, label=""):
+    """left_rows / right_rows: (defining trace component, W_B row) pairs.
+
+    Each W_C row is the flux-conjugate partner of the component that
+    defines its W_B row, so [W_B; W_C] stays invertible whatever the
+    coupling terms a dissipative end adds to the row.
+    """
     rho, ei = scalar_profile(rho), scalar_profile(ei)
-    if rho.min_value() <= 0 or ei.min_value() <= 0:
+    if rho.min_eig(_PROFILE_Z) <= 0 or ei.min_eig(_PROFILE_Z) <= 0:
         raise ScenarioError("rho and EI must be uniformly positive")
-    inv_rho = (ScalarProfile("constant", [1.0 / rho.data[0]]) if rho.kind == "constant"
-               else ScalarProfile("samples", 1.0 / rho(np.linspace(0, 1, 513))))
-    ham = _diag_hamiltonian(inv_rho, ei)
-    w_b = np.vstack(list(right_rows) + list(left_rows))
-    w_c = np.vstack([_partner_row(r) for r in w_b])
+    ham = _diag_hamiltonian(_reciprocal(rho), ei)
+    rows = list(right_rows) + list(left_rows)
+    w_b = np.vstack([row for _, row in rows])
+    w_c = np.vstack([_BEAM_PARTNER[i][0] * _W2[_BEAM_PARTNER[i][1]] for i, _ in rows])
     return PHSubsystem(order=2, dim=2, p_matrices=(None, np.zeros((2, 2)), P2_BEAM),
                        hamiltonian=ham, w_b=w_b, w_c=w_c, label=label)
 
 
 def _dissipative_end_rows(k0):
-    """Left-end rows of (y2(0), y2'(0)) = K0-coupled angular/linear velocity.
+    """Left-end (defining component, row) pairs of (y2(0), y2'(0)) = K0-coupled
+    angular/linear velocity.
 
     Encodes ((EI w_zz)(0), -(EI w_zz)_z(0)) = +K0 (w_tz(0), w_t(0)), the
     energy-dissipating orientation: the boundary power is -v* Sym(K0) v
@@ -187,7 +167,7 @@ def _dissipative_end_rows(k0):
     k0 = np.asarray(k0, dtype=float)
     row_a = _W2[5] - k0[0, 0] * _W2[6] - k0[0, 1] * _W2[4]
     row_b = _W2[7] + k0[1, 0] * _W2[6] + k0[1, 1] * _W2[4]
-    return (row_a, row_b)
+    return ((5, row_a), (7, row_b))
 
 
 def _validate_k0(k0):
@@ -329,9 +309,9 @@ def build_beam(spec=None, **kwargs):
     """Network with the single Euler-Bernoulli subsystem (K = 0 closure)."""
     if spec is None:
         spec = EulerBernoulliSpec(**kwargs)
-    right = tuple(_W2[i] for i in _BEAM_RIGHT_ROWS[spec.right_bc])
+    right = _unit_rows(_BEAM_RIGHT_ROWS[spec.right_bc])
     if isinstance(spec.left_bc, str):
-        left = tuple(_W2[i] for i in _BEAM_LEFT_ROWS[spec.left_bc])
+        left = _unit_rows(_BEAM_LEFT_ROWS[spec.left_bc])
     else:
         left = _dissipative_end_rows(spec.left_bc)
     beam = _beam_subsystem(spec.rho, spec.ei, left, right, label="beam")
@@ -398,8 +378,8 @@ def build_coupled(spec=None, **kwargs):
                              label="string")
     # beam left end: shear row y2'(0) (junction) and moment row y2(0) = 0
     beam = _beam_subsystem(spec.rho_beam, spec.ei_beam,
-                           left_rows=(_W2[7], _W2[5]),
-                           right_rows=(_W2[0], _W2[1]),
+                           left_rows=_unit_rows((7, 5)),
+                           right_rows=_unit_rows((0, 1)),
                            label="beam")
     # ports: string rows 0-1, beam rows 2-5; C columns likewise.
     # beam W_C rows: partners (y1'(1)... ) with C_3 = y1(0) at column 4.
@@ -526,7 +506,16 @@ def build_scenario(name, params=None):
     if name not in SCENARIOS:
         raise ScenarioError("unknown scenario %r (choose from %s)"
                             % (name, sorted(SCENARIOS)))
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise ScenarioError("scenario params must be an object, got %r" % (params,))
     entry = SCENARIOS[name]
     merged = dict(entry["defaults"])
-    merged.update(params or {})
-    return entry["build"](merged)
+    merged.update(params)
+    try:
+        return entry["build"](merged)
+    except ScenarioError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        # an unknown keyword, or a value of the wrong type or shape
+        raise ScenarioError("bad parameters for scenario %r: %s" % (name, exc)) from exc

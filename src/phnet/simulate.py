@@ -32,18 +32,20 @@ class EnergyTrace:
 
     def to_csv(self, path):
         """Columns: t, H, then s<j>_tau<i> flattened trace components."""
-        cols = ["t", "H"]
+        header, columns = ["t", "H"], [self.times, self.energies]
         for j, tr in enumerate(self.traces):
             for i in range(tr.shape[1]):
-                cols.append("s%d_tau%d" % (j, i))
-        data = [np.asarray(self.times), np.asarray(self.energies)]
-        for tr in self.traces:
-            for i in range(tr.shape[1]):
-                data.append(np.real(tr[:, i]))
-        with open(path, "w", newline="\n") as f:
-            f.write(",".join(cols) + "\n")
-            for row in zip(*data):
-                f.write(",".join("%.17g" % v for v in row) + "\n")
+                header.append("s%d_tau%d" % (j, i))
+                columns.append(np.real(tr[:, i]))
+        write_csv(path, header, columns)
+
+
+def write_csv(path, header, columns):
+    """One header row, then one row of %.17g values per entry of the columns."""
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            f.write(",".join("%.17g" % v for v in row) + "\n")
 
 
 class CayleyStepper:
@@ -65,11 +67,6 @@ class CayleyStepper:
 
     def step(self, v):
         return sla.lu_solve(self.lu, self.b @ np.asarray(v))
-
-
-def step_midpoint(gen, v, dt):
-    """One implicit-midpoint (Cayley) step of the reduced state v."""
-    return CayleyStepper(gen, dt).step(v)
 
 
 def default_dt(gen, spectrum_report=None):

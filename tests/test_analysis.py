@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from phnet import (Network, asp_diagnostic, assemble_generator, build_beam,
-                   build_chain, build_mass_damped_string, decay_fit,
-                   exponential_verdict, make_initial_state, resolvent_scan,
-                   simulate, spectrum)
+from phnet import (Network, SpectrumReport, asp_diagnostic,
+                   assemble_generator, build_beam, build_chain,
+                   build_mass_damped_string, decay_fit, exponential_verdict,
+                   make_initial_state, resolvent_scan, simulate, spectrum)
 from phnet.scenarios import _wave_subsystem
 
 TARGET = 0.5 * np.log(1.0 / 3.0)
@@ -89,17 +89,6 @@ class TestResolvent:
         scan = resolvent_scan(gen, spectrum_report=rep)
         assert scan.trend > 2.0
         assert "NOT indicated" in exponential_verdict(rep, scan)
-
-    def test_threaded_scan_matches_serial(self, damped_gen, monkeypatch):
-        net, gen = damped_gen
-        rep = spectrum(gen)
-        serial = resolvent_scan(gen, beta_max=10.0, samples=40,
-                                spectrum_report=rep)
-        monkeypatch.setenv("PHNET_THREADS", "4")
-        threaded = resolvent_scan(gen, beta_max=10.0, samples=40,
-                                  spectrum_report=rep)
-        assert np.allclose(serial.norms, threaded.norms)
-        assert serial.sup_norm == threaded.sup_norm
 
     def test_lower_bound_identity(self, damped_gen):
         net, gen = damped_gen
@@ -185,3 +174,9 @@ class TestVerdicts:
     def test_conservative_verdict(self, free_free_gen):
         rep = spectrum(free_free_gen[1])
         assert "not asymptotically stable" in exponential_verdict(rep, None)
+
+    def test_empty_trusted_spectrum_is_inconclusive(self):
+        none = np.zeros(0, dtype=complex)
+        rep = SpectrumReport(eigenvalues=none, abscissa=float("nan"), zero_modes=none,
+                             raw_eigenvalues=np.array([-1.0 + 2.0j]), discarded=1)
+        assert exponential_verdict(rep, None) == "inconclusive (no trusted eigenvalues)"

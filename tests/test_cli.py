@@ -4,7 +4,8 @@ import json
 
 import numpy as np
 
-from phnet import build_chain, save_network
+from phnet import (MatrixFunction, Network, PHSubsystem, build_chain,
+                   network_to_dict, save_network)
 from phnet.cli import main
 
 
@@ -189,3 +190,65 @@ class TestScenarioCommand:
 
     def test_dump_needs_name(self):
         assert main(["scenario", "dump"]) == 2
+
+
+def reject_nonfinite(token):
+    raise ValueError("bare %s in JSON output" % token)
+
+
+class TestNonFiniteReports:
+    def test_empty_trusted_spectrum_is_null_and_inconclusive(self, tmp_path, capsys):
+        # a kinked (sampled) P_0 keeps every mode from matching its companion
+        zs = np.linspace(0.0, 1.0, 7)
+        p0 = MatrixFunction.samples(np.array(
+            [[[-1.0 - 6.0 * z * (1.0 - z), 0.5j], [-0.5j, -2.0]] for z in zs]))
+        s = PHSubsystem(order=1, dim=2, p_matrices=(p0, np.array([[0.0, 1.0], [1.0, 0.0]])),
+                        hamiltonian=np.diag([1.0, 2.0]),
+                        w_b=np.array([[0, 0, 0, -1.0], [1, 0, 0, 0]]),
+                        w_c=np.array([[0, 0, 1.0, 0], [0, 1, 0, 0]]))
+        path = tmp_path / "p0.json"
+        save_network(Network(subsystems=(s,), k_mat=np.diag([-1.0, 0.0])), path)
+        for cmd in ("spectrum", "resolvent"):
+            rc = main([cmd, str(path), "--n", "32", "--out", str(tmp_path / "o.csv")])
+            assert rc == 0
+            summary = json.loads(capsys.readouterr().out, parse_constant=reject_nonfinite)
+            assert summary["abscissa"] is None
+            assert summary["verdict"] == "inconclusive (no trusted eigenvalues)"
+
+
+class TestExitCodes:
+    """Exit 2 with one error line and no traceback for every bad input."""
+
+    def assert_usage_error(self, rc, capsys):
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_params_not_json(self, capsys):
+        rc = main(["scenario", "dump", "chain_of_strings", "--params", "{m: 2}"])
+        self.assert_usage_error(rc, capsys)
+
+    def test_unknown_scenario_param_in_file(self, tmp_path, capsys):
+        self.assert_usage_error(main(["check", write_chain(tmp_path, bogus=1)]), capsys)
+
+    def test_non_integer_order(self, tmp_path, capsys):
+        doc = network_to_dict(build_chain(m=1, kappa=[0.5]))
+        doc["subsystems"][0]["order"] = "x"
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps(doc))
+        self.assert_usage_error(main(["check", str(path)]), capsys)
+
+    def test_unsupported_schema(self, tmp_path, capsys):
+        path = tmp_path / "schema2.json"
+        path.write_text(json.dumps(
+            {"schema": 2, "scenario": {"name": "chain_of_strings", "params": {}}}))
+        self.assert_usage_error(main(["check", str(path)]), capsys)
+
+    def test_too_few_samples_for_decay_fit(self, tmp_path, capsys):
+        rc = main(["simulate", write_chain(tmp_path, m=1, kappa=[0.5]), "--n", "24",
+                   "--t-end", "2", "--dt", "1e-2", "--record-every", "50",
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["decay_fit"] is None
+        assert "at least 32 samples" in summary["decay_fit_reason"]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from phnet import (MatrixFunction, Network, PHStructuralError, PHSubsystem,
-                   assemble_generator, discretize_subsystem, dump_generator,
-                   make_grid, spectrum)
+                   assemble_generator, discretize_subsystem, make_grid,
+                   spectrum)
 from phnet.discretize import boundary_flux, discrete_energy_rate
 from phnet.scenarios import _wave_subsystem
 
@@ -170,12 +170,6 @@ class TestAssembleGenerator:
         net = Network(subsystems=(bad,), k_mat=np.zeros((2, 2)))
         with pytest.raises(PHStructuralError, match="subsystem 0"):
             assemble_generator(net, 24, with_companion=False)
-
-    def test_dump_matrix_market(self, tmp_path):
-        gen = assemble_generator(damped_wave_network(), 24, with_companion=False)
-        dump_generator(gen, tmp_path / "gen")
-        assert (tmp_path / "gen_a.mtx").exists()
-        assert (tmp_path / "gen_m.mtx").exists()
 
 
 class TestDiscreteEnergyBalance:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from phnet import (MatrixFunction, PHStructuralError, PHSubsystem, flux_form,
-                   make_grid, trace, validate_subsystem)
+from phnet import (MatrixFunction, PHStructuralError, PHSubsystem,
+                   discretize_subsystem, flux_form, validate_subsystem)
 from phnet.model import flux_matrix
 
 from helpers import (poly_trace, quadrature_energy_rate, quadrature_p0_term,
@@ -86,33 +86,38 @@ class TestValidate:
         assert coercive["margin"] == pytest.approx(1.0)
 
 
+def trace_operator(order, dim, n):
+    """Trace rows of discretize_subsystem for H = I, so tau(y) = t @ y."""
+    p_n = np.eye(dim) * (1.0 if order % 2 else 1j)    # P_N^* = (-1)^(N+1) P_N
+    zero = np.zeros((order * dim, 2 * order * dim))
+    s = PHSubsystem(order=order, dim=dim,
+                    p_matrices=(None,) + (np.zeros((dim, dim)),) * (order - 1) + (p_n,),
+                    hamiltonian=np.eye(dim), w_b=zero, w_c=zero)
+    return discretize_subsystem(s, n)
+
+
 class TestTrace:
     def test_order1_linear(self):
         # y(z) = 2 + z has y(0) = 2, y(1) = 3; ordering is (y(1), y(0))
-        grid = make_grid(12)
-        tau = trace(2.0 + grid.points, order=1)
+        ops = trace_operator(1, 1, 12)
+        tau = ops.t @ (2.0 + ops.grid.points)
         assert np.allclose(tau, [3.0, 2.0])
 
     def test_order1_constant_function_duplicates(self):
-        grid = make_grid(10)
-        y = np.full(10, 7.0)
-        assert np.allclose(trace(y, 1), [7.0, 7.0])
+        ops = trace_operator(1, 1, 10)
+        assert np.allclose(ops.t @ np.full(10, 7.0), [7.0, 7.0])
 
     def test_order2_quadratic(self):
-        grid = make_grid(16)
-        y = grid.points ** 2
-        tau = trace(y, order=2, diff=grid.diff)
+        ops = trace_operator(2, 1, 16)
+        tau = ops.t @ ops.grid.points ** 2
         assert np.allclose(tau, [1.0, 2.0, 0.0, 0.0], atol=1e-12)
 
     def test_order2_vector(self):
-        grid = make_grid(16)
-        y = np.stack([grid.points, 1.0 - grid.points], axis=1)
-        tau = trace(y, order=2, diff=grid.diff)
-        assert np.allclose(tau, [1, 0, 1, -1, 0, 1, 1, -1], atol=1e-12)
-
-    def test_order2_needs_diff(self):
-        with pytest.raises(PHStructuralError):
-            trace(np.linspace(0, 1, 8), order=2)
+        # samples are node-major: (y_1, y_2) at node 0, then at node 1, ...
+        ops = trace_operator(2, 2, 16)
+        z = ops.grid.points
+        y = np.stack([z, 1.0 - z], axis=1).reshape(-1)
+        assert np.allclose(ops.t @ y, [1, 0, 1, -1, 0, 1, 1, -1], atol=1e-12)
 
 
 class TestFluxForm:
@@ -183,6 +188,15 @@ class TestMatrixFunction:
     def test_samples_interpolate(self):
         mf = MatrixFunction.samples(np.array([np.eye(1), 3.0 * np.eye(1)]))
         assert np.allclose(mf(np.array([0.5]))[0], [[2.0]])
+
+    def test_min_eig_matches_pointwise_loop(self):
+        rng = np.random.default_rng(2)
+        mf = MatrixFunction.polynomial(rng.standard_normal((3, 3, 3))
+                                       + 1j * rng.standard_normal((3, 3, 3)))
+        zs = np.linspace(0, 1, 513)
+        vals = mf(zs)
+        loop = min(np.linalg.eigvalsh(0.5 * (v + v.conj().T)).min() for v in vals)
+        assert mf.min_eig(zs) == loop
 
     def test_lipschitz_slope_recorded(self):
         mf = MatrixFunction.samples(np.array([np.eye(1), 3.0 * np.eye(1)]))

@@ -45,6 +45,26 @@ class TestSymP0:
         vals[4] = np.diag([0.3, -0.5])
         assert not check_sym_p0(wave(p0=MatrixFunction.samples(vals))).passed
 
+    def test_batched_matches_pointwise_loop(self):
+        # two grid points tie for the worst eigenvalue: the first one wins
+        rng = np.random.default_rng(5)
+        zs = np.linspace(0, 1, 9)
+        vals = 0.2 * (rng.standard_normal((9, 2, 2)) + 1j * rng.standard_normal((9, 2, 2)))
+        vals -= 2.0 * np.eye(2)
+        vals[2] = vals[6] = np.array([[0.3, 0.1j], [-0.1j, -0.5]])
+        p0 = MatrixFunction.samples(vals)
+        cert = check_sym_p0(wave(p0=p0))
+        grid = np.union1d(np.linspace(0, 1, 257), zs)
+        worst, wvec, wz = -np.inf, None, 0.0
+        for z, v in zip(grid, p0(grid)):
+            ev, vec = np.linalg.eigh(0.5 * (v + v.conj().T))
+            if ev[-1] > worst:
+                worst, wvec, wz = ev[-1], vec[:, -1], z
+        assert wz == 0.25
+        assert cert.margin == -worst
+        assert np.array_equal(cert.witness, wvec)
+        assert cert.detail.endswith("z=%.4f" % wz)
+
 
 class TestImpedance:
     def test_wave_splitting_passes(self):

@@ -5,9 +5,11 @@ import pytest
 
 from phnet import (ScenarioError, assemble_generator, build_beam, build_chain,
                    build_coupled, build_mass_damped_string, build_scenario,
-                   certify_network_dissipative, constraint_projector,
+                   certify_network_dissipative, check_impedance,
+                   constraint_projector,
                    detect_serial_structure, network_from_dict,
-                   network_to_dict, spectrum, SerialStructure, SCENARIOS)
+                   network_to_dict, spectrum, validate_subsystem,
+                   SerialStructure, SCENARIOS)
 from phnet.discretize import discrete_energy_rate
 
 
@@ -86,6 +88,17 @@ class TestBeam:
         assert certify_network_dissipative(net).passed
         gen = assemble_generator(net, 48)
         assert spectrum(gen).abscissa < 0
+
+    @pytest.mark.parametrize("k0", [[[2.0, 0.0], [3.0, 2.0]], [[0.5, 2.0], [0.0, 3.0]]])
+    def test_k0_positive_definite_subsystem_valid(self, k0):
+        # each W_C row pairs with the component that defines its W_B row, so
+        # the K0 terms cannot make [W_B; W_C] singular
+        beam = build_beam(left_bc=np.array(k0), right_bc="clamped").subsystems[0]
+        rep = validate_subsystem(beam)
+        assert rep.passed
+        ratio = next(c for c in rep.checks if c["name"] == "[W_B; W_C] invertible")
+        assert ratio["margin"] > 1e-2
+        assert check_impedance(beam).passed
 
     def test_k0_zero_is_conservative(self):
         net = build_beam(left_bc=np.zeros((2, 2)), right_bc="pinned")

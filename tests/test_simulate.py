@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phnet import (Network, assemble_generator, build_chain,
-                   make_initial_state, simulate, spectrum, step_midpoint)
+                   make_initial_state, simulate, spectrum)
 from phnet.discretize import boundary_flux, discrete_energy_rate
 from phnet.scenarios import _wave_subsystem
 from phnet.simulate import CayleyStepper
@@ -29,20 +29,20 @@ class TestStepMidpoint:
             m_red = np.eye(3)
             s_red = np.zeros((3, 3))
         v = np.array([1.0, -2.0, 0.5])
-        assert np.allclose(step_midpoint(Dummy(), v, 0.1), v)
+        assert np.allclose(CayleyStepper(Dummy(), 0.1).step(v), v)
 
     def test_scalar_cayley_at_minus_one(self):
         # a = -1, dt = 2: (1 + dt/2 a) / (1 - dt/2 a) = 0
         class Dummy:
             m_red = np.eye(1)
             s_red = -np.eye(1)
-        assert np.allclose(step_midpoint(Dummy(), np.array([3.0]), 2.0), [0.0])
+        assert np.allclose(CayleyStepper(Dummy(), 2.0).step(np.array([3.0])), [0.0])
 
     def test_conservative_step_is_isometric(self, conservative):
         net, gen = conservative
         rng = np.random.default_rng(0)
         v = rng.standard_normal(gen.n_red)
-        v1 = step_midpoint(gen, v, 1e-2)
+        v1 = CayleyStepper(gen, 1e-2).step(v)
         assert abs(gen.energy(v1) - gen.energy(v)) <= 1e-12 * gen.energy(v)
 
     def test_dt_must_be_positive_in_stepper(self, conservative):
