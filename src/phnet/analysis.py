@@ -52,18 +52,14 @@ class SpectrumReport:
 def spectrum(gen, match_rtol=TRUST_MATCH_RTOL):
     """Eigenvalues of the reduced generator in the energy inner product.
 
-    Computed via the m_red^{1/2} congruence; filtered by agreement with the
-    companion resolution when one is attached (otherwise the raw list is
-    trusted as-is).  Zero modes are |lambda| < 1e-8 * ||a_red||.
+    Computed via the m_red^{1/2} congruence; an eigenvalue is trusted when
+    the companion resolution (built on first use) has one within
+    match_rtol * (1 + |lambda|).  Zero modes are |lambda| < 1e-8 * max|a_red|.
     """
-    sim = gen.sim_operator()
-    vals, vecs = np.linalg.eig(sim)
-    if gen.companion is not None:
-        comp_vals = np.linalg.eigvals(gen.companion.sim_operator())
-        keep = np.array([np.abs(comp_vals - lam).min() <= match_rtol * (1.0 + abs(lam))
-                         for lam in vals])
-    else:
-        keep = np.ones(len(vals), dtype=bool)
+    vals, vecs = np.linalg.eig(gen.sim_operator())
+    comp_vals = np.linalg.eigvals(gen.companion.sim_operator())
+    keep = np.array([np.abs(comp_vals - lam).min() <= match_rtol * (1.0 + abs(lam))
+                     for lam in vals])
     trusted = vals[keep]
     tvecs = vecs[:, keep]
     order = np.argsort(-trusted.real)
@@ -72,7 +68,7 @@ def spectrum(gen, match_rtol=TRUST_MATCH_RTOL):
     scale = max(float(np.abs(gen.a_red).max()), 1e-300)
     zero_modes = trusted[np.abs(trusted) < ZERO_MODE_REL_TOL * scale]
     # eigenvectors back in reduced coordinates v = m^{-1/2} xi
-    red_vecs = gen.meta["m_inv_sqrt"] @ tvecs if tvecs.size else tvecs
+    red_vecs = gen.m_inv_sqrt @ tvecs if tvecs.size else tvecs
     return SpectrumReport(
         eigenvalues=trusted,
         abscissa=float(trusted.real.max()) if len(trusted) else float("nan"),

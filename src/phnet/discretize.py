@@ -15,6 +15,7 @@ values (recorded per run as sym_drift).
 import numpy as np
 import scipy.linalg as sla
 from dataclasses import dataclass, field
+from functools import cached_property
 from numpy.polynomial import legendre as npleg
 
 from .model import PHStructuralError
@@ -98,15 +99,12 @@ def discretize_subsystem(subsystem, n):
     d_dim = s.dim
     h_vals = s.hamiltonian(grid.points)
     h_blk = sla.block_diag(*h_vals)
-    p0_vals = s.p0(grid.points) if s.p0 is not None else None
-    is_complex = (np.iscomplexobj(h_blk)
-                  or (p0_vals is not None and np.iscomplexobj(p0_vals))
-                  or any(np.iscomplexobj(s.p_matrices[k])
-                         for k in range(1, s.order + 1)))
+    p0_vals = np.zeros((0, d_dim, d_dim)) if s.p0 is None else s.p0(grid.points)
 
     dk = np.eye(n)
-    op = np.zeros((n * d_dim, n * d_dim), dtype=complex if is_complex else float)
-    if p0_vals is not None:
+    op = np.zeros((n * d_dim, n * d_dim),
+                  dtype=np.result_type(float, h_vals, p0_vals, *s.p_matrices[1:]))
+    if len(p0_vals):
         op += sla.block_diag(*p0_vals)
     for k in range(1, s.order + 1):
         dk = grid.diff @ dk
@@ -130,48 +128,69 @@ def discretize_subsystem(subsystem, n):
 
 @dataclass
 class DiscreteGenerator:
-    """Reduced matrix pair of the constrained network generator.
+    """Reduced pencil (m_red, s_red) of the constrained network generator.
 
-    a_red v = m_red^{-1} s_red v represents the generator in the discrete
-    energy inner product m_red = Z* M Z (Z = lift, an orthonormal basis of
-    the discrete constraint null space over sample + controller
-    coordinates).  meta records the full-space m_full, l_full and
-    constraint rows, constraint_residual = max |G Z|, and the measured
-    dissipativity defect sym_drift = max eig of Sym applied in the
-    congruence frame.  companion holds the same network reduced at a
-    coarser resolution, used by the two-grid eigenvalue filter.
+    The generator acts as a_red = m_red^{-1} s_red in the discrete energy
+    inner product m_red = Z* M Z (Z = lift, an orthonormal basis of the
+    discrete constraint null space over sample + controller coordinates,
+    M = m_full).  meta holds the constraint rows, constraint_residual =
+    max |G Z|, and the measured dissipativity defect sym_drift = max eig of
+    Sym applied in the congruence frame.  a_red, the congruence frame and
+    the companion (the same network at a coarser resolution, for the
+    two-grid eigenvalue filter) are derived on first use.
     """
 
-    a_red: np.ndarray
     m_red: np.ndarray
     s_red: np.ndarray
     lift: np.ndarray
+    m_full: np.ndarray
     trace_mats: list
     sample_slices: list
     controller_slice: slice
     grids: list
+    net: object
     meta: dict = field(default_factory=dict)
-    companion: object = None
 
     @property
     def n_red(self):
-        return self.a_red.shape[0]
+        return self.m_red.shape[0]
 
     @property
     def n_full(self):
         return self.lift.shape[0]
 
+    @cached_property
+    def a_red(self):
+        """m_red^{-1} s_red: the generator in reduced coordinates."""
+        return np.linalg.solve(self.m_red, self.s_red)
+
+    @cached_property
+    def _frame(self):
+        vals, vecs = np.linalg.eigh(self.m_red)
+        if vals.min() <= 0:
+            raise PHStructuralError("m_red not positive definite (min eig %.3e)"
+                                    % vals.min())
+        r_inv = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        return r_inv, r_inv @ self.s_red @ r_inv
+
+    @property
+    def m_inv_sqrt(self):
+        """m_red^{-1/2}: maps energy-frame vectors back to reduced coordinates."""
+        return self._frame[0]
+
     def sim_operator(self):
         """m_red^{1/2}-congruent operator whose eigenvalues live in the energy space."""
-        if "sim_op" not in self.meta:
-            vals, vecs = np.linalg.eigh(self.m_red)
-            if vals.min() <= 0:
-                raise PHStructuralError("m_red not positive definite (min eig %.3e)"
-                                        % vals.min())
-            r_inv = (vecs / np.sqrt(vals)) @ vecs.conj().T
-            self.meta["m_inv_sqrt"] = r_inv
-            self.meta["sim_op"] = r_inv @ self.s_red @ r_inv
-        return self.meta["sim_op"]
+        return self._frame[1]
+
+    @cached_property
+    def companion(self):
+        """The same network reduced at about 0.8 n per subsystem (at least
+        4N + 6 points; n + 4 where that floor is n itself)."""
+        n_comp = []
+        for s, grid in zip(self.net.subsystems, self.grids):
+            nc = max(4 * s.order + 6, int(round(0.8 * grid.n)))
+            n_comp.append(grid.n + 4 if nc == grid.n else nc)
+        return assemble_generator(self.net, n_comp)
 
     def energy(self, v):
         """H = 1/2 <v, v>_{m_red} of a reduced state."""
@@ -188,17 +207,13 @@ class DiscreteGenerator:
         den = max(float(np.real(x_full.conj() @ self.m_full @ x_full)), 1e-300)
         return v, np.sqrt(max(num, 0.0) / den)
 
-    @property
-    def m_full(self):
-        return self.meta["m_full"]
-
     def traces(self, v):
         """Per-subsystem boundary traces tau_j(Hx) of a reduced state."""
         x = self.lift @ np.asarray(v)
         return [t @ x[sl] for t, sl in zip(self.trace_mats, self.sample_slices)]
 
 
-def assemble_generator(net, n_per_subsystem, with_companion=True):
+def assemble_generator(net, n_per_subsystem):
     """Reduce the closed-loop network to a DiscreteGenerator.
 
     n_per_subsystem is an int (applied to every subsystem) or a list.
@@ -223,11 +238,8 @@ def assemble_generator(net, n_per_subsystem, with_companion=True):
     sample_slices = [slice(int(offs[j]), int(offs[j + 1])) for j in range(len(ops))]
     controller_slice = slice(n_pde, n_full)
 
-    is_complex = any(np.iscomplexobj(o.l) for o in ops) or any(
-        np.iscomplexobj(m) for c in net.controllers
-        for m in (c.a_c, c.b_c, c.c_c, c.d_c, c.state_weight))
-    dtype = complex if is_complex else float
-
+    # w_b_net carries the dtype of K, W_B, W_C and the controllers
+    dtype = np.result_type(closed.w_b_net, *(o.l for o in ops))
     l_full = np.zeros((n_full, n_full), dtype=dtype)
     m_full = np.zeros((n_full, n_full), dtype=dtype)
     t_stack = np.zeros((sum(o.t.shape[0] for o in ops), n_pde), dtype=dtype)
@@ -265,37 +277,21 @@ def assemble_generator(net, n_per_subsystem, with_companion=True):
                                     % (sv.min(), block))
         # full row rank: the trailing right singular vectors span ker g
         z = vh[g.shape[0]:].conj().T
-    m_red = z.conj().T @ m_full @ z
-    s_red = z.conj().T @ m_full @ l_full @ z
-    a_red = np.linalg.solve(m_red, s_red)
 
     gen = DiscreteGenerator(
-        a_red=a_red, m_red=m_red, s_red=s_red, lift=z,
-        trace_mats=[o.t for o in ops], sample_slices=sample_slices,
-        controller_slice=controller_slice, grids=[o.grid for o in ops],
-        meta={"m_full": m_full, "l_full": l_full, "constraint": g})
-    gen.meta["constraint_residual"] = float(np.abs(g @ z).max()) if g.size else 0.0
+        m_red=z.conj().T @ m_full @ z, s_red=z.conj().T @ m_full @ l_full @ z,
+        lift=z, m_full=m_full, trace_mats=[o.t for o in ops],
+        sample_slices=sample_slices, controller_slice=controller_slice,
+        grids=[o.grid for o in ops], net=net,
+        meta={"constraint": g,
+              "constraint_residual": float(np.abs(g @ z).max()) if g.size else 0.0})
     sim = gen.sim_operator()
     gen.meta["sym_drift"] = float(np.linalg.eigvalsh(0.5 * (sim + sim.conj().T)).max())
-
-    if with_companion:
-        n_comp = []
-        for s, n in zip(net.subsystems, n_list):
-            floor = 4 * s.order + 6
-            nc = max(floor, int(round(0.8 * n)))
-            if nc == n:
-                nc = max(floor, n - 4)
-            if nc == n:         # at the minimum resolution: refine instead
-                nc = n + 4
-            n_comp.append(nc)
-        gen.companion = assemble_generator(net, n_comp, with_companion=False)
     return gen
 
 
 def _locate_constraint_block(net, closed, row):
-    if row >= len(closed.kept_rows):
-        return "controller rows"
-    port_row = int(closed.kept_rows[min(row, len(closed.kept_rows) - 1)])
+    port_row = int(closed.kept_rows[row])
     offs = list(net.port_offsets) + [net.total_ports]
     for j in range(len(net.subsystems)):
         if offs[j] <= port_row < offs[j + 1]:

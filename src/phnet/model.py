@@ -144,31 +144,18 @@ def as_matrix_function(value, dim=None):
 def _encode_array(a):
     """Nested lists; complex entries as [re, im] pairs."""
     a = np.asarray(a)
-    if np.iscomplexobj(a):
-        def enc(x):
-            if isinstance(x, (list, np.ndarray)):
-                return [enc(v) for v in x]
-            return [float(np.real(x)), float(np.imag(x))]
-        return [enc(row) for row in a.tolist()] if a.ndim > 0 else enc(a.item())
-    return a.tolist()
+    return np.stack([a.real, a.imag], -1).tolist() if np.iscomplexobj(a) else a.tolist()
 
 
 def _decode_array(data, depth):
     """Inverse of _encode_array given the expected nesting depth."""
-    def level(x):
-        if not isinstance(x, list):
-            return 0
-        return 1 + (level(x[0]) if x else 0)
-    lv = level(data)
-    if lv == depth:
-        return np.asarray(data, dtype=float)
-    if lv == depth + 1:
-        def dec(x, d):
-            if d == 0:
-                return complex(x[0], x[1])
-            return [dec(v, d - 1) for v in x]
-        return np.asarray(dec(data, depth), dtype=complex)
-    raise PHStructuralError("array nesting depth %d does not match expected %d" % (lv, depth))
+    a = np.asarray(data, dtype=float)
+    if a.ndim == depth:
+        return a
+    if a.ndim == depth + 1 and a.shape[-1] == 2:
+        return a.view(complex)[..., 0]
+    raise PHStructuralError("array of shape %s: expected depth %d, or depth %d "
+                            "of [re, im] pairs" % (a.shape, depth, depth + 1))
 
 
 @dataclass(frozen=True)
@@ -347,15 +334,14 @@ def flux_matrix(p_matrices, order, dim):
     symmetry relations P_k^* = (-1)^{k+1} P_k.
     """
     n, d = order, dim
-    is_complex = any(np.iscomplexobj(p_matrices[k]) for k in range(1, n + 1))
-    q = np.zeros((2 * n * d, 2 * n * d), dtype=complex if is_complex else float)
+    pks = [np.asarray(pk) for pk in p_matrices[1:n + 1]]
+    q = np.zeros((2 * n * d, 2 * n * d), dtype=np.result_type(float, *pks))
 
     def add(row, col, mat):
         q[row * d:(row + 1) * d, col * d:(col + 1) * d] += mat / 2.0
         q[col * d:(col + 1) * d, row * d:(row + 1) * d] += mat.conj().T / 2.0
 
-    for k in range(1, n + 1):
-        pk = np.asarray(p_matrices[k])
+    for k, pk in enumerate(pks, start=1):
         for j in range(k):
             sign = (-1.0) ** j
             add(j, k - 1 - j, sign * pk)             # endpoint z = 1

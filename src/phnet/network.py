@@ -187,10 +187,8 @@ def assemble(net):
     w_c_blk = sla.block_diag(*[s.w_c for s in net.subsystems])
     q_blk = sla.block_diag(*[flux_form(s).q for s in net.subsystems])
 
-    is_complex = any(np.iscomplexobj(m) for m in (w_b_blk, w_c_blk, k)) or any(
-        np.iscomplexobj(m) for c in net.controllers
-        for m in (c.a_c, c.b_c, c.c_c, c.d_c, c.state_weight))
-    dtype = complex if is_complex else float
+    dtype = np.result_type(float, w_b_blk, w_c_blk, k, *(
+        m for c in net.controllers for m in (c.a_c, c.b_c, c.c_c, c.d_c, c.state_weight)))
     w_b_net = (w_b_blk - k @ w_c_blk).astype(dtype)
     n_c = net.n_controller_states
     c_c_net = np.zeros((p, n_c), dtype=dtype)

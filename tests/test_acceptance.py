@@ -42,7 +42,7 @@ def test_criterion_1_random_certification_suite():
         net = Network(subsystems=(s,), k_mat=k)
         cert = certify_network_dissipative(net)
         assert cert.passed, "certificate failed at case %d" % i
-        gen = assemble_generator(net, 32, with_companion=False)
+        gen = assemble_generator(net, 32)
         absc = float(np.linalg.eigvals(gen.sim_operator()).real.max())
         worst_abscissa = max(worst_abscissa, absc)
         assert absc <= 1e-7, "abscissa %.3e at case %d" % (absc, i)
@@ -169,7 +169,7 @@ def test_criterion_6_spring_mass_damper():
                                        (-r_par - disc) / (2 * m_par)]))
     assert np.allclose(ev, expect, atol=1e-14)
     assert certify_network_dissipative(net).passed
-    gen = assemble_generator(net, 32, with_companion=False)
+    gen = assemble_generator(net, 32)
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(100):
@@ -196,7 +196,7 @@ def test_criterion_7_contraction_invariant():
             ("chain_of_strings", "euler_bernoulli_beam", "damper_string_beam",
              "spring_mass_damper_string_beam", "mass_damped_string")]
     for net in nets:
-        gen = assemble_generator(net, 24, with_companion=False)
+        gen = assemble_generator(net, 24)
         for dt in (1e-3, 1e-2, 1e-1):
             stepper = CayleyStepper(gen, dt)
             v = rng.standard_normal(gen.n_red)
@@ -212,7 +212,7 @@ def test_criterion_7_contraction_invariant():
             build_beam(left_bc="pinned", right_bc="pinned")]
     drifts = []
     for net in cons:
-        gen = assemble_generator(net, 24, with_companion=False)
+        gen = assemble_generator(net, 24)
         stepper = CayleyStepper(gen, 1e-2)
         v = rng.standard_normal(gen.n_red)
         e0 = gen.energy(v)

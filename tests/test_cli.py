@@ -244,6 +244,14 @@ class TestExitCodes:
             {"schema": 2, "scenario": {"name": "chain_of_strings", "params": {}}}))
         self.assert_usage_error(main(["check", str(path)]), capsys)
 
+    def test_complex_entry_with_three_components(self, tmp_path, capsys):
+        doc = network_to_dict(build_chain(m=1, kappa=[0.5]))
+        w_b = doc["subsystems"][0]["w_b"]
+        doc["subsystems"][0]["w_b"] = [[[v, 0.0, 1.0] for v in row] for row in w_b]
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps(doc))
+        self.assert_usage_error(main(["check", str(path)]), capsys)
+
     def test_too_few_samples_for_decay_fit(self, tmp_path, capsys):
         rc = main(["simulate", write_chain(tmp_path, m=1, kappa=[0.5]), "--n", "24",
                    "--t-end", "2", "--dt", "1e-2", "--record-every", "50",

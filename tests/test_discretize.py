@@ -169,7 +169,40 @@ class TestAssembleGenerator:
                           hamiltonian=s.hamiltonian, w_b=dup, w_c=s.w_c)
         net = Network(subsystems=(bad,), k_mat=np.zeros((2, 2)))
         with pytest.raises(PHStructuralError, match="subsystem 0"):
-            assemble_generator(net, 24, with_companion=False)
+            assemble_generator(net, 24)
+
+    def test_companion_resolution_policy(self):
+        # about 0.8 n, at least 4N + 6 points, refined to n + 4 when that
+        # floor is n itself; built once, on first use
+        for n, n_comp in ((48, 38), (8, 10), (10, 14)):
+            gen = assemble_generator(damped_wave_network(), n)
+            assert gen.companion is gen.companion
+            assert [g.n for g in gen.companion.grids] == [n_comp]
+
+    def test_complex_k_keeps_imaginary_part(self):
+        # free end plus a complex impedance y2(0) = -k y1(0); the modes solve
+        # e^{2 lam} = (1 - k)/(1 + k), so the abscissa is 1/2 log|(1+k)/(1-k)|
+        k = -0.5 + 0.2j
+        net = Network(subsystems=(_wave_subsystem(1.0, 1.0, kind="last"),),
+                      k_mat=np.array([[k, 0.0], [0.0, 0.0]]))
+        rep = spectrum(assemble_generator(net, 48))
+        assert abs(rep.abscissa - 0.5 * np.log(abs((1 + k) / (1 - k)))) <= 1e-6
+
+    def test_complex_port_row_scaling_keeps_spectrum(self):
+        # multiplying a W_B row and its W_C partner by 1j leaves the
+        # constraint kernel and the supply Sym(W_C* W_B) unchanged
+        s = _wave_subsystem(1.0, 1.0, kind="last")
+        w_b, w_c = s.w_b.astype(complex), s.w_c.astype(complex)
+        w_b[0] *= 1j
+        w_c[0] *= 1j
+        scaled = PHSubsystem(order=1, dim=2, p_matrices=s.p_matrices,
+                             hamiltonian=s.hamiltonian, w_b=w_b, w_c=w_c)
+        k = np.array([[-0.5, 0.0], [0.0, 0.0]])
+        want = spectrum(assemble_generator(Network(subsystems=(s,), k_mat=k), 48))
+        got = spectrum(assemble_generator(Network(subsystems=(scaled,), k_mat=k), 48))
+        assert len(got.eigenvalues) == len(want.eigenvalues) > 0
+        for lam in got.eigenvalues:
+            assert np.min(np.abs(want.eigenvalues - lam)) <= 1e-10
 
 
 class TestDiscreteEnergyBalance:
@@ -178,7 +211,7 @@ class TestDiscreteEnergyBalance:
         # summation-by-parts identity, exact to rounding.
         rng = np.random.default_rng(3)
         net = damped_wave_network(0.7)
-        gen = assemble_generator(net, 32, with_companion=False)
+        gen = assemble_generator(net, 32)
         for _ in range(10):
             v = rng.standard_normal(gen.n_red)
             lhs = discrete_energy_rate(gen, v)
@@ -195,7 +228,6 @@ class TestDiscreteEnergyBalance:
                         hamiltonian=MatrixFunction.constant(np.eye(2)),
                         w_b=np.array([[0, 0, 0, -1.0], [0, 1.0, 0, 0]]),
                         w_c=np.array([[0, 0, 1.0, 0], [1.0, 0, 0, 0]]))
-        net = Network(subsystems=(s,), k_mat=np.zeros((2, 2)))
         gx, gw = np.polynomial.legendre.leggauss(400)
         gx, gw = 0.5 * (gx + 1), 0.5 * gw
 
@@ -203,10 +235,10 @@ class TestDiscreteEnergyBalance:
             return np.stack([np.exp(np.sin(3.0 * z)), np.cos(2.0 * z)], axis=1)
 
         def defect(n):
-            gen = assemble_generator(net, n, with_companion=False)
-            grid = gen.grids[0]
+            ops = discretize_subsystem(s, n)
+            grid = ops.grid
             x = smooth_state(grid.points).reshape(-1)
-            lhs = float(np.real(x @ gen.meta["m_full"] @ gen.meta["l_full"] @ x))
+            lhs = float(np.real(x @ ops.m @ ops.l @ x))
             # interpolate the grid polynomial to the fine Gauss rule
             vals = np.empty((len(gx), 2))
             xs = x.reshape(-1, 2)
@@ -214,7 +246,7 @@ class TestDiscreteEnergyBalance:
                 vals[:, c] = _interp_poly(grid.points, xs[:, c], gx)
             p0_vals = p0(gx)
             p0_int = float(gw @ np.einsum("qi,qij,qj->q", vals, p0_vals, vals))
-            tau = gen.trace_mats[0] @ x
+            tau = ops.t @ x
             from phnet import flux_form
             q = flux_form(s).q
             flux = 0.5 * float(np.real(tau @ q @ tau)) + p0_int

@@ -176,8 +176,8 @@ class TestCertification:
         assert np.iscomplexobj(closed.c_c_net)
         assert np.abs(closed.cross.imag).max() > 0
         from phnet import assemble_generator
-        gen = assemble_generator(net, 16, with_companion=False)
-        assert np.iscomplexobj(gen.meta["l_full"])
+        gen = assemble_generator(net, 16)
+        assert np.iscomplexobj(gen.s_red)
 
     def test_controller_certificate_and_kernel_condition(self):
         from phnet.scenarios import _msd_controller

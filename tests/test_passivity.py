@@ -153,7 +153,7 @@ class TestDissipativeClosure:
         assert np.real(w.conj() @ (0.5 * q) @ w) > 0
         # cross-check: simulating the closed loop shows energy growth
         net = Network(subsystems=(wave(),), k_mat=k)
-        gen = assemble_generator(net, 24, with_companion=False)
+        gen = assemble_generator(net, 24)
         x0 = np.zeros(gen.n_full)
         z = gen.grids[0].points
         block = np.zeros((len(z), 2))

@@ -183,7 +183,7 @@ class TestCoupled:
         r = 1.3
         net = build_coupled(variant="spring_mass_damper_string_beam",
                             damping=r)
-        gen = assemble_generator(net, 32, with_companion=False)
+        gen = assemble_generator(net, 32)
         rng = np.random.default_rng(9)
         for _ in range(100):
             v = rng.standard_normal(gen.n_red)
@@ -199,7 +199,7 @@ class TestCoupled:
         from phnet.simulate import CayleyStepper
         r = 0.7
         net = build_coupled(variant="spring_mass_damper_string_beam", damping=r)
-        gen = assemble_generator(net, 24, with_companion=False)
+        gen = assemble_generator(net, 24)
         x0 = make_initial_state(net, gen, "bump")
         v, _ = gen.project(x0)
         dt = 1e-2

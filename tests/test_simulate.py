@@ -14,13 +14,13 @@ from phnet.simulate import CayleyStepper
 def conservative():
     s = _wave_subsystem(1.0, 1.0, kind="last")
     net = Network(subsystems=(s,), k_mat=np.zeros((2, 2)))
-    return net, assemble_generator(net, 32, with_companion=False)
+    return net, assemble_generator(net, 32)
 
 
 @pytest.fixture(scope="module")
 def damped():
     net = build_chain(m=1, kappa=[0.5])
-    return net, assemble_generator(net, 32, with_companion=False)
+    return net, assemble_generator(net, 32)
 
 
 class TestStepMidpoint:
@@ -60,7 +60,7 @@ class TestSimulate:
 
     def test_damped_wave_decay_bound(self, damped):
         net, gen = damped
-        gen64 = assemble_generator(net, 64, with_companion=False)
+        gen64 = assemble_generator(net, 64)
         x0 = make_initial_state(net, gen64, "sine")
         tr = simulate(gen64, x0, dt=5e-3, t_end=10.0, record_every=10)
         assert np.all(np.diff(tr.energies) <= tr.energies[:-1] * 1e-12 + 1e-300)
@@ -68,7 +68,7 @@ class TestSimulate:
 
     def test_chain_energy_nonincreasing(self):
         net = build_chain(m=3, kappa=[0.5, 0.0, 0.0])
-        gen = assemble_generator(net, 24, with_companion=False)
+        gen = assemble_generator(net, 24)
         x0 = make_initial_state(net, gen, "bump")
         tr = simulate(gen, x0, dt=1e-2, t_end=8.0)
         assert np.all(np.diff(tr.energies) <= tr.energies[:-1] * 1e-12 + 1e-300)
