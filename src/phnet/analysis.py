@@ -17,6 +17,8 @@ ZERO_MODE_REL_TOL = 1e-8
 TRUST_MATCH_RTOL = 1e-6
 EXP_ABSCISSA_TOL = -1e-6
 EXP_TREND_LIMIT = 1.5
+PEAK_REFINE_LEVELS = 3
+DECAY_WINDOW_START = 0.25
 
 
 @dataclass
@@ -49,16 +51,17 @@ class SpectrumReport:
                 "sym_drift": self.meta.get("sym_drift")}
 
 
-def spectrum(gen, match_rtol=TRUST_MATCH_RTOL):
+def spectrum(gen):
     """Eigenvalues of the reduced generator in the energy inner product.
 
     Computed via the m_red^{1/2} congruence; an eigenvalue is trusted when
     the companion resolution (built on first use) has one within
-    match_rtol * (1 + |lambda|).  Zero modes are |lambda| < 1e-8 * max|a_red|.
+    TRUST_MATCH_RTOL * (1 + |lambda|).  Zero modes are
+    |lambda| < ZERO_MODE_REL_TOL * max|a_red|.
     """
     vals, vecs = np.linalg.eig(gen.sim_operator())
     comp_vals = np.linalg.eigvals(gen.companion.sim_operator())
-    keep = np.array([np.abs(comp_vals - lam).min() <= match_rtol * (1.0 + abs(lam))
+    keep = np.array([np.abs(comp_vals - lam).min() <= TRUST_MATCH_RTOL * (1.0 + abs(lam))
                      for lam in vals])
     trusted = vals[keep]
     tvecs = vecs[:, keep]
@@ -76,8 +79,7 @@ def spectrum(gen, match_rtol=TRUST_MATCH_RTOL):
         raw_eigenvalues=vals,
         discarded=int(len(vals) - len(trusted)),
         eigenvectors=red_vecs,
-        meta={"sym_drift": gen.meta.get("sym_drift"),
-              "match_rtol": match_rtol})
+        meta={"sym_drift": gen.meta.get("sym_drift")})
 
 
 @dataclass
@@ -98,15 +100,14 @@ class ResolventScan:
                 "diverged": int(self.diverged.sum())}
 
 
-def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None,
-                   refine_levels=3):
+def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None):
     """Scan the resolvent norm along the imaginary axis.
 
     norm(beta) = 1 / sigma_min(i beta I - A_sim) in the congruence frame.
     Scans [0, beta_max]; for real-coefficient networks negative beta is
     implied by conjugate symmetry.  The uniform grid is refined with
-    log-spaced offsets around every trusted eigenfrequency so narrow
-    peaks are not missed.  Samples within
+    PEAK_REFINE_LEVELS log-spaced offsets around every trusted
+    eigenfrequency so narrow peaks are not missed.  Samples within
     tolerance of an eigenvalue are flagged diverged and excluded from the
     sup.  trend = sup over (beta_max/2, beta_max] divided by sup over
     [0, beta_max/2]; growth with frequency signals a failing uniform
@@ -128,7 +129,7 @@ def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None,
             continue
         betas.add(b0)
         if abs(lam.real) > 0:
-            for lvl in range(refine_levels):
+            for lvl in range(PEAK_REFINE_LEVELS):
                 off = abs(lam.real) * 10.0 ** (-lvl)
                 betas.add(min(beta_max, b0 + off))
                 betas.add(max(0.0, b0 - off))
@@ -159,8 +160,7 @@ def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None,
         trend = float("nan")
     return ResolventScan(betas=betas, norms=norms, diverged=diverged,
                          sup_norm=sup_norm, trend=trend, beta_max=beta_max,
-                         meta={"trust_band": trust_band,
-                               "refine_levels": refine_levels})
+                         meta={"trust_band": trust_band})
 
 
 def exponential_verdict(spectrum_report, scan):
@@ -177,18 +177,18 @@ def exponential_verdict(spectrum_report, scan):
     return "exponentially stable (surrogate)"
 
 
-def asp_diagnostic(gen, r_selector, spectrum_report=None, tol=None):
+def asp_diagnostic(gen, r_selector):
     """Residuals ||R v|| of near-imaginary trusted eigenvectors.
 
     r_selector is a sequence of (subsystem_index, trace_component) pairs
     selecting rows of the stacked trace, the concrete dissipation observer
     R.  A residual ~ 0 exposes an undamped imaginary mode invisible to R
-    (an ASP violation).  Returns a list of (eigenvalue, residual).
+    (an ASP violation), with near-imaginary |Re lambda| < 10 *
+    ZERO_MODE_REL_TOL * max|a_red|.  Returns a list of (eigenvalue, residual).
     """
-    rep = spectrum_report if spectrum_report is not None else spectrum(gen)
-    if tol is None:
-        scale = max(float(np.abs(gen.a_red).max()), 1e-300)
-        tol = ZERO_MODE_REL_TOL * scale * 10
+    rep = spectrum(gen)
+    scale = max(float(np.abs(gen.a_red).max()), 1e-300)
+    tol = ZERO_MODE_REL_TOL * scale * 10
     out = []
     for i, lam in enumerate(rep.eigenvalues):
         if abs(lam.real) >= tol:
@@ -201,11 +201,11 @@ def asp_diagnostic(gen, r_selector, spectrum_report=None, tol=None):
     return out
 
 
-def decay_fit(trace, window_start_frac=0.25):
+def decay_fit(trace):
     """Least-squares exponential envelope of an EnergyTrace.
 
-    Fits log H(t) over [t_end * frac, t_end]; returns (M, eta) with
-    H(t) <= M exp(eta t) H(0) as the fitted model, M clamped >= 1.
+    Fits log H(t) over [DECAY_WINDOW_START * t_end, t_end]; returns (M, eta)
+    with H(t) <= M exp(eta t) H(0) as the fitted model, M clamped >= 1.
     """
     t = np.asarray(trace.times)
     h = np.asarray(trace.energies)
@@ -216,7 +216,7 @@ def decay_fit(trace, window_start_frac=0.25):
     if np.any(h <= 0):
         raise ValueError("energy trace hits a nonpositive value: numerical fault upstream")
     t_end = t[-1]
-    mask = t >= window_start_frac * t_end
+    mask = t >= DECAY_WINDOW_START * t_end
     slope, intercept = np.polyfit(t[mask], np.log(h[mask]), 1)
     m_const = max(1.0, float(np.exp(intercept) / h[0]))
     return m_const, float(slope)

@@ -3,9 +3,10 @@
 Reports are JSON on stdout (schema 1); tabular output goes to CSV files
 with '.' decimals, ',' separators, a header row, and LF line endings.
 Non-finite numbers are reported as null.  Exit codes: 0 success /
-certified, 1 failed certification, 2 schema, parse or parameter error
-(one line on stderr).  The only parallelism is BLAS's, set by
-OPENBLAS_NUM_THREADS; --seed fixes all randomness.
+certified, 1 failed certification, 2 schema, parse or parameter error,
+non-positive numeric flag or non-finite file entry (one line on stderr).
+The only parallelism is BLAS's, set by OPENBLAS_NUM_THREADS; --seed fixes
+all randomness.
 """
 
 import argparse
@@ -24,6 +25,22 @@ from .scenarios import SCENARIOS, ScenarioError, build_scenario, make_initial_st
 from .simulate import simulate, write_csv
 
 DEFAULT_N = 48
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):           # main reports it in one line
+        raise argparse.ArgumentError(None, message)
+
+
+def _positive(kind):
+    """argparse type: a finite `kind` value greater than zero."""
+    def parse(text):
+        value = kind(text)
+        if not (value > 0 and np.isfinite(value)):
+            raise argparse.ArgumentTypeError("must be positive and finite, got %s" % text)
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _emit(doc):
@@ -82,13 +99,9 @@ def cmd_check(args):
     return 0 if cert.passed else 1
 
 
-def _generator(net, args):
-    return assemble_generator(net, args.n)
-
-
 def cmd_spectrum(args):
     net = load_network(args.file)
-    gen = _generator(net, args)
+    gen = assemble_generator(net, args.n)
     rep = spectrum(gen)
     write_csv(args.out, ["re", "im"], [rep.eigenvalues.real, rep.eigenvalues.imag])
     summary = {"schema": 1, "abscissa": rep.abscissa, "n": args.n}
@@ -100,7 +113,7 @@ def cmd_spectrum(args):
 
 def cmd_resolvent(args):
     net = load_network(args.file)
-    gen = _generator(net, args)
+    gen = assemble_generator(net, args.n)
     rep = spectrum(gen)
     scan = resolvent_scan(gen, beta_max=args.beta_max, samples=args.samples,
                           spectrum_report=rep)
@@ -116,7 +129,7 @@ def cmd_resolvent(args):
 
 def cmd_simulate(args):
     net = load_network(args.file)
-    gen = _generator(net, args)
+    gen = assemble_generator(net, args.n)
     x0 = make_initial_state(net, gen, preset=args.x0, seed=args.seed)
     trace = simulate(gen, x0, dt=args.dt, t_end=args.t_end,
                      record_every=args.record_every)
@@ -152,8 +165,7 @@ def cmd_scenario(args):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="phnet",
-                                description="port-Hamiltonian network toolkit")
+    p = _Parser(prog="phnet", description="port-Hamiltonian network toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -173,17 +185,17 @@ def build_parser():
 
     sp = sub.add_parser("resolvent", help="imaginary-axis resolvent scan")
     common(sp)
-    sp.add_argument("--beta-max", type=float, default=None)
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--beta-max", type=_positive(float), default=None)
+    sp.add_argument("--samples", type=_positive(int), default=200)
     sp.add_argument("--out", default="resolvent.csv")
     sp.set_defaults(func=cmd_resolvent)
 
     sp = sub.add_parser("simulate", help="contractive time integration")
     common(sp)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--t-end", type=float, default=10.0)
+    sp.add_argument("--dt", type=_positive(float), default=None)
+    sp.add_argument("--t-end", type=_positive(float), default=10.0)
     sp.add_argument("--x0", default="sine", help="sine | bump | random[:seed]")
-    sp.add_argument("--record-every", type=int, default=1)
+    sp.add_argument("--record-every", type=_positive(int), default=1)
     sp.add_argument("--out", default="trace.csv")
     sp.set_defaults(func=cmd_simulate)
 
@@ -196,13 +208,13 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if args.command == "scenario" and args.action == "dump" and not args.name:
-        print("error: scenario dump needs a name", file=sys.stderr)
-        return 2
+    parser = build_parser()
     try:
+        args = parser.parse_args(argv)
+        if args.command == "scenario" and args.action == "dump" and not args.name:
+            parser.error("scenario dump needs a name")
         return args.func(args)
-    except (NetworkFileError, ScenarioError, PHStructuralError,
+    except (argparse.ArgumentError, NetworkFileError, ScenarioError, PHStructuralError,
             json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -133,7 +133,8 @@ class DiscreteGenerator:
     The generator acts as a_red = m_red^{-1} s_red in the discrete energy
     inner product m_red = Z* M Z (Z = lift, an orthonormal basis of the
     discrete constraint null space over sample + controller coordinates,
-    M = m_full).  meta holds the constraint rows, constraint_residual =
+    M = m_full); trace_map @ v stacks the boundary traces of every
+    subsystem.  meta holds the constraint rows, constraint_residual =
     max |G Z|, and the measured dissipativity defect sym_drift = max eig of
     Sym applied in the congruence frame.  a_red, the congruence frame and
     the companion (the same network at a coarser resolution, for the
@@ -144,7 +145,7 @@ class DiscreteGenerator:
     s_red: np.ndarray
     lift: np.ndarray
     m_full: np.ndarray
-    trace_mats: list
+    trace_map: np.ndarray
     sample_slices: list
     controller_slice: slice
     grids: list
@@ -209,8 +210,12 @@ class DiscreteGenerator:
 
     def traces(self, v):
         """Per-subsystem boundary traces tau_j(Hx) of a reduced state."""
-        x = self.lift @ np.asarray(v)
-        return [t @ x[sl] for t, sl in zip(self.trace_mats, self.sample_slices)]
+        return self.split_traces(self.trace_map @ np.asarray(v))
+
+    def split_traces(self, tau):
+        """Per-subsystem blocks of stacked traces (last axis)."""
+        ends = np.cumsum([s.trace_dim for s in self.net.subsystems])
+        return np.split(tau, ends[:-1], axis=-1)
 
 
 def assemble_generator(net, n_per_subsystem):
@@ -280,7 +285,7 @@ def assemble_generator(net, n_per_subsystem):
 
     gen = DiscreteGenerator(
         m_red=z.conj().T @ m_full @ z, s_red=z.conj().T @ m_full @ l_full @ z,
-        lift=z, m_full=m_full, trace_mats=[o.t for o in ops],
+        lift=z, m_full=m_full, trace_map=t_stack @ z[:n_pde],
         sample_slices=sample_slices, controller_slice=controller_slice,
         grids=[o.grid for o in ops], net=net,
         meta={"constraint": g,

@@ -96,17 +96,14 @@ class MatrixFunction:
         w = (t - i0)[:, None, None]
         return (1.0 - w) * self.data[i0] + w * self.data[i0 + 1]
 
-    def hermitian_defect(self, z_grid=None):
-        """Max entrywise deviation from Hermitian symmetry over a grid."""
-        if z_grid is None:
-            z_grid = np.linspace(0.0, 1.0, 129)
+    def hermitian_defect(self, z_grid):
+        """Max entrywise deviation from Hermitian symmetry over the points z_grid."""
         vals = self(z_grid)
         return float(np.max(np.abs(vals - vals.conj().transpose(0, 2, 1))))
 
-    def lipschitz_slope(self, z_grid=None):
+    def lipschitz_slope(self):
         """Finite-difference slope surrogate for the Lipschitz constant."""
-        if z_grid is None:
-            z_grid = np.linspace(0.0, 1.0, 257)
+        z_grid = np.linspace(0.0, 1.0, 257)
         vals = self(z_grid)
         dz = np.diff(z_grid)
         steps = np.abs(np.diff(vals, axis=0)).max(axis=(1, 2)) / dz
@@ -128,14 +125,13 @@ class MatrixFunction:
         return cls(kind, _decode_array(d["data"], depth))
 
 
-def as_matrix_function(value, dim=None):
+def as_matrix_function(value, dim):
     """Coerce a scalar, matrix, or MatrixFunction into a MatrixFunction."""
     if isinstance(value, MatrixFunction):
         return value
     a = np.asarray(value, dtype=float if not np.iscomplexobj(value) else complex)
     if a.ndim == 0:
-        d = 1 if dim is None else dim
-        return MatrixFunction.constant(np.eye(d) * complex(a))
+        return MatrixFunction.constant(np.eye(dim) * complex(a))
     if a.ndim == 2:
         return MatrixFunction.constant(a)
     raise PHStructuralError("cannot coerce array of shape %s to MatrixFunction" % (a.shape,))
@@ -150,12 +146,21 @@ def _encode_array(a):
 def _decode_array(data, depth):
     """Inverse of _encode_array given the expected nesting depth."""
     a = np.asarray(data, dtype=float)
+    if _has_bool(data) or not np.isfinite(a).all():    # null reads as NaN
+        raise PHStructuralError("matrix entries must be finite numbers, not null, "
+                                "NaN, infinity or a boolean")
     if a.ndim == depth:
         return a
     if a.ndim == depth + 1 and a.shape[-1] == 2:
         return a.view(complex)[..., 0]
     raise PHStructuralError("array of shape %s: expected depth %d, or depth %d "
                             "of [re, im] pairs" % (a.shape, depth, depth + 1))
+
+
+def _has_bool(data):
+    if isinstance(data, (list, tuple)):
+        return any(_has_bool(x) for x in data)
+    return isinstance(data, (bool, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -270,7 +275,7 @@ class ValidationReport:
 REL_TOL = 1e-10
 
 
-def validate_subsystem(subsystem, grid_points=None):
+def validate_subsystem(subsystem):
     """Check every structural invariant of a PHSubsystem.
 
     Returns a ValidationReport listing, per invariant, pass/fail and the
@@ -307,8 +312,6 @@ def validate_subsystem(subsystem, grid_points=None):
     if s.hamiltonian.kind == "samples":
         n_s = s.hamiltonian.data.shape[0]
         zs = np.union1d(zs, np.linspace(0.0, 1.0, n_s))
-    if grid_points is not None:
-        zs = np.union1d(zs, np.asarray(grid_points))
     herm = s.hamiltonian.hermitian_defect(zs)
     rep.add("H Hermitian", herm <= 1e-12 * max(1.0, float(np.abs(s.hamiltonian(zs)).max())),
             herm, "max entrywise Hermitian defect over sample grid")

@@ -229,7 +229,7 @@ def assemble(net):
         n_constraints=w_b_net.shape[0], kept_rows=kept)
 
 
-def check_controller_passive(controller, tol=None):
+def check_controller_passive(controller):
     """Impedance passivity certificate for a Controller.
 
     Tests the Hermitian supply-defect block matrix on (x_c, u_c); the
@@ -239,8 +239,7 @@ def check_controller_passive(controller, tol=None):
     structural condition a strictly input passive loop needs).
     """
     defect = controller.supply_defect()
-    if tol is None:
-        tol = _tol_for(defect)
+    tol = _tol_for(defect)
     cert = _psd_verdict(-defect, "controller", tol,
                         detail="-(supply defect) on (x_c, u_c)")
     pi = controller.input_projection()
@@ -324,19 +323,19 @@ def _block_nonzero(blk, tol):
     return blk is not None and np.asarray(blk).size > 0 and np.abs(blk).max() > tol
 
 
-def detect_serial_structure_blocks(blocks, tol=None):
+def detect_serial_structure_blocks(blocks):
     """Serial detection on an m x m nested list of (possibly rectangular) blocks.
 
-    blocks[j][i] maps cluster i's outputs into cluster j's input rows.
+    blocks[j][i] maps cluster i's outputs into cluster j's input rows; a
+    block is zero when no entry exceeds 1e-12 * max(1, largest entry).
     Returns SerialStructure with an ordering under which the permuted block
     matrix is strictly lower triangular, or NotSerial with a cycle witness.
     Ties in the topological order break by ascending block index.
     """
     m = len(blocks)
-    if tol is None:
-        mx = max([np.abs(b).max() for row in blocks for b in row
-                  if b is not None and np.asarray(b).size], default=0.0)
-        tol = 1e-12 * max(1.0, mx)
+    mx = max([np.abs(b).max() for row in blocks for b in row
+              if b is not None and np.asarray(b).size], default=0.0)
+    tol = 1e-12 * max(1.0, mx)
     for i in range(m):
         if _block_nonzero(blocks[i][i], tol):
             return NotSerial(cycle=(i,))
@@ -365,15 +364,10 @@ def detect_serial_structure_blocks(blocks, tol=None):
         remaining = [i for i in range(m) if i not in order]
         cycle = _find_cycle(succ, remaining)
         return NotSerial(cycle=tuple(cycle))
-    blocks_t = tuple(tuple(row) for row in blocks)
-    structure = SerialStructure(ordering=tuple(order), k_blocks=blocks_t)
-    # verify strict lower-block triangularity exactly
-    perm = structure.permuted_blocks()
-    for i in range(m):
-        for j in range(i, m):
-            if _block_nonzero(perm[i][j], tol):
-                return NotSerial(cycle=(structure.ordering[i], structure.ordering[j]))
-    return structure
+    # every nonzero block is an edge, so the topological order leaves the
+    # permuted block matrix strictly lower triangular
+    return SerialStructure(ordering=tuple(order),
+                           k_blocks=tuple(tuple(row) for row in blocks))
 
 
 def _find_cycle(succ, candidates):
@@ -397,18 +391,18 @@ def _find_cycle(succ, candidates):
     return sorted(cand)[:1]
 
 
-def detect_serial_structure(net, tol=None):
+def detect_serial_structure(net):
     """Serial detection for a Network.
 
     Uses the network's user-declared serial_blocks reformulation when
     present; otherwise partitions k_mat into per-subsystem port blocks.
     """
     if net.serial_blocks is not None:
-        return detect_serial_structure_blocks(net.serial_blocks, tol=tol)
+        return detect_serial_structure_blocks(net.serial_blocks)
     p = net.total_ports
     k = net.k_mat if net.k_mat is not None else np.zeros((p, p))
     offs = list(net.port_offsets) + [p]
     m = len(net.subsystems)
     blocks = [[k[offs[j]:offs[j + 1], offs[i]:offs[i + 1]] for i in range(m)]
               for j in range(m)]
-    return detect_serial_structure_blocks(blocks, tol=tol)
+    return detect_serial_structure_blocks(blocks)

@@ -128,13 +128,13 @@ def check_scattering(subsystem):
                         detail="W_B* W_B - W_C* W_C - Q/2 on the full trace space")
 
 
-def null_basis(mat, rtol=None):
-    """Orthonormal basis of ker(mat) via smallest-singular-vector extraction."""
+def null_basis(mat):
+    """Orthonormal basis of ker(mat); singular values <= REL_TOL * sigma_max count as 0."""
     mat = np.atleast_2d(np.asarray(mat))
     if mat.shape[0] == 0:
         return np.eye(mat.shape[1])
     u, sv, vh = np.linalg.svd(mat)
-    tol = (1e-10 if rtol is None else rtol) * (sv[0] if len(sv) and sv[0] > 0 else 1.0)
+    tol = REL_TOL * (sv[0] if len(sv) and sv[0] > 0 else 1.0)
     rank = int(np.sum(sv > tol))
     return vh[rank:].conj().T
 

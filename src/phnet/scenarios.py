@@ -249,10 +249,9 @@ def chain_serial_blocks(spec):
     return blocks
 
 
-def build_chain(spec=None, **kwargs):
+def build_chain(**params):
     """Network for the chain of strings, serial_blocks attached."""
-    if spec is None:
-        spec = ChainOfStringsSpec(**kwargs)
+    spec = ChainOfStringsSpec(**params)
     m = spec.m
     subsystems = []
     for j in range(m):
@@ -305,10 +304,9 @@ class EulerBernoulliSpec:
             self.left_bc = _validate_k0(self.left_bc)
 
 
-def build_beam(spec=None, **kwargs):
+def build_beam(**params):
     """Network with the single Euler-Bernoulli subsystem (K = 0 closure)."""
-    if spec is None:
-        spec = EulerBernoulliSpec(**kwargs)
+    spec = EulerBernoulliSpec(**params)
     right = _unit_rows(_BEAM_RIGHT_ROWS[spec.right_bc])
     if isinstance(spec.left_bc, str):
         left = _unit_rows(_BEAM_LEFT_ROWS[spec.left_bc])
@@ -361,7 +359,7 @@ class CoupledSpec:
                                     "(r = 0 leaves the loop undamped)")
 
 
-def build_coupled(spec=None, **kwargs):
+def build_coupled(**params):
     """String transmitting into a pinned beam, damped by boundary or tip MSD.
 
     Transmission rows (energy coordinates, conserving signs):
@@ -370,8 +368,7 @@ def build_coupled(spec=None, **kwargs):
         y2_beam(0) = 0                 no moment at the joint
         (H x_beam)(1) = 0              pinned right end
     """
-    if spec is None:
-        spec = CoupledSpec(**kwargs)
+    spec = CoupledSpec(**params)
     with_msd = spec.variant == "spring_mass_damper_string_beam"
     string = _wave_subsystem(spec.rho, spec.tension,
                              kind="mass_interior" if with_msd else "interior",
@@ -418,9 +415,8 @@ class MassDampedStringSpec:
             raise ScenarioError("mass, stiffness, damping must be positive")
 
 
-def build_mass_damped_string(spec=None, **kwargs):
-    if spec is None:
-        spec = MassDampedStringSpec(**kwargs)
+def build_mass_damped_string(**params):
+    spec = MassDampedStringSpec(**params)
     string = _wave_subsystem(spec.rho, spec.tension, kind="mass_free", label="string")
     return Network(subsystems=(string,),
                    controllers=(_msd_controller(spec.mass, spec.stiffness,
@@ -437,9 +433,12 @@ def make_initial_state(net, gen, preset="sine", seed=0):
     and controller states start at zero.
     """
     if preset.startswith("random"):
-        if ":" in preset:
-            seed = int(preset.split(":", 1)[1])
-        rng = np.random.default_rng(seed)
+        try:
+            if ":" in preset:
+                seed = int(preset.split(":", 1)[1])
+            rng = np.random.default_rng(seed)
+        except ValueError as exc:      # not an integer, or negative
+            raise ScenarioError("bad seed for preset %r: %s" % (preset, exc)) from exc
         kind = "random"
     else:
         kind = preset
@@ -465,41 +464,32 @@ def make_initial_state(net, gen, preset="sine", seed=0):
 
 SCENARIOS = {
     "chain_of_strings": {
-        "build": lambda params: build_chain(ChainOfStringsSpec(**params)),
+        "build": build_chain,
         "defaults": {"m": 3},   # kappa defaults to (0.5, 0, ..., 0) for any m
         "doc": "m wave segments, damped left end, free right end",
     },
     "euler_bernoulli_beam": {
-        "build": lambda params: build_beam(EulerBernoulliSpec(**_decode_k0(params))),
+        "build": build_beam,
         "defaults": {"left_bc": [[1.0, 0.0], [0.0, 0.0]], "right_bc": "clamped"},
         "doc": "single beam, dissipative left end K0, conservative right end",
     },
     "damper_string_beam": {
-        "build": lambda params: build_coupled(CoupledSpec(variant="damper_string_beam",
-                                                          **params)),
+        "build": lambda **params: build_coupled(variant="damper_string_beam", **params),
         "defaults": {"kappa": 1.0},
         "doc": "damped string transmitting into a pinned beam",
     },
     "spring_mass_damper_string_beam": {
-        "build": lambda params: build_coupled(
-            CoupledSpec(variant="spring_mass_damper_string_beam", **params)),
+        "build": lambda **params: build_coupled(
+            variant="spring_mass_damper_string_beam", **params),
         "defaults": {"mass": 1.0, "stiffness": 1.0, "damping": 1.0},
         "doc": "string-beam with a tip mass-spring-damper controller",
     },
     "mass_damped_string": {
-        "build": lambda params: build_mass_damped_string(MassDampedStringSpec(**params)),
+        "build": build_mass_damped_string,
         "defaults": {"mass": 1.0, "stiffness": 1.0, "damping": 1.0},
         "doc": "resolvent-growth demonstration: ASP holds, AIEP surrogate fails",
     },
 }
-
-
-def _decode_k0(params):
-    params = dict(params)
-    lb = params.get("left_bc")
-    if isinstance(lb, list):
-        params["left_bc"] = np.asarray(lb, dtype=float)
-    return params
 
 
 def build_scenario(name, params=None):
@@ -513,7 +503,7 @@ def build_scenario(name, params=None):
     merged = dict(entry["defaults"])
     merged.update(params)
     try:
-        return entry["build"](merged)
+        return entry["build"](**merged)
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

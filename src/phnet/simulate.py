@@ -14,19 +14,20 @@ import numpy as np
 import scipy.linalg as sla
 from dataclasses import dataclass, field
 
+INCOMPATIBLE_TOL = 1e-6
+
 
 @dataclass
 class EnergyTrace:
     """Time series of energies and boundary traces along one trajectory.
 
     traces[j] has shape (n_records, 2 N_j d_j) holding tau_j(Hx)(t_k);
-    states, when recorded, holds full sample-coordinate snapshots.
+    warning flags an initial projection residual above INCOMPATIBLE_TOL.
     """
 
     times: np.ndarray
     energies: np.ndarray
     traces: list
-    states: np.ndarray = None
     warning: str = ""
     meta: dict = field(default_factory=dict)
 
@@ -78,13 +79,12 @@ def default_dt(gen, spectrum_report=None):
     return min(1e-2, 0.5 / top) if top > 0 else 1e-2
 
 
-def simulate(gen, x0, dt=None, t_end=10.0, record_every=1, snapshot_every=None,
-             incompatible_tol=1e-6):
+def simulate(gen, x0, dt=None, t_end=10.0, record_every=1):
     """Integrate dv/dt = a_red v from a full sample-coordinate initial state.
 
     x0 may omit the controller tail (zeros appended).  The initial state is
     projected M-orthogonally onto the constraint null space; a projection
-    residual above `incompatible_tol` sets the warning field (incompatible
+    residual above INCOMPATIBLE_TOL sets the warning field (incompatible
     initial datum: the compatibility conditions at the boundary fail).
     """
     x0 = np.asarray(x0)
@@ -96,9 +96,9 @@ def simulate(gen, x0, dt=None, t_end=10.0, record_every=1, snapshot_every=None,
                          % (x0.shape[0], n_full, gen.controller_slice.start))
     v, residual = gen.project(x0)
     warning = ""
-    if residual > incompatible_tol:
+    if residual > INCOMPATIBLE_TOL:
         warning = ("incompatible initial datum: projection residual %.3e "
-                   "exceeds %.1e" % (residual, incompatible_tol))
+                   "exceeds %.1e" % (residual, INCOMPATIBLE_TOL))
     if dt is None:
         dt = default_dt(gen)
     n_steps = int(np.ceil(t_end / dt))
@@ -106,23 +106,16 @@ def simulate(gen, x0, dt=None, t_end=10.0, record_every=1, snapshot_every=None,
 
     times = [0.0]
     energies = [gen.energy(v)]
-    tau_records = [gen.traces(v)]
-    snaps = [gen.lift @ v] if snapshot_every else None
+    tau_rows = [gen.trace_map @ v]
     for k in range(1, n_steps + 1):
         v = stepper.step(v)
         if k % record_every == 0 or k == n_steps:
             times.append(k * dt)
             energies.append(gen.energy(v))
-            tau_records.append(gen.traces(v))
-            if snapshot_every and (k % snapshot_every == 0 or k == n_steps):
-                snaps.append(gen.lift @ v)
+            tau_rows.append(gen.trace_map @ v)
 
-    traces = []
-    for j in range(len(tau_records[0])):
-        traces.append(np.array([rec[j] for rec in tau_records]))
     return EnergyTrace(times=np.array(times), energies=np.array(energies),
-                       traces=traces,
-                       states=np.array(snaps) if snaps is not None else None,
+                       traces=gen.split_traces(np.array(tau_rows)),
                        warning=warning,
                        meta={"dt": dt, "t_end": t_end, "steps": n_steps,
                              "projection_residual": residual})

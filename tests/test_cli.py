@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from phnet import (MatrixFunction, Network, PHSubsystem, build_chain,
                    network_to_dict, save_network)
@@ -251,6 +252,31 @@ class TestExitCodes:
         path = tmp_path / "triple.json"
         path.write_text(json.dumps(doc))
         self.assert_usage_error(main(["check", str(path)]), capsys)
+
+    @pytest.mark.parametrize("entry", [None, float("nan"), float("inf"),
+                                       float("-inf"), True])
+    def test_matrix_entry_not_a_finite_number(self, tmp_path, capsys, entry):
+        doc = network_to_dict(build_chain(m=1, kappa=[0.5]))
+        doc["subsystems"][0]["w_b"][0][0] = entry
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(doc))
+        self.assert_usage_error(main(["check", str(path)]), capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--dt", "0"],
+        ["simulate", "--dt", "-1"],
+        ["simulate", "--t-end", "-1"],
+        ["simulate", "--record-every", "0"],
+        ["simulate", "--x0", "random:abc"],
+        ["resolvent", "--samples", "-1"],
+        ["spectrum", "--n", "abc"],
+        ["spectrum", "--bogus"],
+    ])
+    def test_bad_flag(self, tmp_path, capsys, argv):
+        path = write_chain(tmp_path, m=1, kappa=[0.5])
+        rc = main(argv[:1] + [path, "--n", "24", "--out", str(tmp_path / "o.csv")]
+                  + argv[1:])
+        self.assert_usage_error(rc, capsys)
 
     def test_too_few_samples_for_decay_fit(self, tmp_path, capsys):
         rc = main(["simulate", write_chain(tmp_path, m=1, kappa=[0.5]), "--n", "24",

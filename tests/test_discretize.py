@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from phnet import (MatrixFunction, Network, PHStructuralError, PHSubsystem,
-                   assemble_generator, discretize_subsystem, make_grid,
-                   spectrum)
+                   assemble_generator, build_coupled, discretize_subsystem,
+                   make_grid, spectrum)
 from phnet.discretize import boundary_flux, discrete_energy_rate
 from phnet.scenarios import _wave_subsystem
 
@@ -178,6 +178,19 @@ class TestAssembleGenerator:
             gen = assemble_generator(damped_wave_network(), n)
             assert gen.companion is gen.companion
             assert [g.n for g in gen.companion.grids] == [n_comp]
+
+    def test_traces_match_per_subsystem_extraction(self):
+        # trace_map = T Z[:n_pde] reassociates tau_j = t_j (Z v)[slice_j],
+        # so the two agree to rounding; a string, a beam and a controller
+        net = build_coupled(variant="spring_mass_damper_string_beam")
+        gen = assemble_generator(net, 24)
+        v = np.random.default_rng(5).standard_normal(gen.n_red)
+        x = gen.lift @ v
+        taus = gen.traces(v)
+        assert len(taus) == len(net.subsystems)
+        for s, sl, tau in zip(net.subsystems, gen.sample_slices, taus):
+            want = discretize_subsystem(s, 24).t @ x[sl]
+            assert np.abs(tau - want).max() <= 1e-11 * np.abs(want).max()
 
     def test_complex_k_keeps_imaginary_part(self):
         # free end plus a complex impedance y2(0) = -k y1(0); the modes solve

@@ -90,13 +90,6 @@ class TestSimulate:
         assert header[:2] == ["t", "H"]
         assert "s0_tau0" in header and "s0_tau3" in header
 
-    def test_states_snapshots(self, damped):
-        net, gen = damped
-        x0 = make_initial_state(net, gen, "sine")
-        tr = simulate(gen, x0, dt=1e-2, t_end=0.2, snapshot_every=10)
-        assert tr.states is not None
-        assert tr.states.shape[1] == gen.n_full
-
 
 class TestInvariants:
     @pytest.mark.parametrize("dt", [1e-3, 1e-2, 1e-1])
