@@ -310,12 +310,12 @@ def discrete_energy_rate(gen, v):
     return float(np.real(v.conj() @ gen.s_red @ v))
 
 
-def boundary_flux(gen, net, v):
+def boundary_flux(gen, v):
     """1/2 sum_j tau_j* Q_j tau_j at the lifted state (no P_0 volume term)."""
     from .model import flux_form
     taus = gen.traces(v)
     total = 0.0
-    for s, tau in zip(net.subsystems, taus):
+    for s, tau in zip(gen.net.subsystems, taus):
         q = flux_form(s).q
         total += 0.5 * float(np.real(tau.conj() @ q @ tau))
     return total

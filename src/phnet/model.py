@@ -131,7 +131,7 @@ def as_matrix_function(value, dim):
         return value
     a = np.asarray(value, dtype=float if not np.iscomplexobj(value) else complex)
     if a.ndim == 0:
-        return MatrixFunction.constant(np.eye(dim) * complex(a))
+        return MatrixFunction.constant(np.eye(dim) * a)
     if a.ndim == 2:
         return MatrixFunction.constant(a)
     raise PHStructuralError("cannot coerce array of shape %s to MatrixFunction" % (a.shape,))

@@ -2,14 +2,32 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import svdvals
 
 from phnet import (Network, SpectrumReport, asp_diagnostic,
                    assemble_generator, build_beam, build_chain,
-                   build_mass_damped_string, decay_fit, exponential_verdict,
-                   make_initial_state, resolvent_scan, simulate, spectrum)
-from phnet.scenarios import _wave_subsystem
+                   build_mass_damped_string, build_scenario, decay_fit,
+                   exponential_verdict, make_initial_state, resolvent_scan,
+                   simulate, spectrum)
+from phnet.scenarios import SCENARIOS, _wave_subsystem
+
+from helpers import random_nsd_k, random_passive_controller, random_passive_subsystem
 
 TARGET = 0.5 * np.log(1.0 / 3.0)
+SVD_ORACLE_RTOL = 1e-8
+
+
+def svd_oracle_deviation(gen, scan):
+    """Worst relative gap of the non-diverged norms from 1/sigma_min by dense SVD."""
+    sim = gen.sim_operator()
+    eye = np.eye(gen.n_red)
+    keep = ~scan.diverged
+    worst = 0.0
+    for beta, norm in zip(scan.betas[keep], scan.norms[keep]):
+        want = 1.0 / svdvals(1j * beta * eye - sim)[-1]
+        worst = max(worst, abs(norm - want) / want)
+    return worst
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +119,36 @@ class TestResolvent:
                 continue
             dist = np.abs(1j * b - ev).min()
             assert nrm >= 1.0 / dist - 1e-8
+
+    def test_norms_match_dense_svd(self, free_free_gen):
+        gens = [assemble_generator(build_scenario(name), 24) for name in sorted(SCENARIOS)]
+        gens.append(free_free_gen[1])
+        for gen in gens:
+            scan = resolvent_scan(gen)
+            assert (~scan.diverged).sum() > 100
+            assert svd_oracle_deviation(gen, scan) <= SVD_ORACLE_RTOL
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_subsystems=st.integers(1, 2),
+           complex_ok=st.booleans(), with_controller=st.booleans())
+    def test_random_passive_networks_match_dense_svd(self, seed, n_subsystems,
+                                                     complex_ok, with_controller):
+        rng = np.random.default_rng(seed)
+        subs = tuple(random_passive_subsystem(rng, complex_ok=complex_ok)
+                     for _ in range(n_subsystems))
+        total = sum(s.port_dim for s in subs)
+        k = random_nsd_k(rng, total)
+        controllers, coupling = (), ()
+        if with_controller:
+            ports = tuple(rng.permutation(total)[:int(rng.integers(1, total + 1))].tolist())
+            controllers = (random_passive_controller(rng, int(rng.integers(1, 4)), len(ports)),)
+            coupling = (ports,)
+            k[list(ports), :] = 0.0     # controller ports leave K
+            k[:, list(ports)] = 0.0
+        net = Network(subsystems=subs, k_mat=k, controllers=controllers, coupling=coupling)
+        gen = assemble_generator(net, 16)
+        scan = resolvent_scan(gen, samples=40)
+        assert svd_oracle_deviation(gen, scan) <= SVD_ORACLE_RTOL
 
 
 class TestAspDiagnostic:

@@ -217,6 +217,21 @@ class TestAssembleGenerator:
         for lam in got.eigenvalues:
             assert np.min(np.abs(want.eigenvalues - lam)) <= 1e-10
 
+    def test_real_scalar_hamiltonian_stays_real(self):
+        # a scalar H means H * I; a real one must not make the pencil complex
+        s = _wave_subsystem(1.0, 1.0, kind="last")
+
+        def gen_with(ham):
+            sub = PHSubsystem(order=1, dim=2, p_matrices=s.p_matrices,
+                              hamiltonian=ham, w_b=s.w_b, w_c=s.w_c)
+            return assemble_generator(Network(subsystems=(sub,), k_mat=np.zeros((2, 2))), 16)
+
+        scalar, matrix = gen_with(2.0), gen_with(2.0 * np.eye(2))
+        assert scalar.m_red.dtype == scalar.s_red.dtype == np.float64
+        got, want = spectrum(scalar).eigenvalues, spectrum(matrix).eigenvalues
+        assert len(got) == len(want) > 0
+        assert np.abs(got - want).max() <= 1e-12
+
 
 class TestDiscreteEnergyBalance:
     def test_balance_exact_on_constraint_space(self):
@@ -228,7 +243,7 @@ class TestDiscreteEnergyBalance:
         for _ in range(10):
             v = rng.standard_normal(gen.n_red)
             lhs = discrete_energy_rate(gen, v)
-            rhs = boundary_flux(gen, net, v)
+            rhs = boundary_flux(gen, v)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
     def test_continuous_balance_defect_decreases_under_refinement(self):

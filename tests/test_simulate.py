@@ -133,7 +133,7 @@ class TestInvariants:
                 v1 = stepper.step(v0)
                 mid = 0.5 * (v0 + v1)
                 lhs = (gen.energy(v1) - gen.energy(v0)) / dt
-                rhs = boundary_flux(gen, net, mid)
+                rhs = boundary_flux(gen, mid)
                 err = max(err, abs(lhs - rhs))
                 v0 = v1
             worst[dt] = err
@@ -147,4 +147,4 @@ class TestInvariants:
         for _ in range(5):
             v = rng.standard_normal(gen.n_red)
             assert abs(discrete_energy_rate(gen, v)
-                       - boundary_flux(gen, net, v)) <= 1e-10
+                       - boundary_flux(gen, v)) <= 1e-10
