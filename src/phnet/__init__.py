@@ -22,9 +22,7 @@ from .analysis import (ResolventScan, SpectrumReport, asp_diagnostic,
                        decay_fit, exponential_verdict, resolvent_scan,
                        spectrum)
 from .simulate import CayleyStepper, EnergyTrace, simulate
-from .scenarios import (SCENARIOS, ChainOfStringsSpec, CoupledSpec,
-                        EulerBernoulliSpec, MassDampedStringSpec,
-                        ScenarioError, build_beam, build_chain,
+from .scenarios import (SCENARIOS, ScenarioError, build_beam, build_chain,
                         build_coupled, build_mass_damped_string,
                         build_scenario, chain_serial_blocks,
                         make_initial_state, scalar_profile)

@@ -1,13 +1,14 @@
 """Numerical stability surrogates: spectrum, resolvent scan, decay fit.
 
-Eigenvalues are computed for the congruence-frame operator, so real parts
-are energy-space growth rates.  Any fixed-resolution discretization of a
-boundary-damped system carries under-resolved modes whose eigenvalues bend
-back toward the imaginary axis; the reported spectrum therefore keeps only
-eigenvalues that agree between the generator and its coarser companion
-(two-grid filter), with the raw list retained for inspection.  Exponential
-stability verdicts are surrogates, not proofs: abscissa < -1e-6 plus a
-bounded resolvent growth trend over the trusted frequency band.
+Eigenvalues are computed for the energy-frame operator L^{-1} s_red L^{-H}
+(m_red = L L^H), so real parts are energy-space growth rates.  Any
+fixed-resolution discretization of a boundary-damped system carries
+under-resolved modes whose eigenvalues bend back toward the imaginary axis;
+the reported spectrum therefore keeps only eigenvalues that agree between
+the generator and its coarser companion (two-grid filter), with the raw
+list retained for inspection.  Exponential stability verdicts are
+surrogates, not proofs: abscissa < -1e-6 plus a bounded resolvent growth
+trend over the trusted frequency band.
 """
 
 import numpy as np
@@ -59,31 +60,33 @@ class SpectrumReport:
 def spectrum(gen):
     """Eigenvalues of the reduced generator in the energy inner product.
 
-    Computed via the m_red^{1/2} congruence; an eigenvalue is trusted when
-    the companion resolution (built on first use) has one within
-    TRUST_MATCH_RTOL * (1 + |lambda|).  Zero modes are
-    |lambda| < ZERO_MODE_REL_TOL * max|a_red|.
+    Computed in the Cholesky energy frame m_red = L L^H (gen.sim_operator());
+    the unit eigenvectors xi map back to reduced coordinates v = L^{-H} xi
+    of unit energy norm.  An eigenvalue is trusted when the companion
+    resolution (built on first use) has one within TRUST_MATCH_RTOL *
+    (1 + |lambda|).  Zero modes are |lambda| < ZERO_MODE_REL_TOL *
+    max|a_red|.
     """
     vals, vecs = np.linalg.eig(gen.sim_operator())
     comp_vals = np.linalg.eigvals(gen.companion.sim_operator())
     keep = np.array([np.abs(comp_vals - lam).min() <= TRUST_MATCH_RTOL * (1.0 + abs(lam))
                      for lam in vals])
-    trusted = vals[keep]
-    tvecs = vecs[:, keep]
-    order = np.argsort(-trusted.real)
-    trusted = trusted[order]
-    tvecs = tvecs[:, order]
+    order = np.argsort(-vals[keep].real)
+    trusted = vals[keep][order]
+    vecs = vecs[:, keep][:, order]
     scale = max(float(np.abs(gen.a_red).max()), 1e-300)
     zero_modes = trusted[np.abs(trusted) < ZERO_MODE_REL_TOL * scale]
-    # eigenvectors back in reduced coordinates v = m^{-1/2} xi
-    red_vecs = gen.m_inv_sqrt @ tvecs if tvecs.size else tvecs
+    # v = L^{-H} xi on real and imaginary parts: a real L is not copied to complex
+    k = vecs.shape[1]
+    v = np.linalg.solve(gen.chol.conj().T, np.hstack([vecs.real, vecs.imag]))
+    vecs = v[:, :k] + 1j * v[:, k:]
     return SpectrumReport(
         eigenvalues=trusted,
         abscissa=float(trusted.real.max()) if len(trusted) else float("nan"),
         zero_modes=zero_modes,
         raw_eigenvalues=vals,
         discarded=int(len(vals) - len(trusted)),
-        eigenvectors=red_vecs,
+        eigenvectors=vecs,
         meta={"sym_drift": gen.meta.get("sym_drift")})
 
 
@@ -142,7 +145,7 @@ def _inverse_lanczos(b, start):
 def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None):
     """Scan the resolvent norm along the imaginary axis.
 
-    norm(beta) = 1 / sigma_min(i beta I - A_sim) in the congruence frame.
+    norm(beta) = 1 / sigma_min(i beta I - A_sim) in the energy frame.
     Scans [0, beta_max]; for real-coefficient networks negative beta is
     implied by conjugate symmetry.  The uniform grid is refined with
     PEAK_REFINE_LEVELS log-spaced offsets around every trusted
@@ -235,9 +238,10 @@ def asp_diagnostic(gen, r_selector):
 
     r_selector is a sequence of (subsystem_index, trace_component) pairs
     selecting rows of the stacked trace, the concrete dissipation observer
-    R.  A residual ~ 0 exposes an undamped imaginary mode invisible to R
-    (an ASP violation), with near-imaginary |Re lambda| < 10 *
-    ZERO_MODE_REL_TOL * max|a_red|.  Returns a list of (eigenvalue, residual).
+    R.  The eigenvectors have unit energy norm, so a residual ~ 0 exposes
+    an undamped imaginary mode invisible to R (an ASP violation), with
+    near-imaginary |Re lambda| < 10 * ZERO_MODE_REL_TOL * max|a_red|.
+    Returns a list of (eigenvalue, residual).
     """
     rep = spectrum(gen)
     scale = max(float(np.abs(gen.a_red).max()), 1e-300)
@@ -246,9 +250,7 @@ def asp_diagnostic(gen, r_selector):
     for i, lam in enumerate(rep.eigenvalues):
         if abs(lam.real) >= tol:
             continue
-        v = rep.eigenvectors[:, i]
-        nrm = np.sqrt(float(np.real(v.conj() @ gen.m_red @ v)))
-        taus = gen.traces(v / nrm if nrm > 0 else v)
+        taus = gen.traces(rep.eigenvectors[:, i])
         r_val = np.array([taus[j][comp] for j, comp in r_selector])
         out.append((complex(lam), float(np.linalg.norm(r_val))))
     return out

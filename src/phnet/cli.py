@@ -93,10 +93,11 @@ def cmd_check(args):
     else:
         report["serial"] = True
         report["serial_ordering"] = list(serial.ordering)
+    passed = bool(ok_subsystems and cert.passed)
     report["subsystems_valid"] = bool(ok_subsystems)
-    report["pass"] = bool(cert.passed)
+    report["pass"] = passed
     _emit(report)
-    return 0 if cert.passed else 1
+    return 0 if passed else 1
 
 
 def cmd_spectrum(args):

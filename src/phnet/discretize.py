@@ -136,9 +136,13 @@ class DiscreteGenerator:
     M = m_full); trace_map @ v stacks the boundary traces of every
     subsystem.  meta holds the constraint rows, constraint_residual =
     max |G Z|, and the measured dissipativity defect sym_drift = max eig of
-    Sym applied in the congruence frame.  a_red, the congruence frame and
-    the companion (the same network at a coarser resolution, for the
-    two-grid eigenvalue filter) are derived on first use.
+    Sym of the energy-frame operator.  The energy frame is the Cholesky
+    factor m_red = L L^H (chol): sim_operator() = L^{-1} s_red L^{-H} =
+    L^H a_red L^{-H} has the generator's eigenvalues, and its Euclidean
+    norm is the energy norm.  a_red, chol, the frame operator and the
+    companion (the same network at a coarser resolution, for the two-grid
+    eigenvalue filter) are derived on first use; chol raises
+    PHStructuralError when m_red is not positive definite.
     """
 
     m_red: np.ndarray
@@ -166,22 +170,23 @@ class DiscreteGenerator:
         return np.linalg.solve(self.m_red, self.s_red)
 
     @cached_property
-    def _frame(self):
-        vals, vecs = np.linalg.eigh(self.m_red)
-        if vals.min() <= 0:
+    def chol(self):
+        """Lower Cholesky factor L of m_red = L L^H: the energy frame."""
+        try:
+            return np.linalg.cholesky(self.m_red)
+        except np.linalg.LinAlgError:
             raise PHStructuralError("m_red not positive definite (min eig %.3e)"
-                                    % vals.min())
-        r_inv = (vecs / np.sqrt(vals)) @ vecs.conj().T
-        return r_inv, r_inv @ self.s_red @ r_inv
+                                    % np.linalg.eigvalsh(self.m_red).min()) from None
 
-    @property
-    def m_inv_sqrt(self):
-        """m_red^{-1/2}: maps energy-frame vectors back to reduced coordinates."""
-        return self._frame[0]
+    @cached_property
+    def _sim(self):
+        half = np.linalg.solve(self.chol, self.s_red)
+        return np.linalg.solve(self.chol, half.conj().T).conj().T
 
     def sim_operator(self):
-        """m_red^{1/2}-congruent operator whose eigenvalues live in the energy space."""
-        return self._frame[1]
+        """L^{-1} s_red L^{-H}: the generator in the energy frame, where the
+        Euclidean norm is the energy norm (xi = L^H v)."""
+        return self._sim
 
     @cached_property
     def companion(self):

@@ -21,7 +21,6 @@ literal_bc_sign on the chain for the opposite end-damper orientation
 """
 
 import numpy as np
-from dataclasses import dataclass
 
 from .model import MatrixFunction, PHSubsystem
 from .network import Controller, Network
@@ -50,6 +49,14 @@ def scalar_profile(value):
     raise ScenarioError("cannot interpret %r as a coefficient profile" % (value,))
 
 
+def _finite(values, what):
+    """values, or ScenarioError when a coefficient overflowed into them."""
+    if not np.isfinite(values).all():
+        raise ScenarioError("%s is not finite: coefficients out of floating-point range"
+                            % what)
+    return values
+
+
 def _reciprocal(profile):
     """1 / profile: exact when constant, else sampled on _PROFILE_Z."""
     if profile.kind == "constant":
@@ -72,6 +79,9 @@ P2_BEAM = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 # trace component indices for N=1, d=2: tau = (y1(1), y2(1), y1(0), y2(0))
 _W1 = np.eye(4)
+# wave port splittings as trace indices ((negated B_1, B_2), (C_1, C_2))
+_WAVE_PORTS = {"interior": ((3, 0), (2, 1)), "last": ((3, 1), (2, 0)),
+               "mass_interior": ((2, 0), (3, 1)), "mass_free": ((2, 1), (3, 0))}
 
 # trace component indices for N=2, d=2:
 # tau = (y1(1), y2(1), y1'(1), y2'(1), y1(0), y2(0), y1'(0), y2'(0))
@@ -94,23 +104,15 @@ def _wave_subsystem(rho, tension, length=1.0, kind="interior", label=""):
     rho, tension = scalar_profile(rho), scalar_profile(tension)
     if rho.min_eig(_PROFILE_Z) <= 0 or tension.min_eig(_PROFILE_Z) <= 0:
         raise ScenarioError("rho and T must be uniformly positive")
-    ham = _diag_hamiltonian(_reciprocal(MatrixFunction(rho.kind, rho.data * length)),
-                            MatrixFunction(tension.kind, tension.data / length))
-    rows = {"y1(1)": _W1[0], "y2(1)": _W1[1], "y1(0)": _W1[2], "y2(0)": _W1[3]}
-    if kind == "interior":
-        w_b = np.vstack([-rows["y2(0)"], rows["y1(1)"]])
-        w_c = np.vstack([rows["y1(0)"], rows["y2(1)"]])
-    elif kind == "last":
-        w_b = np.vstack([-rows["y2(0)"], rows["y2(1)"]])
-        w_c = np.vstack([rows["y1(0)"], rows["y1(1)"]])
-    elif kind == "mass_interior":
-        w_b = np.vstack([-rows["y1(0)"], rows["y1(1)"]])
-        w_c = np.vstack([rows["y2(0)"], rows["y2(1)"]])
-    elif kind == "mass_free":
-        w_b = np.vstack([-rows["y1(0)"], rows["y2(1)"]])
-        w_c = np.vstack([rows["y2(0)"], rows["y1(1)"]])
-    else:
+    with np.errstate(all="ignore"):
+        ham = _diag_hamiltonian(_reciprocal(MatrixFunction(rho.kind, rho.data * length)),
+                                MatrixFunction(tension.kind, tension.data / length))
+    _finite(ham.data, "H = diag(1/(l rho), T/l)")
+    if kind not in _WAVE_PORTS:
         raise ScenarioError("unknown wave port splitting %r" % (kind,))
+    (b0, b1), (c0, c1) = _WAVE_PORTS[kind]
+    w_b = np.vstack([-_W1[b0], _W1[b1]])
+    w_c = np.vstack([_W1[c0], _W1[c1]])
     return PHSubsystem(order=1, dim=2, p_matrices=(None, P1_WAVE),
                        hamiltonian=ham, w_b=w_b, w_c=w_c, label=label)
 
@@ -148,7 +150,9 @@ def _beam_subsystem(rho, ei, left_rows, right_rows, label=""):
     rho, ei = scalar_profile(rho), scalar_profile(ei)
     if rho.min_eig(_PROFILE_Z) <= 0 or ei.min_eig(_PROFILE_Z) <= 0:
         raise ScenarioError("rho and EI must be uniformly positive")
-    ham = _diag_hamiltonian(_reciprocal(rho), ei)
+    with np.errstate(all="ignore"):
+        ham = _diag_hamiltonian(_reciprocal(rho), ei)
+    _finite(ham.data, "H = diag(1/rho, EI)")
     rows = list(right_rows) + list(left_rows)
     w_b = np.vstack([row for _, row in rows])
     w_c = np.vstack([_BEAM_PARTNER[i][0] * _W2[_BEAM_PARTNER[i][1]] for i, _ in rows])
@@ -186,133 +190,100 @@ def _validate_k0(k0):
     return k0
 
 
-@dataclass
-class ChainOfStringsSpec:
-    """Chain of m serially connected strings, damped at the left end.
-
-    kappa = (kappa0, ..., kappa_{m-1}): kappa0 > 0 is the end damper,
-    kappa_j >= 0 the joint dampers.  lengths are physical segment lengths
-    (joints zeta^j = cumulative sums), folded into the unit-interval
-    Hamiltonians.  literal_bc_sign flips the end damper to
-    (T w_z)(0) = -kappa0 w_t(0), which pumps energy.
-    """
-
-    m: int = 3
-    rho: list = None
-    tension: list = None
-    kappa: tuple = None
-    lengths: list = None
-    literal_bc_sign: bool = False
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ScenarioError("need at least one segment")
-        self.rho = [scalar_profile(r) for r in (self.rho or [1.0] * self.m)]
-        self.tension = [scalar_profile(t) for t in (self.tension or [1.0] * self.m)]
-        self.kappa = tuple(float(k) for k in (self.kappa if self.kappa is not None
-                                              else [0.5] + [0.0] * (self.m - 1)))
-        self.lengths = [float(v) for v in (self.lengths or [1.0] * self.m)]
-        if not (len(self.rho) == len(self.tension) == len(self.lengths) == self.m):
-            raise ScenarioError("need one rho, tension, length per segment")
-        if len(self.kappa) != self.m:
-            raise ScenarioError("need kappa0..kappa_{m-1} (%d values)" % self.m)
-        if not self.kappa[0] > 0:
-            raise ScenarioError("kappa0 > 0 is required (left-end damper)")
-        if any(k < 0 for k in self.kappa[1:]):
-            raise ScenarioError("joint dampers kappa_j must be >= 0")
-        if any(l <= 0 for l in self.lengths):
-            raise ScenarioError("segment lengths must be positive")
-
-
-def chain_serial_blocks(spec):
+def chain_serial_blocks(kappa):
     """The reformulated strictly lower-triangular block closure of the chain.
 
-    Cluster 1 owns the damped-port row, clusters 2..m-1 the full left
-    traces, cluster m additionally the free-end row; block (j+1, j) maps
+    kappa = (kappa0, ..., kappa_{m-1}), one damper per segment.  Cluster 1
+    owns the damped-port row, clusters 2..m-1 the full left traces,
+    cluster m additionally the free-end row; block (j+1, j) maps
     (y1(1), y2(1)) of segment j into segment j+1's left trace with the
     joint damper kappa_{j+1} on the force row.
     """
-    m = spec.m
-    kap = spec.kappa
+    m = len(kappa)
     blocks = [[None] * m for _ in range(m)]
-    if m == 1:
-        return blocks
     for j in range(1, m):
         if j == 1:
             # C-hat of cluster 1 is (y1(0), y1(1), y2(1))
-            blk = np.array([[0.0, 1.0, 0.0], [0.0, kap[1], 1.0]])
+            blk = np.array([[0.0, 1.0, 0.0], [0.0, kappa[1], 1.0]])
         else:
-            blk = np.array([[1.0, 0.0], [kap[j], 1.0]])
+            blk = np.array([[1.0, 0.0], [kappa[j], 1.0]])
         if j == m - 1:
             blk = np.vstack([blk, np.zeros((1, blk.shape[1]))])  # free-end row
         blocks[j][j - 1] = blk
     return blocks
 
 
-def build_chain(**params):
-    """Network for the chain of strings, serial_blocks attached."""
-    spec = ChainOfStringsSpec(**params)
-    m = spec.m
+def build_chain(*, m=3, rho=None, tension=None, kappa=None, lengths=None,
+                literal_bc_sign=False):
+    """Chain of m serially connected strings, damped at the left end.
+
+    kappa = (kappa0, ..., kappa_{m-1}): kappa0 > 0 is the end damper,
+    kappa_j >= 0 the joint dampers; it defaults to (0.5, 0, ..., 0).
+    rho and tension hold one profile per segment (default 1).  lengths are
+    physical segment lengths (joints zeta^j = cumulative sums), folded
+    into the unit-interval Hamiltonians.  literal_bc_sign flips the end
+    damper to (T w_z)(0) = -kappa0 w_t(0), which pumps energy.  The
+    network carries its serial_blocks.
+    """
+    if m < 1:
+        raise ScenarioError("need at least one segment")
+    rho = [scalar_profile(r) for r in (rho or [1.0] * m)]
+    tension = [scalar_profile(t) for t in (tension or [1.0] * m)]
+    kappa = tuple(float(k) for k in (kappa if kappa is not None
+                                     else [0.5] + [0.0] * (m - 1)))
+    lengths = [float(v) for v in (lengths or [1.0] * m)]
+    if not (len(rho) == len(tension) == len(lengths) == m):
+        raise ScenarioError("need one rho, tension, length per segment")
+    if len(kappa) != m:
+        raise ScenarioError("need kappa0..kappa_{m-1} (%d values)" % m)
+    if not kappa[0] > 0:
+        raise ScenarioError("kappa0 > 0 is required (left-end damper)")
+    if any(k < 0 for k in kappa[1:]):
+        raise ScenarioError("joint dampers kappa_j must be >= 0")
+    if any(l <= 0 for l in lengths):
+        raise ScenarioError("segment lengths must be positive")
     subsystems = []
     for j in range(m):
         kind = "interior" if j < m - 1 else "last"
-        subsystems.append(_wave_subsystem(spec.rho[j], spec.tension[j],
-                                          length=spec.lengths[j], kind=kind,
-                                          label="string_%d" % (j + 1)))
-    p = 2 * m
-    k = np.zeros((p, p))
-    k[0, 0] = spec.kappa[0] if spec.literal_bc_sign else -spec.kappa[0]
+        subsystems.append(_wave_subsystem(rho[j], tension[j], length=lengths[j],
+                                          kind=kind, label="string_%d" % (j + 1)))
+    k = np.zeros((2 * m, 2 * m))
+    k[0, 0] = kappa[0] if literal_bc_sign else -kappa[0]
     for j in range(m - 1):
         # velocity continuity: B^j_2 = y1_j(1) equals C^{j+1}_1 = y1_{j+1}(0)
         k[2 * j + 1, 2 * (j + 1)] = 1.0
         # force balance: B^{j+1}_1 = -y2_{j+1}(0) = -y2_j(1) - kappa_{j+1} y1_{j+1}(0)
         k[2 * (j + 1), 2 * j + 1] = -1.0
-        k[2 * (j + 1), 2 * (j + 1)] = -spec.kappa[j + 1]
+        k[2 * (j + 1), 2 * (j + 1)] = -kappa[j + 1]
     # free right end: row 2m-1 stays zero
     return Network(subsystems=subsystems, k_mat=k,
-                   serial_blocks=chain_serial_blocks(spec),
+                   serial_blocks=chain_serial_blocks(kappa),
                    label="chain_of_strings")
 
 
-@dataclass
-class EulerBernoulliSpec:
+def build_beam(*, rho=1.0, ei=1.0, left_bc=None, right_bc="pinned"):
     """One Euler-Bernoulli beam with a dissipative or conservative left end.
 
     left_bc: a 2 x 2 matrix K0 (dissipative end; admissible classes
-    diag(k > 0, 0), Sym K0 > 0, or zero = conservative free end) or one of
-    the conservative enum names.  right_bc: pinned | free | shear_hinge |
-    clamped | bc5 | bc6.
+    diag(k > 0, 0), Sym K0 > 0, or zero = conservative free end; default
+    diag(1, 0)) or one of the conservative enum names.  right_bc: pinned |
+    free | shear_hinge | clamped | bc5 | bc6.  The network is the single
+    subsystem with the K = 0 closure.
     """
-
-    rho: object = 1.0
-    ei: object = 1.0
-    left_bc: object = None
-    right_bc: str = "pinned"
-
-    def __post_init__(self):
-        self.rho = scalar_profile(self.rho)
-        self.ei = scalar_profile(self.ei)
-        if self.right_bc not in _BEAM_RIGHT_ROWS:
-            raise ScenarioError("unknown right_bc %r (choose from %s)"
-                                % (self.right_bc, sorted(_BEAM_RIGHT_ROWS)))
-        if self.left_bc is None:
-            self.left_bc = np.diag([1.0, 0.0])
-        if isinstance(self.left_bc, str):
-            if self.left_bc not in _BEAM_LEFT_ROWS:
-                raise ScenarioError("unknown left_bc %r" % (self.left_bc,))
-        else:
-            self.left_bc = _validate_k0(self.left_bc)
-
-
-def build_beam(**params):
-    """Network with the single Euler-Bernoulli subsystem (K = 0 closure)."""
-    spec = EulerBernoulliSpec(**params)
-    right = _unit_rows(_BEAM_RIGHT_ROWS[spec.right_bc])
-    if isinstance(spec.left_bc, str):
-        left = _unit_rows(_BEAM_LEFT_ROWS[spec.left_bc])
+    rho, ei = scalar_profile(rho), scalar_profile(ei)
+    if right_bc not in _BEAM_RIGHT_ROWS:
+        raise ScenarioError("unknown right_bc %r (choose from %s)"
+                            % (right_bc, sorted(_BEAM_RIGHT_ROWS)))
+    if left_bc is None:
+        left_bc = np.diag([1.0, 0.0])
+    if isinstance(left_bc, str):
+        if left_bc not in _BEAM_LEFT_ROWS:
+            raise ScenarioError("unknown left_bc %r" % (left_bc,))
+        left = _unit_rows(_BEAM_LEFT_ROWS[left_bc])
     else:
-        left = _dissipative_end_rows(spec.left_bc)
-    beam = _beam_subsystem(spec.rho, spec.ei, left, right, label="beam")
+        left = _dissipative_end_rows(_validate_k0(left_bc))
+    right = _unit_rows(_BEAM_RIGHT_ROWS[right_bc])
+    beam = _beam_subsystem(rho, ei, left, right, label="beam")
     return Network(subsystems=(beam,), k_mat=np.zeros((4, 4)),
                    label="euler_bernoulli_beam")
 
@@ -324,57 +295,42 @@ def _msd_controller(m, k, r):
     1/m in B_c makes the supply rate match <u, C_c x_c> exactly and gives
     Re<A x, x> = -r |x_c2|^2.
     """
-    a_c = np.array([[0.0, 1.0], [-k / m, -r / m]])
-    b_c = np.array([[0.0], [1.0 / m]])
+    a_c = _finite(np.array([[0.0, 1.0], [-k / m, -r / m]]), "A_c")
+    b_c = _finite(np.array([[0.0], [1.0 / m]]), "B_c")
     c_c = np.array([[0.0, 1.0]])
     d_c = np.zeros((1, 1))
     return Controller(a_c=a_c, b_c=b_c, c_c=c_c, d_c=d_c,
                       state_weight=np.diag([k, m]))
 
 
-@dataclass
-class CoupledSpec:
-    """String-beam couplings of the two worked variants."""
-
-    variant: str = "damper_string_beam"
-    rho: object = 1.0
-    tension: object = 1.0
-    kappa: float = 1.0
-    rho_beam: object = 1.0
-    ei_beam: object = 1.0
-    mass: float = 1.0
-    stiffness: float = 1.0
-    damping: float = 1.0
-
-    def __post_init__(self):
-        if self.variant not in ("damper_string_beam", "spring_mass_damper_string_beam"):
-            raise ScenarioError("unknown coupled variant %r" % (self.variant,))
-        for name in ("rho", "tension", "rho_beam", "ei_beam"):
-            setattr(self, name, scalar_profile(getattr(self, name)))
-        if self.variant == "damper_string_beam" and not self.kappa > 0:
-            raise ScenarioError("the boundary damper needs kappa > 0")
-        if self.variant == "spring_mass_damper_string_beam":
-            if not (self.mass > 0 and self.stiffness > 0 and self.damping > 0):
-                raise ScenarioError("spring-mass-damper needs m, k, r > 0 "
-                                    "(r = 0 leaves the loop undamped)")
-
-
-def build_coupled(**params):
+def build_coupled(*, variant="damper_string_beam", rho=1.0, tension=1.0, kappa=1.0,
+                  rho_beam=1.0, ei_beam=1.0, mass=1.0, stiffness=1.0, damping=1.0):
     """String transmitting into a pinned beam, damped by boundary or tip MSD.
 
-    Transmission rows (energy coordinates, conserving signs):
-        y1_beam(0) = y1_string(1)      velocity continity at the joint
+    variant damper_string_beam damps the string's left end with kappa > 0;
+    spring_mass_damper_string_beam hangs the (mass, stiffness, damping)
+    tip controller there instead.  Transmission rows (energy coordinates,
+    conserving signs):
+        y1_beam(0) = y1_string(1)      velocity continuity at the joint
         y2_beam'(0) = -y2_string(1)    shear balances the string force
         y2_beam(0) = 0                 no moment at the joint
         (H x_beam)(1) = 0              pinned right end
     """
-    spec = CoupledSpec(**params)
-    with_msd = spec.variant == "spring_mass_damper_string_beam"
-    string = _wave_subsystem(spec.rho, spec.tension,
+    if variant not in ("damper_string_beam", "spring_mass_damper_string_beam"):
+        raise ScenarioError("unknown coupled variant %r" % (variant,))
+    rho, tension = scalar_profile(rho), scalar_profile(tension)
+    rho_beam, ei_beam = scalar_profile(rho_beam), scalar_profile(ei_beam)
+    with_msd = variant == "spring_mass_damper_string_beam"
+    if not with_msd and not kappa > 0:
+        raise ScenarioError("the boundary damper needs kappa > 0")
+    if with_msd and not (mass > 0 and stiffness > 0 and damping > 0):
+        raise ScenarioError("spring-mass-damper needs m, k, r > 0 "
+                            "(r = 0 leaves the loop undamped)")
+    string = _wave_subsystem(rho, tension,
                              kind="mass_interior" if with_msd else "interior",
                              label="string")
     # beam left end: shear row y2'(0) (junction) and moment row y2(0) = 0
-    beam = _beam_subsystem(spec.rho_beam, spec.ei_beam,
+    beam = _beam_subsystem(rho_beam, ei_beam,
                            left_rows=_unit_rows((7, 5)),
                            right_rows=_unit_rows((0, 1)),
                            label="beam")
@@ -385,42 +341,28 @@ def build_coupled(**params):
     k[4, 1] = -1.0      # beam shear row y2'(0) = -y2_string(1)
     controllers, coupling = (), ()
     if with_msd:
-        controllers = (_msd_controller(spec.mass, spec.stiffness, spec.damping),)
+        controllers = (_msd_controller(mass, stiffness, damping),)
         coupling = ((0,),)
     else:
-        k[0, 0] = -spec.kappa   # -y2(0) = -kappa y1(0): dissipative damper
+        k[0, 0] = -kappa   # -y2(0) = -kappa y1(0): dissipative damper
     return Network(subsystems=(string, beam), controllers=controllers,
-                   k_mat=k, coupling=coupling, label=spec.variant)
+                   k_mat=k, coupling=coupling, label=variant)
 
 
-@dataclass
-class MassDampedStringSpec:
+def build_mass_damped_string(*, rho=1.0, tension=1.0, mass=1.0, stiffness=1.0,
+                             damping=1.0):
     """String with a tip mass-spring-damper, free right end.
 
     Every mode is damped (ASP holds) but the modal decay rates vanish like
     1/beta^2, so the resolvent peaks grow along the imaginary axis: the
     discrete surrogate of asymptotic-but-not-exponential stability.
     """
-
-    rho: object = 1.0
-    tension: object = 1.0
-    mass: float = 1.0
-    stiffness: float = 1.0
-    damping: float = 1.0
-
-    def __post_init__(self):
-        self.rho = scalar_profile(self.rho)
-        self.tension = scalar_profile(self.tension)
-        if not (self.mass > 0 and self.stiffness > 0 and self.damping > 0):
-            raise ScenarioError("mass, stiffness, damping must be positive")
-
-
-def build_mass_damped_string(**params):
-    spec = MassDampedStringSpec(**params)
-    string = _wave_subsystem(spec.rho, spec.tension, kind="mass_free", label="string")
+    rho, tension = scalar_profile(rho), scalar_profile(tension)
+    if not (mass > 0 and stiffness > 0 and damping > 0):
+        raise ScenarioError("mass, stiffness, damping must be positive")
+    string = _wave_subsystem(rho, tension, kind="mass_free", label="string")
     return Network(subsystems=(string,),
-                   controllers=(_msd_controller(spec.mass, spec.stiffness,
-                                                spec.damping),),
+                   controllers=(_msd_controller(mass, stiffness, damping),),
                    k_mat=np.zeros((2, 2)), coupling=((0,),),
                    label="mass_damped_string")
 

@@ -19,6 +19,15 @@ def write_chain(tmp_path, **kwargs):
     return str(path)
 
 
+def write_indefinite_h(tmp_path):
+    """Explicit one-string chain whose constant H = diag(1, -1) is not coercive."""
+    doc = network_to_dict(build_chain(m=1))
+    doc["subsystems"][0]["hamiltonian"] = {"kind": "constant", "data": [[1, 0], [0, -1]]}
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestCheck:
     def test_default_chain_exit_zero_serial_true(self, tmp_path, capsys):
         rc = main(["check", write_chain(tmp_path)])
@@ -38,6 +47,13 @@ class TestCheck:
         report = json.loads(capsys.readouterr().out)
         assert report["network_certificate"]["pass"] is False
         assert "witness" in report["network_certificate"]
+
+    def test_invalid_subsystem_is_not_certified(self, tmp_path, capsys):
+        rc = main(["check", write_indefinite_h(tmp_path)])
+        assert rc == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["subsystems_valid"] is False
+        assert report["pass"] is False
 
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -277,6 +293,15 @@ class TestExitCodes:
         rc = main(argv[:1] + [path, "--n", "24", "--out", str(tmp_path / "o.csv")]
                   + argv[1:])
         self.assert_usage_error(rc, capsys)
+
+    @pytest.mark.parametrize("command", ["spectrum", "simulate", "resolvent"])
+    def test_non_coercive_hamiltonian(self, tmp_path, capsys, command):
+        rc = main([command, write_indefinite_h(tmp_path), "--n", "24",
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: m_red not positive definite")
+        assert err.count("\n") == 1
 
     def test_too_few_samples_for_decay_fit(self, tmp_path, capsys):
         rc = main(["simulate", write_chain(tmp_path, m=1, kappa=[0.5]), "--n", "24",

@@ -1,7 +1,10 @@
 """Scenario constructors: parameters, certificates, oracles, round-trips."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phnet import (ScenarioError, assemble_generator, build_beam, build_chain,
                    build_coupled, build_mass_damped_string, build_scenario,
@@ -269,3 +272,71 @@ class TestRoundTrip:
         f1 = assemble(net).energy_form()
         f2 = assemble(back).energy_form()
         assert np.abs(f1 - f2).max() <= 1e-12
+
+
+# the conservative beam-end catalogue plus one name that is not in it
+BEAM_ENDS = ("pinned", "free", "shear_hinge", "clamped", "bc5", "bc6", "hinged")
+COEFFICIENT = st.floats(-1.0, 2.0)
+
+
+@st.composite
+def scenario_params(draw):
+    """A scenario name and a parameter set, valid or not."""
+    name = draw(st.sampled_from(sorted(SCENARIOS)))
+    params = {}
+
+    def maybe(key, strategy):
+        if draw(st.booleans()):
+            params[key] = draw(strategy)
+
+    if name == "chain_of_strings":
+        m = draw(st.integers(1, 5))
+        params["m"] = m
+        per_segment = st.one_of(st.lists(COEFFICIENT, min_size=m, max_size=m),
+                                st.lists(COEFFICIENT, max_size=m + 1))
+        for key in ("kappa", "lengths", "rho", "tension"):
+            maybe(key, per_segment)
+        maybe("literal_bc_sign", st.booleans())
+    elif name == "euler_bernoulli_beam":
+        for key in ("rho", "ei"):
+            maybe(key, COEFFICIENT)
+        maybe("left_bc", st.one_of(st.sampled_from(BEAM_ENDS),
+                                   st.lists(st.lists(COEFFICIENT, min_size=2, max_size=2),
+                                            min_size=2, max_size=2)))
+        maybe("right_bc", st.sampled_from(BEAM_ENDS))
+    else:
+        keys = ["rho", "tension", "mass", "stiffness", "damping"]
+        if name != "mass_damped_string":
+            keys += ["kappa", "rho_beam", "ei_beam"]
+        for key in keys:
+            maybe(key, COEFFICIENT)
+    if draw(st.integers(0, 9)) == 5:      # now and then an unknown key
+        params["bogus"] = 1
+    return name, params
+
+
+class TestParameterProperty:
+    @pytest.mark.parametrize("name, params", [
+        ("chain_of_strings", {"m": 1, "rho": [5e-324]}),
+        ("chain_of_strings", {"m": 1, "rho": [1e-200], "lengths": [1e-200]}),
+        ("euler_bernoulli_beam", {"rho": 5e-324}),
+        ("mass_damped_string", {"mass": 5e-324}),
+    ])
+    def test_overflowing_coefficient_is_a_scenario_error(self, name, params):
+        with pytest.raises(ScenarioError, match="not finite"):
+            build_scenario(name, params)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=scenario_params())
+    def test_builds_or_raises_scenario_error_and_round_trips(self, case):
+        name, params = case
+        try:
+            net = build_scenario(name, params)
+        except ScenarioError:
+            return
+        projector = constraint_projector(net)
+        verdict = certify_network_dissipative(net).passed
+        for doc in (network_to_dict(net, scenario=(name, params)), network_to_dict(net)):
+            back = network_from_dict(json.loads(json.dumps(doc)))
+            assert np.abs(constraint_projector(back) - projector).max() <= 1e-12
+            assert certify_network_dissipative(back).passed == verdict
