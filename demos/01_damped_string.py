@@ -20,7 +20,7 @@ for check in report.checks:
     print("  %-28s %s  margin=%.3e" % (check["name"], check["passed"], check["margin"]))
 
 # The boundary flux form Q encodes Re<Ax, x> = tau* Q tau / 2.
-print("\nflux matrix Q:\n", flux_form(string).q)
+print("\nflux matrix Q:\n", flux_form(string))
 print("impedance passive:", check_impedance(string).passed)
 print("closed loop certified dissipative:",
       certify_network_dissipative(net).passed)

@@ -24,7 +24,7 @@ print("  certified:", certify_network_dissipative(net).passed)
 
 closed = assemble(net)
 print("  constraint rows: %d over %d trace components + %d controller states"
-      % (closed.n_constraints, closed.w_b_net.shape[1], closed.c_c_net.shape[1]))
+      % (closed.w_b_net.shape[0], closed.w_b_net.shape[1], closed.c_c_net.shape[1]))
 
 gen = assemble_generator(net, 32)
 rng = np.random.default_rng(0)

@@ -6,9 +6,8 @@ Gauss-Lobatto collocation, and assess stability through trusted spectra,
 resolvent scans, and contractive time integration.
 """
 
-from .model import (FluxForm, MatrixFunction, PHStructuralError, PHSubsystem,
-                    ValidationReport, flux_form, flux_matrix,
-                    validate_subsystem)
+from .model import (MatrixFunction, PHStructuralError, PHSubsystem,
+                    ValidationReport, flux_form, flux_matrix, validate_subsystem)
 from .passivity import (PassivityCertificate, check_dissipative_closure,
                         check_impedance, check_scattering, check_sym_p0,
                         null_basis)

@@ -234,25 +234,43 @@ def exponential_verdict(spectrum_report, scan):
 
 
 def asp_diagnostic(gen, r_selector):
-    """Residuals ||R v|| of near-imaginary trusted eigenvectors.
+    """Residuals of R on the near-imaginary trusted eigenspaces.
 
     r_selector is a sequence of (subsystem_index, trace_component) pairs
     selecting rows of the stacked trace, the concrete dissipation observer
-    R.  The eigenvectors have unit energy norm, so a residual ~ 0 exposes
-    an undamped imaginary mode invisible to R (an ASP violation), with
-    near-imaginary |Re lambda| < 10 * ZERO_MODE_REL_TOL * max|a_red|.
-    Returns a list of (eigenvalue, residual).
+    R.  Near-imaginary means |Re lambda| < 10 * ZERO_MODE_REL_TOL *
+    max|a_red|.  eig returns an arbitrary basis of a multiple eigenspace,
+    so such eigenvalues within TRUST_MATCH_RTOL * (1 + |lambda|) of each
+    other form one cluster, and each member reports sigma_min(R V), V an
+    energy-orthonormal basis of its cluster's eigenvectors.  Zero modes
+    (|lambda| < ZERO_MODE_REL_TOL * max|a_red|) are scored one eigenvector
+    at a time: a trusted zero eigenspace can hold a spurious kernel vector
+    of the reduction (the free-free string has one), which the cluster
+    residual would report as an invisible mode.  A residual ~ 0 exposes an
+    undamped imaginary mode invisible to R (an ASP violation).  Returns a
+    list of (eigenvalue, residual).
     """
     rep = spectrum(gen)
     scale = max(float(np.abs(gen.a_red).max()), 1e-300)
-    tol = ZERO_MODE_REL_TOL * scale * 10
+    near = np.abs(rep.eigenvalues.real) < ZERO_MODE_REL_TOL * scale * 10
+    lams, vecs = rep.eigenvalues[near], rep.eigenvectors[:, near]
+    taus = gen.split_traces((gen.trace_map @ vecs).T)
+    r_v = np.array([taus[j][:, comp] for j, comp in r_selector])
+    r_v = r_v.reshape(len(r_selector), len(lams))
+    nonzero = np.abs(lams) >= ZERO_MODE_REL_TOL * scale
+    close = (nonzero[:, None] & nonzero
+             & (np.abs(lams[:, None] - lams) <= TRUST_MATCH_RTOL * (1.0 + np.abs(lams[:, None]))))
+    labels = np.arange(len(lams))
+    for i, j in zip(*np.nonzero(close)):      # merge the clusters of each close pair
+        labels[labels == labels[j]] = labels[i]
     out = []
-    for i, lam in enumerate(rep.eigenvalues):
-        if abs(lam.real) >= tol:
-            continue
-        taus = gen.traces(rep.eigenvectors[:, i])
-        r_val = np.array([taus[j][comp] for j, comp in r_selector])
-        out.append((complex(lam), float(np.linalg.norm(r_val))))
+    for lam, label in zip(lams, labels):
+        members = labels == label
+        # QR of the energy-frame coordinates L^H V: V tri^{-1} is energy-orthonormal
+        tri = np.linalg.qr(gen.chol.conj().T @ vecs[:, members], mode="r")
+        sv = np.linalg.svd(np.linalg.solve(tri.T, r_v[:, members].T), compute_uv=False)
+        # fewer rows of R than eigenvectors leave a combination with R V x = 0
+        out.append((complex(lam), float(sv.min()) if len(sv) == members.sum() else 0.0))
     return out
 
 

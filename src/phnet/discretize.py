@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from numpy.polynomial import legendre as npleg
 
-from .model import PHStructuralError
+from .model import REL_TOL, PHStructuralError, flux_form
 from .network import assemble
+from .passivity import null_basis
 
 
 @dataclass(frozen=True)
@@ -88,16 +89,21 @@ def discretize_subsystem(subsystem, n):
     """Collocate one subsystem on n Gauss-Lobatto points.
 
     Requires n >= 4N + 4 so that the trace derivatives up to order N - 1
-    and the operator itself are resolved.
+    and the operator itself are resolved, and an H whose eigenvalues at
+    the nodes are all larger in modulus than REL_TOL times the largest: a
+    vanishing H leaves the energy and the traces degenerate.
     """
     s = subsystem
-    s.structural_check()
     if n < 4 * s.order + 4:
         raise PHStructuralError("n = %d too small for order %d (need >= %d)"
                                 % (n, s.order, 4 * s.order + 4))
     grid = make_grid(n)
     d_dim = s.dim
     h_vals = s.hamiltonian(grid.points)
+    h_eig = np.abs(np.linalg.eigvalsh(h_vals))
+    if h_eig.min() <= REL_TOL * h_eig.max():
+        raise PHStructuralError("H numerically singular at the collocation nodes (smallest "
+                                "|eigenvalue| %.2e, largest %.2e)" % (h_eig.min(), h_eig.max()))
     h_blk = sla.block_diag(*h_vals)
     p0_vals = np.zeros((0, d_dim, d_dim)) if s.p0 is None else s.p0(grid.points)
 
@@ -227,8 +233,10 @@ def assemble_generator(net, n_per_subsystem):
     """Reduce the closed-loop network to a DiscreteGenerator.
 
     n_per_subsystem is an int (applied to every subsystem) or a list.
-    Raises PHStructuralError if the constraint matrix is rank deficient,
-    naming the offending block.
+    The loop law comes from assemble(net) alone.  Raises PHStructuralError
+    naming the subsystem when one cannot be collocated, and naming the
+    offending block when the constraint matrix is rank deficient under
+    null_basis's rank rule.
     """
     if np.isscalar(n_per_subsystem):
         n_list = [int(n_per_subsystem)] * len(net.subsystems)
@@ -238,13 +246,17 @@ def assemble_generator(net, n_per_subsystem):
         raise PHStructuralError("need one resolution per subsystem")
 
     closed = assemble(net)
-    ops = [discretize_subsystem(s, n) for s, n in zip(net.subsystems, n_list)]
+    ops = []
+    for j, (s, n) in enumerate(zip(net.subsystems, n_list)):
+        try:
+            ops.append(discretize_subsystem(s, n))
+        except PHStructuralError as exc:
+            raise PHStructuralError("subsystem %d: %s" % (j, exc)) from None
 
     sizes = [o.l.shape[0] for o in ops]
     offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     n_pde = int(offs[-1])
-    n_c = net.n_controller_states
-    n_full = n_pde + n_c
+    n_full = n_pde + closed.a_c_net.shape[0]
     sample_slices = [slice(int(offs[j]), int(offs[j + 1])) for j in range(len(ops))]
     controller_slice = slice(n_pde, n_full)
 
@@ -261,32 +273,20 @@ def assemble_generator(net, n_per_subsystem):
         t_stack[r:r + o.t.shape[0], sl] = o.t
         r += o.t.shape[0]
     m_full[controller_slice, controller_slice] = closed.controller_weight
+    l_full[controller_slice, controller_slice] = closed.a_c_net
+    l_full[controller_slice, :n_pde] = closed.b_c_net @ t_stack
 
-    # controller dynamics d/dt x_c = A_c x_c + B_c S^T W_C tau
-    col = n_pde
-    for c, ports in zip(net.controllers, net.coupling):
-        sl = slice(col, col + c.n_state)
-        l_full[sl, sl] = c.a_c
-        u_rows = (closed.w_c_blk @ t_stack)[list(ports), :]
-        l_full[sl, :n_pde] = c.b_c @ u_rows
-        col += c.n_state
-
-    # constraint rows on (samples, x_c)
-    g = np.zeros((closed.n_constraints, n_full), dtype=dtype)
-    g[:, :n_pde] = closed.w_b_net @ t_stack
-    g[:, controller_slice] = closed.c_c_net
-    z = np.eye(n_full)
-    if g.shape[0]:
-        u, sv, vh = np.linalg.svd(g)
-        if sv.min() <= 1e-10 * max(sv.max(), 1.0):
-            # the smallest left singular vector names the dependent rows
-            bad = int(np.argmax(np.abs(u[:, -1])))
-            block = _locate_constraint_block(net, closed, bad)
-            raise PHStructuralError("constraint matrix rank deficient (smallest "
-                                    "singular value %.2e); offending block: %s"
-                                    % (sv.min(), block))
-        # full row rank: the trailing right singular vectors span ker g
-        z = vh[g.shape[0]:].conj().T
+    # constraint rows on (samples, x_c); z spans their null space
+    g = np.hstack([closed.w_b_net @ t_stack, closed.c_c_net])
+    z = null_basis(g)
+    if z.shape[1] != n_full - g.shape[0]:
+        # the smallest left singular vector names the dependent rows
+        u, sv, _ = np.linalg.svd(g)
+        row = int(closed.kept_rows[np.argmax(np.abs(u[:, -1]))])
+        j = int(np.searchsorted(net.port_offsets, row, side="right")) - 1
+        raise PHStructuralError("constraint matrix rank deficient (smallest singular value "
+                                "%.2e); offending block: subsystem %d (port row %d)"
+                                % (sv.min(), j, row))
 
     gen = DiscreteGenerator(
         m_red=z.conj().T @ m_full @ z, s_red=z.conj().T @ m_full @ l_full @ z,
@@ -300,15 +300,6 @@ def assemble_generator(net, n_per_subsystem):
     return gen
 
 
-def _locate_constraint_block(net, closed, row):
-    port_row = int(closed.kept_rows[row])
-    offs = list(net.port_offsets) + [net.total_ports]
-    for j in range(len(net.subsystems)):
-        if offs[j] <= port_row < offs[j + 1]:
-            return "subsystem %d (port row %d)" % (j, port_row)
-    return "port row %d" % port_row
-
-
 def discrete_energy_rate(gen, v):
     """Re <a_red v, v>_{m_red}: the discrete energy balance left-hand side."""
     v = np.asarray(v)
@@ -317,11 +308,10 @@ def discrete_energy_rate(gen, v):
 
 def boundary_flux(gen, v):
     """1/2 sum_j tau_j* Q_j tau_j at the lifted state (no P_0 volume term)."""
-    from .model import flux_form
     taus = gen.traces(v)
     total = 0.0
     for s, tau in zip(gen.net.subsystems, taus):
-        q = flux_form(s).q
+        q = flux_form(s)
         total += 0.5 * float(np.real(tau.conj() @ q @ tau))
     return total
 

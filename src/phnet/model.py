@@ -177,30 +177,44 @@ class PHSubsystem:
     label: str = ""
 
     def __post_init__(self):
+        n, d = self.order, self.dim
+        if n < 1 or d < 1:
+            raise PHStructuralError("order and dim must be positive")
         a, b = self.interval
         if not b > a:
             raise PHStructuralError("interval (a, b) must satisfy a < b")
         scale = b - a
         ps = list(self.p_matrices)
-        if len(ps) != self.order + 1:
+        if len(ps) != n + 1:
             raise PHStructuralError("need %d coefficient matrices P_0..P_N, got %d"
-                                    % (self.order + 1, len(ps)))
+                                    % (n + 1, len(ps)))
         p0 = ps[0]
         if p0 is not None and not isinstance(p0, MatrixFunction):
-            p0 = as_matrix_function(p0, self.dim)
+            p0 = as_matrix_function(p0, d)
+        if p0 is not None and p0.dim != d:
+            raise PHStructuralError("P_0 has dimension %d, expected %d" % (p0.dim, d))
         coerced = [p0]
-        for k in range(1, self.order + 1):
+        for k in range(1, n + 1):
             if ps[k] is None:
                 raise PHStructuralError("P_%d must be a matrix (use zeros); "
                                         "only P_0 may be None" % k)
             pk = _as_matrix(ps[k], dtype=complex if np.iscomplexobj(np.asarray(ps[k])) else float)
+            if pk.shape != (d, d):
+                raise PHStructuralError("P_%d has shape %s, expected (%d, %d)"
+                                        % (k, pk.shape, d, d))
             coerced.append(pk * scale ** (-k) if scale != 1.0 else pk)
         object.__setattr__(self, "p_matrices", tuple(coerced))
-        object.__setattr__(self, "w_b", _as_matrix(self.w_b))
-        object.__setattr__(self, "w_c", _as_matrix(self.w_c))
+        for name in ("w_b", "w_c"):
+            w = _as_matrix(getattr(self, name))
+            if w.shape != (n * d, 2 * n * d):
+                raise PHStructuralError("%s has shape %s, expected (%d, %d)"
+                                        % (name.upper(), w.shape, n * d, 2 * n * d))
+            object.__setattr__(self, name, w)
         ham = self.hamiltonian
         if not isinstance(ham, MatrixFunction):
-            ham = as_matrix_function(ham, self.dim)
+            ham = as_matrix_function(ham, d)
+        if ham.dim != d:
+            raise PHStructuralError("H has dimension %d, expected %d" % (ham.dim, d))
         object.__setattr__(self, "hamiltonian", ham)
 
     @property
@@ -216,41 +230,6 @@ class PHSubsystem:
     @property
     def p0(self):
         return self.p_matrices[0]
-
-    def structural_check(self):
-        """Raise PHStructuralError on any (N, d) versus matrix-shape mismatch."""
-        n, d = self.order, self.dim
-        if n < 1 or d < 1:
-            raise PHStructuralError("order and dim must be positive")
-        for k in range(1, n + 1):
-            if self.p_matrices[k].shape != (d, d):
-                raise PHStructuralError("P_%d has shape %s, expected (%d, %d)"
-                                        % (k, self.p_matrices[k].shape, d, d))
-        if self.p0 is not None and self.p0.dim != d:
-            raise PHStructuralError("P_0 has dimension %d, expected %d" % (self.p0.dim, d))
-        if self.hamiltonian.dim != d:
-            raise PHStructuralError("H has dimension %d, expected %d"
-                                    % (self.hamiltonian.dim, d))
-        nd, tnd = n * d, 2 * n * d
-        if self.w_b.shape != (nd, tnd):
-            raise PHStructuralError("W_B has shape %s, expected (%d, %d)"
-                                    % (self.w_b.shape, nd, tnd))
-        if self.w_c.shape != (nd, tnd):
-            raise PHStructuralError("W_C has shape %s, expected (%d, %d)"
-                                    % (self.w_c.shape, nd, tnd))
-
-
-@dataclass(frozen=True)
-class FluxForm:
-    """Hermitian Q with Re<Ax, x>_X = 1/2 tau(Hx)* Q tau(Hx) + P_0 volume term."""
-
-    q: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q)
-        q = 0.5 * (q + q.conj().T)
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
 
 
 @dataclass
@@ -279,11 +258,10 @@ def validate_subsystem(subsystem):
     """Check every structural invariant of a PHSubsystem.
 
     Returns a ValidationReport listing, per invariant, pass/fail and the
-    measured margin.  Raises PHStructuralError on shape mismatches, which
-    are not invariant failures.
+    measured margin.  Shape mismatches are not invariant failures: they
+    raise PHStructuralError when the PHSubsystem is built.
     """
     s = subsystem
-    s.structural_check()
     rep = ValidationReport()
 
     # symmetry relations P_k^* = (-1)^{k+1} P_k
@@ -353,7 +331,6 @@ def flux_matrix(p_matrices, order, dim):
 
 
 def flux_form(subsystem):
-    """FluxForm of a validated subsystem (boundary part of Re<Ax, x>_X)."""
+    """Hermitian Q with Re<Ax, x>_X = 1/2 tau(Hx)* Q tau(Hx) + P_0 volume term."""
     s = subsystem
-    s.structural_check()
-    return FluxForm(flux_matrix(s.p_matrices, s.order, s.dim))
+    return flux_matrix(s.p_matrices, s.order, s.dim)

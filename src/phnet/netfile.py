@@ -139,7 +139,7 @@ def _network_from_dict(doc):
                   for row in serial]
     return Network(subsystems=subsystems, controllers=controllers,
                    k_mat=k_mat, coupling=coupling,
-                   external_ports=tuple(doc.get("external_ports") or ()),
+                   external_ports=tuple(int(i) for i in doc.get("external_ports") or ()),
                    serial_blocks=serial, label=doc.get("label", ""))
 
 

@@ -18,7 +18,7 @@ import scipy.linalg as sla
 from dataclasses import dataclass
 
 from .model import PHStructuralError, _as_matrix, flux_form
-from .passivity import _psd_verdict, _tol_for, check_sym_p0, null_basis
+from .passivity import _certificate, _psd_verdict, _tol_for, null_basis
 
 
 @dataclass(frozen=True)
@@ -129,24 +129,26 @@ class Network:
 
 @dataclass
 class ClosedLoopDescription:
-    """Assembled constraint rows and energy forms of the closed loop.
+    """The closed-loop law of a Network, assembled once.
 
-    Constraint rows: w_b_net @ tau + c_c_net @ x_c = 0 (external rows
-    already dropped).  q_blk is the block-diagonal flux form on stacked
-    traces; sym_wa / cross carry the controller supply-rate form so that
+    Over the stacked traces tau and controller states x_c:
 
-        Re<A x-hat, x-hat> = 1/2 tau* q_blk tau + P_0 terms
-                             + x_c* sym_wa x_c + Re(x_c* cross tau).
+        constraint rows   w_b_net @ tau + c_c_net @ x_c = 0
+                          (external rows already dropped; kept_rows lists
+                          the port rows that remain),
+        controller law    d/dt x_c = a_c_net @ x_c + b_c_net @ tau,
+
+    with controller_weight the block-diagonal state inner product and q_blk
+    the block-diagonal flux form.  energy_form() derives the supply terms
+    from these blocks; no other module re-reads the controllers.
     """
 
-    w_c_blk: np.ndarray
     w_b_net: np.ndarray
     c_c_net: np.ndarray
     q_blk: np.ndarray
-    sym_wa: np.ndarray
-    cross: np.ndarray
     controller_weight: np.ndarray
-    n_constraints: int
+    a_c_net: np.ndarray
+    b_c_net: np.ndarray
     kept_rows: np.ndarray
 
     def constraint_matrix(self):
@@ -154,27 +156,29 @@ class ClosedLoopDescription:
         return np.hstack([self.w_b_net, self.c_c_net])
 
     def energy_form(self):
-        """Hermitian form F on (tau, x_c) with Re<Ax, x> = [.]* F [.] + P_0 terms."""
-        top = np.hstack([0.5 * self.q_blk, 0.5 * self.cross.conj().T])
-        bot = np.hstack([0.5 * self.cross, self.sym_wa])
+        """Hermitian form F on (tau, x_c) with Re<Ax, x> = [.]* F [.] + P_0 terms.
+
+        F = [[Q/2, (W B)*/2], [W B/2, Sym(W A)]] with W = controller_weight,
+        A = a_c_net and B = b_c_net.
+        """
+        w = self.controller_weight
+        cross = w @ self.b_c_net
+        wa = w @ self.a_c_net
+        top = np.hstack([0.5 * self.q_blk, 0.5 * cross.conj().T])
+        bot = np.hstack([0.5 * cross, 0.5 * (wa + wa.conj().T)])
         return np.vstack([top, bot])
-
-
-def _embed(rows_idx, n_ports):
-    s = np.zeros((n_ports, len(rows_idx)))
-    for j, r in enumerate(rows_idx):
-        s[r, j] = 1.0
-    return s
 
 
 def assemble(net):
     """Build the ClosedLoopDescription of a Network.
 
-    Raises PHStructuralError on port-dimension mismatches or a controller
-    attached to a nonexistent / doubly-used port row.
+    The only code that reads net.controllers and net.coupling to close the
+    loop B x = K C x - sum_c S_c (C_c x_c + D_c S_c^T C x): it folds D_c
+    into the constraint rows and records the controller dynamics
+    d/dt x_c = A_c x_c + B_c S_c^T W_C tau.  Raises PHStructuralError on
+    port-dimension mismatches or a controller attached to a nonexistent /
+    doubly-used port row.
     """
-    for s in net.subsystems:
-        s.structural_check()
     p = net.total_ports
     if len(net.coupling) != len(net.controllers):
         raise PHStructuralError("need one coupling entry per controller (%d controllers, "
@@ -185,16 +189,16 @@ def assemble(net):
 
     w_b_blk = sla.block_diag(*[s.w_b for s in net.subsystems])
     w_c_blk = sla.block_diag(*[s.w_c for s in net.subsystems])
-    q_blk = sla.block_diag(*[flux_form(s).q for s in net.subsystems])
+    q_blk = sla.block_diag(*[flux_form(s) for s in net.subsystems])
 
     dtype = np.result_type(float, w_b_blk, w_c_blk, k, *(
         m for c in net.controllers for m in (c.a_c, c.b_c, c.c_c, c.d_c, c.state_weight)))
     w_b_net = (w_b_blk - k @ w_c_blk).astype(dtype)
     n_c = net.n_controller_states
     c_c_net = np.zeros((p, n_c), dtype=dtype)
-    sym_wa = np.zeros((n_c, n_c), dtype=dtype)
-    cross = np.zeros((n_c, w_c_blk.shape[1]), dtype=dtype)
-    weights = []
+    weight = np.zeros((n_c, n_c), dtype=dtype)
+    a_c_net = np.zeros((n_c, n_c), dtype=dtype)
+    b_c_net = np.zeros((n_c, w_c_blk.shape[1]), dtype=dtype)
 
     used = set()
     col = 0
@@ -208,25 +212,19 @@ def assemble(net):
             if r in used:
                 raise PHStructuralError("port row %d mapped by more than one controller" % r)
             used.add(r)
-        s_c = _embed(ports, p)
+        s_c = np.eye(p)[:, list(ports)]
         sl = slice(col, col + c.n_state)
-        w = c.state_weight
-        # closure B x = K C x - S_c (C_c x_c + D_c S_c^T C x)
         w_b_net = w_b_net + s_c @ c.d_c @ s_c.T @ w_c_blk
         c_c_net[:, sl] = s_c @ c.c_c
-        sym_wa[sl, sl] = 0.5 * (w @ c.a_c + c.a_c.conj().T @ w)
-        cross[sl, :] = w @ c.b_c @ s_c.T @ w_c_blk
-        weights.append(w)
+        a_c_net[sl, sl] = c.a_c
+        b_c_net[sl, :] = c.b_c @ s_c.T @ w_c_blk
+        weight[sl, sl] = c.state_weight
         col += c.n_state
 
     kept = np.array([r for r in range(p) if r not in set(net.external_ports)], dtype=int)
-    w_b_net = w_b_net[kept]
-    c_c_net = c_c_net[kept]
     return ClosedLoopDescription(
-        w_c_blk=w_c_blk, w_b_net=w_b_net, c_c_net=c_c_net,
-        q_blk=q_blk, sym_wa=sym_wa, cross=cross,
-        controller_weight=sla.block_diag(*weights) if weights else np.zeros((0, 0)),
-        n_constraints=w_b_net.shape[0], kept_rows=kept)
+        w_b_net=w_b_net[kept], c_c_net=c_c_net[kept], q_blk=q_blk,
+        controller_weight=weight, a_c_net=a_c_net, b_c_net=b_c_net, kept_rows=kept)
 
 
 def check_controller_passive(controller):
@@ -283,20 +281,12 @@ def certify_network_dissipative(net):
     dissipative).
     """
     closed = assemble(net)
-    for j, s in enumerate(net.subsystems):
-        cert0 = check_sym_p0(s)
-        if not cert0.passed:
-            cert0.kind = "network"
-            cert0.detail = "subsystem %d: Sym P_0 not negative semi-definite" % j
-            return cert0
     form = closed.energy_form()
-    z = null_basis(closed.constraint_matrix())
-    restricted = z.conj().T @ form @ z
-    cert = _psd_verdict(-restricted, "network", _tol_for(form),
-                        detail="-(flux + controller supply) on the constraint null space")
-    if cert.witness is not None:
-        cert.witness = z @ cert.witness
-    return cert
+    return _certificate(
+        "network", [("subsystem %d: " % j, s) for j, s in enumerate(net.subsystems)],
+        -form, _tol_for(form),
+        "-(flux + controller supply) on the constraint null space",
+        basis=null_basis(closed.constraint_matrix()))
 
 
 @dataclass(frozen=True)

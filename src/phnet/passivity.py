@@ -94,21 +94,38 @@ def check_sym_p0(subsystem):
         % float(zs[i]))
 
 
+def _certificate(kind, guarded, form, tol, detail, basis=None):
+    """The one dissipativity test every certificate runs.
+
+    guarded lists (prefix, subsystem) pairs: the first subsystem whose Sym
+    P_0 is not pointwise <= 0 decides the certificate, its detail led by
+    the prefix.  Otherwise the verdict is that of `form` >= 0 restricted
+    to range(basis) (the whole space when basis is None), with a failure
+    witness lifted back through basis.
+    """
+    for prefix, s in guarded:
+        cert = check_sym_p0(s)
+        if not cert.passed:
+            cert.kind = kind
+            cert.detail = prefix + "Sym P_0 not negative semi-definite: " + cert.detail
+            return cert
+    restricted = form if basis is None else basis.conj().T @ form @ basis
+    cert = _psd_verdict(restricted, kind, tol, detail=detail)
+    if basis is not None and cert.witness is not None:
+        cert.witness = basis @ cert.witness
+    return cert
+
+
 def check_impedance(subsystem):
     """Impedance passivity: Re<Ax, x> <= Re<Bx, Cx> for all x in D(A).
 
     Realized as M = Sym(W_C* W_B) - Q/2 >= 0, plus Sym P_0 <= 0 pointwise.
     """
     s = subsystem
-    cert0 = check_sym_p0(s)
-    if not cert0.passed:
-        cert0.kind = "impedance"
-        cert0.detail = "Sym P_0 not negative semi-definite: " + cert0.detail
-        return cert0
-    q = flux_form(s).q
+    q = flux_form(s)
     m = 0.5 * (s.w_c.conj().T @ s.w_b + s.w_b.conj().T @ s.w_c) - 0.5 * q
-    return _psd_verdict(m, "impedance", _tol_for(q, s.w_b, s.w_c),
-                        detail="Sym(W_C* W_B) - Q/2 on the full trace space")
+    return _certificate("impedance", [("", s)], m, _tol_for(q, s.w_b, s.w_c),
+                        "Sym(W_C* W_B) - Q/2 on the full trace space")
 
 
 def check_scattering(subsystem):
@@ -117,19 +134,18 @@ def check_scattering(subsystem):
     Realized as W_B* W_B - W_C* W_C - Q/2 >= 0, plus Sym P_0 <= 0 pointwise.
     """
     s = subsystem
-    cert0 = check_sym_p0(s)
-    if not cert0.passed:
-        cert0.kind = "scattering"
-        cert0.detail = "Sym P_0 not negative semi-definite: " + cert0.detail
-        return cert0
-    q = flux_form(s).q
+    q = flux_form(s)
     m = s.w_b.conj().T @ s.w_b - s.w_c.conj().T @ s.w_c - 0.5 * q
-    return _psd_verdict(m, "scattering", _tol_for(q, s.w_b, s.w_c),
-                        detail="W_B* W_B - W_C* W_C - Q/2 on the full trace space")
+    return _certificate("scattering", [("", s)], m, _tol_for(q, s.w_b, s.w_c),
+                        "W_B* W_B - W_C* W_C - Q/2 on the full trace space")
 
 
 def null_basis(mat):
-    """Orthonormal basis of ker(mat); singular values <= REL_TOL * sigma_max count as 0."""
+    """Orthonormal basis of ker(mat); singular values <= REL_TOL * sigma_max count as 0.
+
+    The one rank rule for constraint null spaces: certificates and the
+    generator's reduction both use it.
+    """
     mat = np.atleast_2d(np.asarray(mat))
     if mat.shape[0] == 0:
         return np.eye(mat.shape[1])
@@ -147,20 +163,10 @@ def check_dissipative_closure(subsystem, k_mat):
     """
     s = subsystem
     k_mat = np.atleast_2d(np.asarray(k_mat))
-    cert0 = check_sym_p0(s)
-    if not cert0.passed:
-        cert0.kind = "closure"
-        cert0.detail = "Sym P_0 not negative semi-definite: " + cert0.detail
-        return cert0
-    q = flux_form(s).q
+    q = flux_form(s)
     z = null_basis(s.w_b - k_mat @ s.w_c)
     detail = "Q/2 restricted to ker(W_B - K W_C)"
     if z.shape[1] != s.port_dim:
         detail += ("; degenerate kernel dimension %d != %d, closure is not a graph of K"
                    % (z.shape[1], s.port_dim))
-    restricted = z.conj().T @ (0.5 * q) @ z
-    # orient: need restricted <= tol, test -restricted >= -tol
-    cert = _psd_verdict(-restricted, "closure", _tol_for(q, k_mat), detail=detail)
-    if cert.witness is not None:
-        cert.witness = z @ cert.witness     # lift back to trace space
-    return cert
+    return _certificate("closure", [("", s)], -0.5 * q, _tol_for(q, k_mat), detail, basis=z)

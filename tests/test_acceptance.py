@@ -62,7 +62,7 @@ def test_criterion_2_flux_identity_oracle():
         for _ in range(25):
             s = random_passive_subsystem(rng, order=order, complex_ok=True,
                                          with_p0=bool(rng.integers(2)))
-            q = flux_form(s).q
+            q = flux_form(s)
             coeffs = random_poly_state(rng, s.dim, order + 4)
             tau = poly_trace(coeffs, order)
             lhs = quadrature_energy_rate(s, coeffs)

@@ -133,7 +133,7 @@ class TestResolvent:
             assert (~scan.diverged).sum() > 100
             assert svd_oracle_deviation(gen, scan) <= SVD_ORACLE_RTOL
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_subsystems=st.integers(1, 2),
            complex_ok=st.booleans(), with_controller=st.booleans())
     def test_random_passive_networks_match_dense_svd(self, seed, n_subsystems,
@@ -170,16 +170,19 @@ class TestAspDiagnostic:
         assert zero and min(zero) > 1e-3   # constant state has nonzero trace
 
     def test_decoupled_subsystem_invisible(self):
-        # distinct wave speeds keep the two spectra non-degenerate, so the
-        # eigenvectors stay pure per subsystem
-        s1 = _wave_subsystem(1.0, 1.0, kind="last")
-        s2 = _wave_subsystem(1.0, 2.0, kind="last")
-        net = Network(subsystems=(s1, s2), k_mat=np.zeros((4, 4)))
-        gen = assemble_generator(net, 32)
-        out = asp_diagnostic(gen, [(0, 2), (0, 3)])   # touches subsystem 1 only
-        residuals = [r for _, r in out]
-        assert min(residuals) <= 1e-8     # subsystem 2's modes are invisible
-        assert max(residuals) > 1e-3
+        # R observes subsystem 1 only.  With distinct wave speeds the two
+        # spectra stay apart; with equal ones every nonzero eigenvalue is
+        # double, eig mixes the two subsystems' modes arbitrarily, and only
+        # the residual of the whole eigenspace finds the invisible one
+        for tension in (2.0, 1.0):
+            s1 = _wave_subsystem(1.0, 1.0, kind="last")
+            s2 = _wave_subsystem(1.0, tension, kind="last")
+            net = Network(subsystems=(s1, s2), k_mat=np.zeros((4, 4)))
+            gen = assemble_generator(net, 32)
+            out = asp_diagnostic(gen, [(0, 2), (0, 3)])   # touches subsystem 1 only
+            residuals = [r for _, r in out]
+            assert min(residuals) <= 1e-8     # subsystem 2's modes are invisible
+            assert max(residuals) > 1e-3
 
 
 class TestDecayFit:

@@ -1,12 +1,18 @@
 """CLI subcommands: exit codes, JSON reports, CSV outputs."""
 
+import copy
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from phnet import (MatrixFunction, Network, PHSubsystem, build_chain,
-                   network_to_dict, save_network)
+from phnet import (SCENARIOS, MatrixFunction, Network, PHSubsystem, build_chain,
+                   build_scenario, network_to_dict, save_network)
 from phnet.cli import main
 
 
@@ -311,3 +317,84 @@ class TestExitCodes:
         summary = json.loads(capsys.readouterr().out)
         assert summary["decay_fit"] is None
         assert "at least 32 samples" in summary["decay_fit_reason"]
+
+
+def _scenario_dump(name):
+    """What `phnet scenario dump <name>` prints, as a JSON document."""
+    params = dict(SCENARIOS[name]["defaults"])
+    return json.loads(json.dumps(network_to_dict(build_scenario(name, params),
+                                                  scenario=(name, params))))
+
+
+# the five scenario dumps and one explicit file with a controller
+MUTATION_BASES = [_scenario_dump(name) for name in sorted(SCENARIOS)] + [
+    json.loads(json.dumps(network_to_dict(build_scenario("spring_mass_damper_string_beam", {}))))]
+
+
+def _paths(node, path=()):
+    """Every position in a JSON document, the root included."""
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_files(draw):
+    """A base document with one key deleted, one value replaced, one
+    matrix row dropped, or its text truncated."""
+    doc = copy.deepcopy(draw(st.sampled_from(MUTATION_BASES)))
+    paths = list(_paths(doc))
+    matrices = [p for p in paths if isinstance(_at(doc, p), list) and _at(doc, p)
+                and all(isinstance(row, list) for row in _at(doc, p))]
+    kind = draw(st.sampled_from(["delete", "replace", "truncate"]
+                                + (["drop_row"] if matrices else [])))
+    if kind == "truncate":
+        text = json.dumps(doc)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "delete":
+        keys = [p for p in paths if p and isinstance(_at(doc, p[:-1]), dict)]
+        path = draw(st.sampled_from(keys))
+        del _at(doc, path[:-1])[path[-1]]
+    elif kind == "replace":
+        path = draw(st.sampled_from(paths))
+        value = draw(st.sampled_from([None, "x", True, [[1, 2], [3]]]))
+        if path:
+            _at(doc, path[:-1])[path[-1]] = value
+        else:
+            doc = value
+    else:
+        rows = _at(doc, draw(st.sampled_from(matrices)))
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    return json.dumps(doc)
+
+
+class TestMutatedFiles:
+    """`check` and `spectrum` return 0, 1 or 2 on any mutated file, and 2
+    comes with exactly one `error:` line."""
+
+    # a nested list in external_ports used to escape as a TypeError traceback
+    @settings(max_examples=200)
+    @given(text=mutated_files())
+    @example(text=json.dumps(dict(MUTATION_BASES[-1], external_ports=[[1, 2], [3]])))
+    def test_exit_code_contract(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "net.json")
+            with open(path, "w") as f:
+                f.write(text)
+            for argv in (["check", path],
+                         ["spectrum", path, "--n", "16", "--out", os.path.join(tmp, "s.csv")]):
+                err = io.StringIO()
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    rc = main(argv)
+                assert rc in (0, 1, 2)
+                if rc == 2:
+                    lines = err.getvalue().splitlines()
+                    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from phnet import (MatrixFunction, Network, PHStructuralError, PHSubsystem,
-                   assemble_generator, build_coupled, discretize_subsystem,
-                   make_grid, spectrum)
+                   assemble_generator, build_beam, build_chain, build_coupled,
+                   discretize_subsystem, make_grid, spectrum)
 from phnet.discretize import boundary_flux, discrete_energy_rate
 from phnet.scenarios import _wave_subsystem
 
@@ -171,6 +171,14 @@ class TestAssembleGenerator:
         with pytest.raises(PHStructuralError, match="subsystem 0"):
             assemble_generator(net, 24)
 
+    @pytest.mark.parametrize("net", [build_chain(m=1, tension=[5e-324]),
+                                     build_beam(ei=5e-324),
+                                     build_chain(m=1, tension=[1e-13])])
+    def test_vanishing_hamiltonian_named(self, net):
+        with pytest.raises(PHStructuralError,
+                           match="subsystem 0: H numerically singular at the collocation nodes"):
+            assemble_generator(net, 24)
+
     def test_companion_resolution_policy(self):
         # about 0.8 n, at least 4N + 6 points, refined to n + 4 when that
         # floor is n itself; built once, on first use
@@ -276,7 +284,7 @@ class TestDiscreteEnergyBalance:
             p0_int = float(gw @ np.einsum("qi,qij,qj->q", vals, p0_vals, vals))
             tau = ops.t @ x
             from phnet import flux_form
-            q = flux_form(s).q
+            q = flux_form(s)
             flux = 0.5 * float(np.real(tau @ q @ tau)) + p0_int
             return abs(lhs - flux) / max(1.0, abs(lhs))
 

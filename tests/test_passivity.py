@@ -89,7 +89,7 @@ class TestImpedance:
         assert violated
 
     def test_wb_equals_wc_both_ways(self):
-        q = flux_form(wave()).q
+        q = flux_form(wave())
         for w in (W_B_WAVE, W_C_WAVE):
             s = wave(w_b=w, w_c=w)
             m = 0.5 * (w.conj().T @ w + w.conj().T @ w) - 0.5 * q
@@ -106,7 +106,7 @@ class TestScattering:
     def test_wc_zero_passes_when_flux_dominated(self):
         # W_B spans the positive flux directions, so W_B* W_B >= Q/2; W_C is
         # numerically zero (tiny rows keep [W_B; W_C] invertible).
-        q = flux_form(wave()).q
+        q = flux_form(wave())
         w_b, w_neg = scattering_splitting(q)
         s = wave(w_b=w_b, w_c=1e-9 * w_neg)
         assert check_scattering(s).passed
@@ -114,7 +114,7 @@ class TestScattering:
     def test_scattering_splitting_passes_and_oracle_agrees(self):
         rng = np.random.default_rng(17)
         s0 = wave()
-        q = flux_form(s0).q
+        q = flux_form(s0)
         w_b, w_c = scattering_splitting(q)
         s = wave(w_b=w_b, w_c=w_c)
         cert = check_scattering(s)
@@ -148,7 +148,7 @@ class TestDissipativeClosure:
         cert = check_dissipative_closure(wave(), k)
         assert not cert.passed
         # witness reproduces a positive flux value
-        q = flux_form(wave()).q
+        q = flux_form(wave())
         w = cert.witness
         assert np.real(w.conj() @ (0.5 * q) @ w) > 0
         # cross-check: simulating the closed loop shows energy growth
@@ -196,7 +196,7 @@ class TestConsistencyProperties:
             if cert.passed:
                 continue
             found += 1
-            q = flux_form(bad).q
+            q = flux_form(bad)
             m = 0.5 * (bad.w_c.conj().T @ bad.w_b + bad.w_b.conj().T @ bad.w_c) - 0.5 * q
             w = cert.witness
             assert np.real(w.conj() @ (-m) @ w) > 0

@@ -326,7 +326,7 @@ class TestParameterProperty:
         with pytest.raises(ScenarioError, match="not finite"):
             build_scenario(name, params)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(case=scenario_params())
     def test_builds_or_raises_scenario_error_and_round_trips(self, case):
         name, params = case
