@@ -16,6 +16,8 @@ top-level keys are
 """
 
 import json
+import numbers
+
 import numpy as np
 
 from .model import MatrixFunction, PHSubsystem, _decode_array, _encode_array
@@ -34,6 +36,15 @@ def _matrix(obj, what):
         raise NetworkFileError("cannot decode matrix for %s: %s" % (what, exc)) from exc
 
 
+def _integer(obj, what):
+    """An integral JSON number; booleans and fractions are schema errors."""
+    integral = (isinstance(obj, numbers.Integral)
+                or isinstance(obj, float) and obj.is_integer())
+    if isinstance(obj, bool) or not integral:
+        raise NetworkFileError("%s must be an integer, got %r" % (what, obj))
+    return int(obj)
+
+
 def subsystem_to_dict(s):
     p_list = [None if s.p0 is None else s.p0.to_dict()]
     for k in range(1, s.order + 1):
@@ -45,7 +56,7 @@ def subsystem_to_dict(s):
 
 
 def subsystem_from_dict(d):
-    order, dim = int(d["order"]), int(d["dim"])
+    order, dim = _integer(d["order"], "order"), _integer(d["dim"], "dim")
     raw = d["p_matrices"]
     if len(raw) != order + 1:
         raise NetworkFileError("p_matrices must list P_0..P_%d" % order)
@@ -129,7 +140,8 @@ def _network_from_dict(doc):
         raise NetworkFileError("need a 'subsystems' list or a 'scenario' reference")
     subsystems = [subsystem_from_dict(d) for d in doc["subsystems"]]
     controllers = [controller_from_dict(d) for d in doc.get("controllers") or []]
-    coupling = [tuple(int(i) for i in row) for row in doc.get("coupling") or []]
+    coupling = [tuple(_integer(i, "coupling entry") for i in row)
+                for row in doc.get("coupling") or []]
     k_mat = doc.get("k_mat")
     if k_mat is not None:
         k_mat = _matrix(k_mat, "k_mat")
@@ -139,7 +151,8 @@ def _network_from_dict(doc):
                   for row in serial]
     return Network(subsystems=subsystems, controllers=controllers,
                    k_mat=k_mat, coupling=coupling,
-                   external_ports=tuple(int(i) for i in doc.get("external_ports") or ()),
+                   external_ports=tuple(_integer(i, "external port")
+                                        for i in doc.get("external_ports") or ()),
                    serial_blocks=serial, label=doc.get("label", ""))
 
 

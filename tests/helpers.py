@@ -9,7 +9,7 @@ transfer-matrix characteristic equation solved by secant iteration.
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from phnet import MatrixFunction, PHSubsystem
+from phnet import MatrixFunction, Network, PHSubsystem
 from phnet.model import flux_matrix
 
 GAUSS_N = 64
@@ -130,6 +130,24 @@ def random_passive_controller(rng, n_state, n_port):
     d = rng.standard_normal((n_port, n_port))
     d_c = 0.5 * (d - d.T) + d.T @ d * 0.1
     return Controller(a_c=a_c, b_c=b_c, c_c=c_c, d_c=d_c, state_weight=w)
+
+
+def random_passive_network(rng, n_subsystems, complex_ok=False, with_controller=False):
+    """Random passive subsystems joined by a random K with Sym K <= 0; with
+    a controller, one random passive controller takes a random subset of
+    the ports out of K."""
+    subs = tuple(random_passive_subsystem(rng, complex_ok=complex_ok)
+                 for _ in range(n_subsystems))
+    total = sum(s.port_dim for s in subs)
+    k = random_nsd_k(rng, total)
+    controllers, coupling = (), ()
+    if with_controller:
+        ports = tuple(rng.permutation(total)[:int(rng.integers(1, total + 1))].tolist())
+        controllers = (random_passive_controller(rng, int(rng.integers(1, 4)), len(ports)),)
+        coupling = (ports,)
+        k[list(ports), :] = 0.0     # controller ports leave K
+        k[:, list(ports)] = 0.0
+    return Network(subsystems=subs, k_mat=k, controllers=controllers, coupling=coupling)
 
 
 def random_nsd_k(rng, size, strict=0.0):

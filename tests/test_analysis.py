@@ -12,7 +12,7 @@ from phnet import (Network, SpectrumReport, asp_diagnostic,
                    simulate, spectrum)
 from phnet.scenarios import SCENARIOS, _wave_subsystem
 
-from helpers import random_nsd_k, random_passive_controller, random_passive_subsystem
+from helpers import random_passive_network
 
 TARGET = 0.5 * np.log(1.0 / 3.0)
 SVD_ORACLE_RTOL = 1e-8
@@ -138,19 +138,8 @@ class TestResolvent:
            complex_ok=st.booleans(), with_controller=st.booleans())
     def test_random_passive_networks_match_dense_svd(self, seed, n_subsystems,
                                                      complex_ok, with_controller):
-        rng = np.random.default_rng(seed)
-        subs = tuple(random_passive_subsystem(rng, complex_ok=complex_ok)
-                     for _ in range(n_subsystems))
-        total = sum(s.port_dim for s in subs)
-        k = random_nsd_k(rng, total)
-        controllers, coupling = (), ()
-        if with_controller:
-            ports = tuple(rng.permutation(total)[:int(rng.integers(1, total + 1))].tolist())
-            controllers = (random_passive_controller(rng, int(rng.integers(1, 4)), len(ports)),)
-            coupling = (ports,)
-            k[list(ports), :] = 0.0     # controller ports leave K
-            k[:, list(ports)] = 0.0
-        net = Network(subsystems=subs, k_mat=k, controllers=controllers, coupling=coupling)
+        net = random_passive_network(np.random.default_rng(seed), n_subsystems,
+                                     complex_ok, with_controller)
         gen = assemble_generator(net, 16)
         scan = resolvent_scan(gen, samples=40)
         assert svd_oracle_deviation(gen, scan) <= SVD_ORACLE_RTOL

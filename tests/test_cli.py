@@ -261,6 +261,24 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         self.assert_usage_error(main(["check", str(path)]), capsys)
 
+    @pytest.mark.parametrize("field, value", [
+        ("order", True), ("order", 1.7), ("dim", 2.5),
+        ("coupling", [[0.5]]), ("coupling", [[False]]),
+        ("external_ports", [0.7]), ("external_ports", [True])])
+    def test_integer_field_not_an_integer(self, tmp_path, capsys, field, value):
+        # int() used to read these as 1, 1, 2, 0, 0, 0 and 1
+        doc = network_to_dict(build_scenario("spring_mass_damper_string_beam", {}))
+        if field in ("order", "dim"):
+            doc["subsystems"][0][field] = value
+        else:
+            doc[field] = value
+        path = tmp_path / "integer.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be an integer" in err
+
     def test_unsupported_schema(self, tmp_path, capsys):
         path = tmp_path / "schema2.json"
         path.write_text(json.dumps(

@@ -1,13 +1,22 @@
 """Cayley stepping: contraction, reversibility, exact energy balance."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import phnet
 from phnet import (Network, assemble_generator, build_chain,
                    make_initial_state, simulate, spectrum)
 from phnet.discretize import boundary_flux, discrete_energy_rate
 from phnet.scenarios import _wave_subsystem
 from phnet.simulate import CayleyStepper
+
+from helpers import random_passive_network
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +59,64 @@ class TestStepMidpoint:
         with pytest.raises(ValueError):
             CayleyStepper(gen, 0.0)
 
+    def test_singular_cayley_matrix_names_dt_and_condition(self):
+        # m - dt/2 s = 1 - 1/2 * 2 = 0
+        class Dummy:
+            m_red = np.eye(1)
+            s_red = 2.0 * np.eye(1)
+        with pytest.raises(RuntimeError, match=r"dt=1\.000e\+00 \(cond ~ inf\)"):
+            CayleyStepper(Dummy(), 1.0)
+
+
+class TestSparseStepper:
+    """The SuperLU midpoint-form step is the dense Cayley map."""
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_subsystems=st.integers(1, 2),
+           complex_ok=st.booleans(), with_controller=st.booleans(),
+           dt=st.sampled_from([1e-3, 1e-2, 1e-1]))
+    def test_matches_dense_cayley_map(self, seed, n_subsystems, complex_ok,
+                                      with_controller, dt):
+        rng = np.random.default_rng(seed)
+        net = random_passive_network(rng, n_subsystems, complex_ok, with_controller)
+        gen = assemble_generator(net, 16)
+        m, s, h = gen.m_red, gen.s_red, 0.5 * dt
+        v = rng.standard_normal(gen.n_red)
+        if np.iscomplexobj(m):
+            v = v + 1j * rng.standard_normal(gen.n_red)
+        want = v.copy()
+        stepper = CayleyStepper(gen, dt)
+        for _ in range(50):
+            v = stepper.step(v)
+            want = np.linalg.solve(m - h * s, (m + h * s) @ want)
+            assert np.linalg.norm(v - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_complex_state_on_real_generator(self, damped):
+        net, gen = damped
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal(gen.n_red) + 1j * rng.standard_normal(gen.n_red)
+        m, s, h = gen.m_red, gen.s_red, 5e-3
+        want = np.linalg.solve(m - h * s, (m + h * s) @ v)
+        got = CayleyStepper(gen, 1e-2).step(v)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_fill_reducing_ordering(self):
+        # damped joints couple neighbouring strings; SuperLU's default
+        # COLAMD ordering then fills L + U to 90 % of n_red^2
+        gen = assemble_generator(build_chain(m=10, kappa=[0.5] + [0.02] * 9), 48)
+        lu = CayleyStepper(gen, 2.5e-3).lu
+        assert lu.L.nnz + lu.U.nnz < 0.2 * gen.n_red ** 2
+
+    def test_import_phnet_leaves_scipy_sparse_out(self):
+        # only stepping needs scipy.sparse (20 ms and 2.3 MB to import)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(phnet.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+        code = "import sys, phnet; print('scipy.sparse' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestSimulate:
     def test_zero_initial_state(self, damped):
@@ -79,6 +146,19 @@ class TestSimulate:
         x0[1::2] = 1.0   # constant strain violates the free-end condition
         tr = simulate(gen, x0, dt=1e-2, t_end=0.5)
         assert "incompatible" in tr.warning
+
+    @pytest.mark.parametrize("k, dt", [(3, 3e-3), (25, 7e-3), (29, 1.1e-3)])
+    def test_integral_step_count_is_not_overshot(self, damped, k, dt):
+        # k * dt / dt rounds to just above k for these pairs
+        net, gen = damped
+        tr = simulate(gen, np.zeros(gen.n_full), dt=dt, t_end=k * dt)
+        assert tr.meta["steps"] == k
+        assert tr.times[-1] == k * dt
+
+    def test_fractional_step_count_rounds_up(self, damped):
+        net, gen = damped
+        tr = simulate(gen, np.zeros(gen.n_full), dt=0.02, t_end=0.05)
+        assert tr.meta["steps"] == 3
 
     def test_csv_headers(self, damped, tmp_path):
         net, gen = damped
@@ -116,7 +196,8 @@ class TestInvariants:
             v = fwd.step(v)
         for _ in range(50):
             # stepping with -dt is the inverse Cayley map
-            v = np.linalg.solve(fwd.b, (gen.m_red - 5e-3 * gen.s_red) @ v)
+            v = np.linalg.solve(gen.m_red + 5e-3 * gen.s_red,
+                                (gen.m_red - 5e-3 * gen.s_red) @ v)
         assert np.abs(v - v0).max() <= 1e-9 * max(1.0, np.abs(v0).max())
 
     def test_energy_balance_is_exact_midpoint_identity(self, damped):
