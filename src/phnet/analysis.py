@@ -29,14 +29,13 @@ LANCZOS_BLEND = 0.1
 
 @dataclass
 class SpectrumReport:
-    """Trusted eigenvalues (descending real part) plus raw diagnostics."""
+    """Trusted eigenvalues (descending real part) plus raw diagnostics; no eigenvectors."""
 
     eigenvalues: np.ndarray
     abscissa: float
     zero_modes: np.ndarray
     raw_eigenvalues: np.ndarray
     discarded: int
-    eigenvectors: np.ndarray = None     # reduced-coordinate columns, trusted order
     meta: dict = field(default_factory=dict)
 
     def dominant(self, count):
@@ -57,36 +56,35 @@ class SpectrumReport:
                 "sym_drift": self.meta.get("sym_drift")}
 
 
+def _matches(vals, ref):
+    """Mask [i, j]: |vals_i - ref_j| <= TRUST_MATCH_RTOL * (1 + |vals_i|), the
+    companion-match rule; asp_diagnostic also clusters eigenvalues by it."""
+    return np.array([np.abs(ref - lam) <= TRUST_MATCH_RTOL * (1.0 + abs(lam))
+                     for lam in vals], dtype=bool).reshape(len(vals), len(ref))
+
+
 def spectrum(gen):
     """Eigenvalues of the reduced generator in the energy inner product.
 
-    Computed in the Cholesky energy frame m_red = L L^H (gen.sim_operator());
-    the unit eigenvectors xi map back to reduced coordinates v = L^{-H} xi
-    of unit energy norm.  An eigenvalue is trusted when the companion
-    resolution (built on first use) has one within TRUST_MATCH_RTOL *
-    (1 + |lambda|).  Zero modes are |lambda| < ZERO_MODE_REL_TOL *
-    max|a_red|.
+    One eigvals of the generator in the Cholesky energy frame m_red = L L^H
+    (gen.sim_operator()) and one of its companion resolution (built on
+    first use); no eigenvector is formed (asp_diagnostic computes its own).
+    An eigenvalue is trusted when the companion has one within
+    TRUST_MATCH_RTOL * (1 + |lambda|).  Zero modes are |lambda| <
+    ZERO_MODE_REL_TOL * max|a_red|.
     """
-    vals, vecs = np.linalg.eig(gen.sim_operator())
+    vals = np.linalg.eigvals(gen.sim_operator())
     comp_vals = np.linalg.eigvals(gen.companion.sim_operator())
-    keep = np.array([np.abs(comp_vals - lam).min() <= TRUST_MATCH_RTOL * (1.0 + abs(lam))
-                     for lam in vals])
-    order = np.argsort(-vals[keep].real)
-    trusted = vals[keep][order]
-    vecs = vecs[:, keep][:, order]
+    trusted = vals[_matches(vals, comp_vals).any(axis=1)]
+    trusted = trusted[np.argsort(-trusted.real)]
     scale = max(float(np.abs(gen.a_red).max()), 1e-300)
     zero_modes = trusted[np.abs(trusted) < ZERO_MODE_REL_TOL * scale]
-    # v = L^{-H} xi on real and imaginary parts: a real L is not copied to complex
-    k = vecs.shape[1]
-    v = np.linalg.solve(gen.chol.conj().T, np.hstack([vecs.real, vecs.imag]))
-    vecs = v[:, :k] + 1j * v[:, k:]
     return SpectrumReport(
         eigenvalues=trusted,
         abscissa=float(trusted.real.max()) if len(trusted) else float("nan"),
         zero_modes=zero_modes,
         raw_eigenvalues=vals,
         discarded=int(len(vals) - len(trusted)),
-        eigenvectors=vecs,
         meta={"sym_drift": gen.meta.get("sym_drift")})
 
 
@@ -238,36 +236,46 @@ def asp_diagnostic(gen, r_selector):
 
     r_selector is a sequence of (subsystem_index, trace_component) pairs
     selecting rows of the stacked trace, the concrete dissipation observer
-    R.  Near-imaginary means |Re lambda| < 10 * ZERO_MODE_REL_TOL *
-    max|a_red|.  eig returns an arbitrary basis of a multiple eigenspace,
-    so such eigenvalues within TRUST_MATCH_RTOL * (1 + |lambda|) of each
-    other form one cluster, and each member reports sigma_min(R V), V an
-    energy-orthonormal basis of its cluster's eigenvectors.  Zero modes
-    (|lambda| < ZERO_MODE_REL_TOL * max|a_red|) are scored one eigenvector
-    at a time: a trusted zero eigenspace can hold a spurious kernel vector
-    of the reduction (the free-free string has one), which the cluster
-    residual would report as an invisible mode.  A residual ~ 0 exposes an
-    undamped imaginary mode invisible to R (an ASP violation).  Returns a
-    list of (eigenvalue, residual).
+    R.  This is the package's one eigenvector computation: eig of
+    gen.sim_operator(), trusted by spectrum's companion-match rule.  Its
+    columns xi live in the energy frame m_red = L L^H, where the Euclidean
+    norm is the energy norm; only the near-imaginary ones map back to
+    reduced coordinates v = L^{-H} xi, for their traces.  Near-imaginary
+    means |Re lambda| < 10 * ZERO_MODE_REL_TOL * max|a_red|.  eig returns
+    an arbitrary basis of a multiple eigenspace, so such eigenvalues within
+    TRUST_MATCH_RTOL * (1 + |lambda|) of each other form one cluster, and
+    each member reports sigma_min(R V), V an energy-orthonormal basis of
+    its cluster's eigenvectors.  Zero modes (|lambda| < ZERO_MODE_REL_TOL *
+    max|a_red|) are scored one eigenvector at a time: a trusted zero
+    eigenspace can hold a spurious kernel vector of the reduction (the
+    free-free string has one), which the cluster residual would report as
+    an invisible mode.  A residual ~ 0 exposes an undamped imaginary mode
+    invisible to R (an ASP violation).  Returns a list of (eigenvalue,
+    residual) in descending real part.
     """
-    rep = spectrum(gen)
+    vals, xi = np.linalg.eig(gen.sim_operator())
+    comp_vals = np.linalg.eigvals(gen.companion.sim_operator())
     scale = max(float(np.abs(gen.a_red).max()), 1e-300)
-    near = np.abs(rep.eigenvalues.real) < ZERO_MODE_REL_TOL * scale * 10
-    lams, vecs = rep.eigenvalues[near], rep.eigenvectors[:, near]
-    taus = gen.split_traces((gen.trace_map @ vecs).T)
+    near = np.flatnonzero(_matches(vals, comp_vals).any(axis=1)
+                          & (np.abs(vals.real) < ZERO_MODE_REL_TOL * scale * 10))
+    near = near[np.argsort(-vals[near].real)]
+    lams, xi = vals[near], xi[:, near]
+    # v = L^{-H} xi on real and imaginary parts: a real L is not copied to complex
+    k = len(lams)
+    v = np.linalg.solve(gen.chol.conj().T, np.hstack([xi.real, xi.imag]))
+    taus = gen.split_traces((gen.trace_map @ (v[:, :k] + 1j * v[:, k:])).T)
     r_v = np.array([taus[j][:, comp] for j, comp in r_selector])
     r_v = r_v.reshape(len(r_selector), len(lams))
     nonzero = np.abs(lams) >= ZERO_MODE_REL_TOL * scale
-    close = (nonzero[:, None] & nonzero
-             & (np.abs(lams[:, None] - lams) <= TRUST_MATCH_RTOL * (1.0 + np.abs(lams[:, None]))))
+    close = nonzero[:, None] & nonzero & _matches(lams, lams)
     labels = np.arange(len(lams))
     for i, j in zip(*np.nonzero(close)):      # merge the clusters of each close pair
         labels[labels == labels[j]] = labels[i]
     out = []
     for lam, label in zip(lams, labels):
         members = labels == label
-        # QR of the energy-frame coordinates L^H V: V tri^{-1} is energy-orthonormal
-        tri = np.linalg.qr(gen.chol.conj().T @ vecs[:, members], mode="r")
+        # xi tri^{-1} is orthonormal, so V tri^{-1} = L^{-H} xi tri^{-1} is energy-orthonormal
+        tri = np.linalg.qr(xi[:, members], mode="r")
         sv = np.linalg.svd(np.linalg.solve(tri.T, r_v[:, members].T), compute_uv=False)
         # fewer rows of R than eigenvectors leave a combination with R V x = 0
         out.append((complex(lam), float(sv.min()) if len(sv) == members.sum() else 0.0))

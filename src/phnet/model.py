@@ -96,6 +96,14 @@ class MatrixFunction:
         w = (t - i0)[:, None, None]
         return (1.0 - w) * self.data[i0] + w * self.data[i0 + 1]
 
+    def check_grid(self, knots=True):
+        """The points coefficient checks evaluate at: 257 uniform points on
+        [0, 1], joined by a sampled profile's knots unless knots is False."""
+        zs = np.linspace(0.0, 1.0, 257)
+        if knots and self.kind == "samples":
+            zs = np.union1d(zs, np.linspace(0.0, 1.0, self.data.shape[0]))
+        return zs
+
     def hermitian_defect(self, z_grid):
         """Max entrywise deviation from Hermitian symmetry over the points z_grid."""
         vals = self(z_grid)
@@ -103,7 +111,7 @@ class MatrixFunction:
 
     def lipschitz_slope(self):
         """Finite-difference slope surrogate for the Lipschitz constant."""
-        z_grid = np.linspace(0.0, 1.0, 257)
+        z_grid = self.check_grid(knots=False)
         vals = self(z_grid)
         dz = np.diff(z_grid)
         steps = np.abs(np.diff(vals, axis=0)).max(axis=(1, 2)) / dz
@@ -181,9 +189,9 @@ class PHSubsystem:
         if n < 1 or d < 1:
             raise PHStructuralError("order and dim must be positive")
         a, b = self.interval
-        if not b > a:
-            raise PHStructuralError("interval (a, b) must satisfy a < b")
         scale = b - a
+        if not (scale > 0 and np.isfinite(scale)):     # an infinite length zeroes every P_k
+            raise PHStructuralError("interval must be finite with a < b: %s" % (self.interval,))
         ps = list(self.p_matrices)
         if len(ps) != n + 1:
             raise PHStructuralError("need %d coefficient matrices P_0..P_N, got %d"
@@ -286,10 +294,7 @@ def validate_subsystem(subsystem):
             "sigma_min / sigma_max of the stacked boundary matrix")
 
     # H Hermitian and coercive on the sample grid
-    zs = np.linspace(0.0, 1.0, 257)
-    if s.hamiltonian.kind == "samples":
-        n_s = s.hamiltonian.data.shape[0]
-        zs = np.union1d(zs, np.linspace(0.0, 1.0, n_s))
+    zs = s.hamiltonian.check_grid()
     herm = s.hamiltonian.hermitian_defect(zs)
     rep.add("H Hermitian", herm <= 1e-12 * max(1.0, float(np.abs(s.hamiltonian(zs)).max())),
             herm, "max entrywise Hermitian defect over sample grid")

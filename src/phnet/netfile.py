@@ -45,6 +45,13 @@ def _integer(obj, what):
     return int(obj)
 
 
+def _real(obj, what):
+    """A real JSON number; booleans and other values are schema errors."""
+    if isinstance(obj, bool) or not isinstance(obj, numbers.Real):
+        raise NetworkFileError("%s must be a number, got %r" % (what, obj))
+    return float(obj)
+
+
 def subsystem_to_dict(s):
     p_list = [None if s.p0 is None else s.p0.to_dict()]
     for k in range(1, s.order + 1):
@@ -71,7 +78,8 @@ def subsystem_from_dict(d):
     return PHSubsystem(order=order, dim=dim, p_matrices=tuple(p_list),
                        hamiltonian=ham,
                        w_b=_matrix(d["w_b"], "W_B"), w_c=_matrix(d["w_c"], "W_C"),
-                       interval=tuple(d.get("interval", (0.0, 1.0))),
+                       interval=tuple(_real(v, "interval endpoint")
+                                      for v in d.get("interval", (0.0, 1.0))),
                        label=d.get("label", ""))
 
 

@@ -13,6 +13,9 @@ to the constraint null space.  Dissipative <=> contraction semigroup, by
 the generation theorems the certificates realize.
 """
 
+import graphlib
+import heapq
+
 import numpy as np
 import scipy.linalg as sla
 from dataclasses import dataclass
@@ -176,8 +179,8 @@ def assemble(net):
     loop B x = K C x - sum_c S_c (C_c x_c + D_c S_c^T C x): it folds D_c
     into the constraint rows and records the controller dynamics
     d/dt x_c = A_c x_c + B_c S_c^T W_C tau.  Raises PHStructuralError on
-    port-dimension mismatches or a controller attached to a nonexistent /
-    doubly-used port row.
+    port-dimension mismatches, a controller attached to a nonexistent /
+    doubly-used port row, or an external port that names no port row.
     """
     p = net.total_ports
     if len(net.coupling) != len(net.controllers):
@@ -221,6 +224,9 @@ def assemble(net):
         weight[sl, sl] = c.state_weight
         col += c.n_state
 
+    for r in net.external_ports:
+        if not (0 <= r < p):
+            raise PHStructuralError("external port on nonexistent port row %d" % r)
     kept = np.array([r for r in range(p) if r not in set(net.external_ports)], dtype=int)
     return ClosedLoopDescription(
         w_b_net=w_b_net[kept], c_c_net=c_c_net[kept], q_blk=q_blk,
@@ -329,56 +335,27 @@ def detect_serial_structure_blocks(blocks):
     for i in range(m):
         if _block_nonzero(blocks[i][i], tol):
             return NotSerial(cycle=(i,))
-    # edge i -> j iff block (j, i) nonzero: j depends on i's output
-    succ = [[] for _ in range(m)]
-    indeg = [0] * m
-    for j in range(m):
-        for i in range(m):
-            if i != j and _block_nonzero(blocks[j][i], tol):
-                succ[i].append(j)
-                indeg[j] += 1
-    ready = sorted(i for i in range(m) if indeg[i] == 0)
+    # j depends on i's output iff block (j, i) is nonzero
+    sorter = graphlib.TopologicalSorter(
+        {j: [i for i in range(m) if i != j and _block_nonzero(blocks[j][i], tol)]
+         for j in range(m)})
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as exc:       # args[1] is a closed path [a, ..., a]
+        return NotSerial(cycle=tuple(exc.args[1][:-1]))
+    ready = list(sorter.get_ready())
+    heapq.heapify(ready)
     order = []
     while ready:
-        i = ready.pop(0)
+        i = heapq.heappop(ready)
         order.append(i)
-        changed = False
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
-                changed = True
-        if changed:
-            ready.sort()
-    if len(order) < m:
-        remaining = [i for i in range(m) if i not in order]
-        cycle = _find_cycle(succ, remaining)
-        return NotSerial(cycle=tuple(cycle))
+        sorter.done(i)
+        for j in sorter.get_ready():
+            heapq.heappush(ready, j)
     # every nonzero block is an edge, so the topological order leaves the
     # permuted block matrix strictly lower triangular
     return SerialStructure(ordering=tuple(order),
                            k_blocks=tuple(tuple(row) for row in blocks))
-
-
-def _find_cycle(succ, candidates):
-    cand = set(candidates)
-    for start in sorted(cand):
-        stack, path, on_path = [(start, iter(succ[start]))], [start], {start}
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if nxt not in cand:
-                    continue
-                if nxt in on_path:
-                    return path[path.index(nxt):]
-                stack.append((nxt, iter(succ[nxt])))
-                path.append(nxt)
-                on_path.add(nxt)
-                break
-            else:
-                stack.pop()
-                on_path.discard(path.pop())
-    return sorted(cand)[:1]
 
 
 def detect_serial_structure(net):

@@ -77,9 +77,7 @@ def check_sym_p0(subsystem):
     s = subsystem
     if s.p0 is None:
         return PassivityCertificate("sym_p0", True, 0.0, detail="P_0 absent")
-    zs = np.linspace(0.0, 1.0, 257)
-    if s.p0.kind == "samples":
-        zs = np.union1d(zs, np.linspace(0.0, 1.0, s.p0.data.shape[0]))
+    zs = s.p0.check_grid()
     vals = s.p0(zs)
     vals = 0.5 * (vals + vals.conj().transpose(0, 2, 1))
     ev, vecs = np.linalg.eigh(vals)

@@ -150,6 +150,15 @@ def random_passive_network(rng, n_subsystems, complex_ok=False, with_controller=
     return Network(subsystems=subs, k_mat=k, controllers=controllers, coupling=coupling)
 
 
+def slowest_mode(gen, rep):
+    """Real full-sample state of the slowest trusted mode rep.eigenvalues[0]:
+    the nearest eig column xi of gen.sim_operator(), mapped back by L^{-H}
+    and lift."""
+    vals, xi = np.linalg.eig(gen.sim_operator())
+    col = xi[:, np.argmin(np.abs(vals - rep.eigenvalues[0]))]
+    return np.real(gen.lift @ np.linalg.solve(gen.chol.conj().T, col))
+
+
 def random_nsd_k(rng, size, strict=0.0):
     """Random K with Sym K <= -strict * I."""
     skew = rng.standard_normal((size, size))

@@ -7,12 +7,13 @@ from scipy.linalg import svdvals
 
 from phnet import (Network, SpectrumReport, asp_diagnostic,
                    assemble_generator, build_beam, build_chain,
-                   build_mass_damped_string, build_scenario, decay_fit,
+                   build_mass_damped_string, build_scenario,
+                   certify_network_dissipative, decay_fit,
                    exponential_verdict, make_initial_state, resolvent_scan,
                    simulate, spectrum)
 from phnet.scenarios import SCENARIOS, _wave_subsystem
 
-from helpers import random_passive_network
+from helpers import random_passive_network, slowest_mode
 
 TARGET = 0.5 * np.log(1.0 / 3.0)
 SVD_ORACLE_RTOL = 1e-8
@@ -82,6 +83,20 @@ class TestSpectrum:
         rep = spectrum(damped_gen[1])
         for lam in rep.eigenvalues:
             assert np.min(np.abs(rep.eigenvalues - lam.conjugate())) <= 1e-9
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_subsystems=st.integers(1, 2),
+           complex_ok=st.booleans(), with_controller=st.booleans())
+    def test_random_passive_networks_keep_stable_trusted_spectrum(
+            self, seed, n_subsystems, complex_ok, with_controller):
+        # the coarsest resolution, n = 4N + 6, where the companion is n + 4
+        net = random_passive_network(np.random.default_rng(seed), n_subsystems,
+                                     complex_ok, with_controller)
+        assert certify_network_dissipative(net).passed
+        gen = assemble_generator(net, [4 * s.order + 6 for s in net.subsystems])
+        rep = spectrum(gen)
+        assert len(rep.eigenvalues) == 0 or rep.abscissa <= 1e-7
+        assert gen.meta["sym_drift"] <= 1e-10 * np.abs(gen.sim_operator()).max()
 
 
 class TestResolvent:
@@ -194,7 +209,7 @@ class TestDecayFit:
         # dominant-eigenmode initial state keeps the window fit modal
         net, gen = damped_gen
         rep = spectrum(gen)
-        x0 = np.real(gen.lift @ rep.eigenvectors[:, 0])
+        x0 = slowest_mode(gen, rep)
         tr = simulate(gen, x0, dt=5e-3, t_end=40.0, record_every=20)
         _, eta = decay_fit(tr)
         assert abs(eta - 2 * rep.abscissa) <= 0.05 * abs(eta)

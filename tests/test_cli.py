@@ -279,6 +279,24 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be an integer" in err
 
+    @pytest.mark.parametrize("command", ["check", "spectrum"])
+    @pytest.mark.parametrize("field, value", [
+        ("external_ports", [99]), ("external_ports", [-1]),
+        ("interval", [0, float("inf")]), ("interval", [-1e308, 1e308]),
+        ("interval", [0, True]), ("interval", [True, 2])])
+    def test_field_out_of_range(self, tmp_path, capsys, command, field, value):
+        # these used to exit 0 or 1: a missing external row was skipped, a
+        # boolean endpoint read as 0 or 1, and an infinite length scaled P_1 to 0
+        doc = network_to_dict(build_chain(m=1))
+        if field == "interval":
+            doc["subsystems"][0][field] = value
+        else:
+            doc[field] = value
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps(doc))
+        out = ["--out", str(tmp_path / "s.csv")] if command == "spectrum" else []
+        self.assert_usage_error(main([command, str(path)] + out), capsys)
+
     def test_unsupported_schema(self, tmp_path, capsys):
         path = tmp_path / "schema2.json"
         path.write_text(json.dumps(

@@ -177,6 +177,17 @@ class TestFluxForm:
         assert np.allclose(s_phys.p_matrices[1], p1 / 2.0)
         assert np.allclose(flux_form(s_phys), flux_form(s_unit))
 
+    @pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan),
+                                          (-1e308, 1e308), (1.0, 1.0)])
+    def test_interval_must_be_finite_and_ordered(self, interval):
+        # an infinite length used to scale every P_k to zero
+        p1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        w_b = np.array([[0, 0, 0, -1.0], [1, 0, 0, 0]])
+        w_c = np.array([[0, 0, 1.0, 0], [0, 1, 0, 0]])
+        with pytest.raises(PHStructuralError, match="interval"):
+            PHSubsystem(order=1, dim=2, p_matrices=(None, p1), hamiltonian=np.eye(2),
+                        w_b=w_b, w_c=w_c, interval=interval)
+
 
 class TestMatrixFunction:
     def test_polynomial_eval(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phnet import (Controller, Network, NotSerial, PHStructuralError,
                    SerialStructure, assemble, build_chain,
@@ -80,6 +81,13 @@ class TestAssemble:
         assert assemble(open_net).w_b_net.shape[0] == 1
         assert certify_network_dissipative(closed_net).passed
         assert not certify_network_dissipative(open_net).passed
+
+    def test_external_port_out_of_range(self):
+        s = _wave_subsystem(1.0, 1.0, kind="last")
+        for row in (2, -1):
+            with pytest.raises(PHStructuralError, match="nonexistent port row %d" % row):
+                assemble(Network(subsystems=(s,), k_mat=np.zeros((2, 2)),
+                                 external_ports=(row,)))
 
     def test_kmat_shape_error(self):
         s = _wave_subsystem(1.0, 1.0, kind="last")
@@ -244,3 +252,24 @@ class TestSerial:
         result = detect_serial_structure_blocks(blocks)
         assert isinstance(result, SerialStructure)
         assert result.ordering == (1, 0)
+
+    @settings(max_examples=200)
+    @given(pattern=st.integers(1, 7).flatmap(lambda m: st.lists(
+        st.lists(st.sampled_from(["none", "zero", "nonzero"]), min_size=m, max_size=m),
+        min_size=m, max_size=m)))
+    def test_random_block_patterns(self, pattern):
+        # None, all-zero and nonzero (rectangular) blocks in any pattern
+        fill = {"none": None, "zero": np.zeros((1, 2)), "nonzero": np.ones((1, 2))}
+        m = len(pattern)
+        result = detect_serial_structure_blocks([[fill[c] for c in row] for row in pattern])
+        if isinstance(result, SerialStructure):
+            assert sorted(result.ordering) == list(range(m))
+            perm = result.permuted_blocks()
+            for i in range(m):
+                for j in range(i, m):
+                    assert perm[i][j] is None or np.abs(perm[i][j]).max() == 0
+        else:
+            c = result.cycle
+            assert 1 <= len(c) == len(set(c))
+            # c[k + 1] depends on c[k]: block (c[k + 1], c[k]) is nonzero
+            assert all(pattern[c[(k + 1) % len(c)]][c[k]] == "nonzero" for k in range(len(c)))
