@@ -5,8 +5,8 @@ with '.' decimals, ',' separators, a header row, and LF line endings.
 Non-finite numbers are reported as null.  Exit codes: 0 success /
 certified, 1 failed certification, 2 schema, parse or parameter error,
 non-positive numeric flag or non-finite file entry (one line on stderr).
-The only parallelism is BLAS's, set by OPENBLAS_NUM_THREADS; --seed fixes
-all randomness.
+The only parallelism is BLAS's, set by OPENBLAS_NUM_THREADS; a random
+start is seeded by --x0 random:<seed> (random alone means random:0).
 """
 
 import argparse
@@ -131,7 +131,7 @@ def cmd_resolvent(args):
 def cmd_simulate(args):
     net = load_network(args.file)
     gen = assemble_generator(net, args.n)
-    x0 = make_initial_state(net, gen, preset=args.x0, seed=args.seed)
+    x0 = make_initial_state(net, gen, preset=args.x0)
     trace = simulate(gen, x0, dt=args.dt, t_end=args.t_end,
                      record_every=args.record_every)
     trace.to_csv(args.out)
@@ -173,7 +173,6 @@ def build_parser():
         sp.add_argument("file", help="network JSON file")
         sp.add_argument("--n", type=int, default=DEFAULT_N,
                         help="collocation points per subsystem")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("check", help="validate, certify dissipativity, detect serial structure")
     sp.add_argument("file")

@@ -13,7 +13,6 @@ values (recorded per run as sym_drift).
 """
 
 import numpy as np
-import scipy.linalg as sla
 from dataclasses import dataclass, field
 from functools import cached_property
 from numpy.polynomial import legendre as npleg
@@ -88,48 +87,45 @@ class SubsystemOperators:
 def discretize_subsystem(subsystem, n):
     """Collocate one subsystem on n Gauss-Lobatto points.
 
-    Requires n >= 4N + 4 so that the trace derivatives up to order N - 1
-    and the operator itself are resolved, and an H whose eigenvalues at
-    the nodes are all larger in modulus than REL_TOL times the largest: a
-    vanishing H leaves the energy and the traces degenerate.
+    Samples are node-major (entry i d + a is component a at z_i), and every
+    operator follows from the nodal stacks H(z_i), P_0(z_i) and the powers
+    D^k of the differentiation matrix, as (n, d, n, d) arrays
+
+        L[i,a,j,c] = sum_k D^k[i,j] (P_k H(z_j))[a,c] + delta_ij (P_0 H)(z_i)[a,c],
+        M[i,a,j,c] = delta_ij quad_i H(z_i)[a,c];
+
+    the trace rows y^(k)(1), then y^(k)(0) (y = Hx, k < N) are rows n - 1
+    and 0 of D^k times the H stack.  Needs n >= 4N + 4, so that the trace
+    derivatives to order N - 1 and the operator are resolved, and an H
+    whose eigenvalues at the nodes all exceed REL_TOL times the largest in
+    modulus: a vanishing H leaves the energy and the traces degenerate.
     """
     s = subsystem
     if n < 4 * s.order + 4:
         raise PHStructuralError("n = %d too small for order %d (need >= %d)"
                                 % (n, s.order, 4 * s.order + 4))
     grid = make_grid(n)
-    d_dim = s.dim
     h_vals = s.hamiltonian(grid.points)
     h_eig = np.abs(np.linalg.eigvalsh(h_vals))
     if h_eig.min() <= REL_TOL * h_eig.max():
         raise PHStructuralError("H numerically singular at the collocation nodes (smallest "
                                 "|eigenvalue| %.2e, largest %.2e)" % (h_eig.min(), h_eig.max()))
-    h_blk = sla.block_diag(*h_vals)
-    p0_vals = np.zeros((0, d_dim, d_dim)) if s.p0 is None else s.p0(grid.points)
+    nodes, shape = np.arange(n), (n, s.dim, n, s.dim)
+    p0h = [] if s.p0 is None else [s.p0(grid.points) @ h_vals]
+    l4 = np.zeros(shape, dtype=np.result_type(float, h_vals, *p0h, *s.p_matrices[1:]))
+    if p0h:
+        l4[nodes, :, nodes, :] = p0h[0]
+    m4 = np.zeros(shape, dtype=h_vals.dtype)
+    m4[nodes, :, nodes, :] = grid.quad[:, None, None] * h_vals
 
-    dk = np.eye(n)
-    op = np.zeros((n * d_dim, n * d_dim),
-                  dtype=np.result_type(float, h_vals, p0_vals, *s.p_matrices[1:]))
-    if len(p0_vals):
-        op += sla.block_diag(*p0_vals)
-    for k in range(1, s.order + 1):
+    dk, ends = np.eye(n), []
+    for pk in s.p_matrices[1:]:
+        ends.append(np.einsum("ej,jac->eajc", dk[[-1, 0]], h_vals))
         dk = grid.diff @ dk
-        op = op + np.kron(dk, s.p_matrices[k])
-    l_mat = op @ h_blk
-
-    m_mat = sla.block_diag(*[grid.quad[i] * h_vals[i] for i in range(n)])
-
-    # trace rows: y^(k)(1) then y^(k)(0), k = 0..N-1, y = Hx
-    dk = np.eye(n)
-    rows_one, rows_zero = [], []
-    for k in range(s.order):
-        mk = np.kron(dk, np.eye(d_dim)) @ h_blk
-        rows_one.append(mk[(n - 1) * d_dim:])
-        rows_zero.append(mk[:d_dim])
-        dk = grid.diff @ dk
-    t_mat = np.vstack(rows_one + rows_zero)
-
-    return SubsystemOperators(l=l_mat, m=m_mat, t=t_mat, grid=grid)
+        l4 += np.einsum("ij,jac->iajc", dk, pk @ h_vals)
+    nd = n * s.dim
+    return SubsystemOperators(l=l4.reshape(nd, nd), m=m4.reshape(nd, nd),
+                              t=np.stack(ends, axis=1).reshape(-1, nd), grid=grid)
 
 
 @dataclass

@@ -96,11 +96,11 @@ class MatrixFunction:
         w = (t - i0)[:, None, None]
         return (1.0 - w) * self.data[i0] + w * self.data[i0 + 1]
 
-    def check_grid(self, knots=True):
+    def check_grid(self):
         """The points coefficient checks evaluate at: 257 uniform points on
-        [0, 1], joined by a sampled profile's knots unless knots is False."""
+        [0, 1], joined by a sampled profile's knots."""
         zs = np.linspace(0.0, 1.0, 257)
-        if knots and self.kind == "samples":
+        if self.kind == "samples":
             zs = np.union1d(zs, np.linspace(0.0, 1.0, self.data.shape[0]))
         return zs
 
@@ -110,12 +110,13 @@ class MatrixFunction:
         return float(np.max(np.abs(vals - vals.conj().transpose(0, 2, 1))))
 
     def lipschitz_slope(self):
-        """Finite-difference slope surrogate for the Lipschitz constant."""
-        z_grid = self.check_grid(knots=False)
+        """Finite-difference slope surrogate for the Lipschitz constant on
+        the check grid (at least a sampled profile's largest knot slope)."""
+        z_grid = self.check_grid()
         vals = self(z_grid)
         dz = np.diff(z_grid)
         steps = np.abs(np.diff(vals, axis=0)).max(axis=(1, 2)) / dz
-        return float(steps.max()) if len(steps) else 0.0
+        return float(steps.max())
 
     def min_eig(self, z_grid):
         """Least eigenvalue of the Hermitian part over the points z_grid."""
@@ -210,7 +211,12 @@ class PHSubsystem:
             if pk.shape != (d, d):
                 raise PHStructuralError("P_%d has shape %s, expected (%d, %d)"
                                         % (k, pk.shape, d, d))
-            coerced.append(pk * scale ** (-k) if scale != 1.0 else pk)
+            with np.errstate(all="ignore"):          # a tiny length overflows
+                pk = pk * np.float64(scale) ** -k
+            if not np.isfinite(pk).all():
+                raise PHStructuralError("P_%d rescaled from interval length %.3g is not "
+                                        "finite" % (k, scale))
+            coerced.append(pk)
         object.__setattr__(self, "p_matrices", tuple(coerced))
         for name in ("w_b", "w_c"):
             w = _as_matrix(getattr(self, name))

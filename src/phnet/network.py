@@ -72,9 +72,7 @@ class Controller:
         s11 = 0.5 * (w @ self.a_c + self.a_c.conj().T @ w)
         s12 = 0.5 * (w @ self.b_c - self.c_c.conj().T)
         s22 = -0.5 * (self.d_c + self.d_c.conj().T)
-        top = np.hstack([s11, s12])
-        bot = np.hstack([s12.conj().T, s22])
-        return np.vstack([top, bot])
+        return np.block([[s11, s12], [s12.conj().T, s22]])
 
     def input_projection(self):
         """Orthogonal projector onto range(D_c*), the strictly passive input directions."""

@@ -367,17 +367,17 @@ def build_mass_damped_string(*, rho=1.0, tension=1.0, mass=1.0, stiffness=1.0,
                    label="mass_damped_string")
 
 
-def make_initial_state(net, gen, preset="sine", seed=0):
+def make_initial_state(net, gen, preset="sine"):
     """Full sample-coordinate initial state from a named preset.
 
     Shapes the first state component of each subsystem with sine, a
-    Gaussian bump, or a seeded random low-mode sum; all other components
-    and controller states start at zero.
+    Gaussian bump, or a random low-mode sum seeded by "random:<seed>"
+    ("random" alone is "random:0"); all other components and controller
+    states start at zero.
     """
     if preset.startswith("random"):
         try:
-            if ":" in preset:
-                seed = int(preset.split(":", 1)[1])
+            seed = int(preset.split(":", 1)[1]) if ":" in preset else 0
             rng = np.random.default_rng(seed)
         except ValueError as exc:      # not an integer, or negative
             raise ScenarioError("bad seed for preset %r: %s" % (preset, exc)) from exc

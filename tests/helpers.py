@@ -7,9 +7,10 @@ transfer-matrix characteristic equation solved by secant iteration.
 """
 
 import numpy as np
+import scipy.linalg as sla
 from numpy.polynomial import polynomial as npoly
 
-from phnet import MatrixFunction, Network, PHSubsystem
+from phnet import MatrixFunction, Network, PHSubsystem, make_grid
 from phnet.model import flux_matrix
 
 GAUSS_N = 64
@@ -157,6 +158,40 @@ def slowest_mode(gen, rep):
     vals, xi = np.linalg.eig(gen.sim_operator())
     col = xi[:, np.argmin(np.abs(vals - rep.eigenvalues[0]))]
     return np.real(gen.lift @ np.linalg.solve(gen.chol.conj().T, col))
+
+
+def kron_collocation(subsystem, n):
+    """Reference (L, M, T) of discretize_subsystem from block-diagonal and
+    Kronecker matrices: L = (blkdiag P_0(z_i) + sum_k D^k kron P_k) blkdiag
+    H(z_i), M = blkdiag quad_i H(z_i), and the trace rows taken from
+    (D^k kron I) blkdiag H(z_i)."""
+    s = subsystem
+    grid = make_grid(n)
+    d_dim = s.dim
+    h_vals = s.hamiltonian(grid.points)
+    h_blk = sla.block_diag(*h_vals)
+    p0_vals = np.zeros((0, d_dim, d_dim)) if s.p0 is None else s.p0(grid.points)
+
+    dk = np.eye(n)
+    op = np.zeros((n * d_dim, n * d_dim),
+                  dtype=np.result_type(float, h_vals, p0_vals, *s.p_matrices[1:]))
+    if len(p0_vals):
+        op += sla.block_diag(*p0_vals)
+    for k in range(1, s.order + 1):
+        dk = grid.diff @ dk
+        op = op + np.kron(dk, s.p_matrices[k])
+    l_mat = op @ h_blk
+
+    m_mat = sla.block_diag(*[grid.quad[i] * h_vals[i] for i in range(n)])
+
+    dk = np.eye(n)
+    rows_one, rows_zero = [], []
+    for k in range(s.order):
+        mk = np.kron(dk, np.eye(d_dim)) @ h_blk
+        rows_one.append(mk[(n - 1) * d_dim:])
+        rows_zero.append(mk[:d_dim])
+        dk = grid.diff @ dk
+    return l_mat, m_mat, np.vstack(rows_one + rows_zero)
 
 
 def random_nsd_k(rng, size, strict=0.0):

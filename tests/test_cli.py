@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from phnet import (SCENARIOS, MatrixFunction, Network, PHSubsystem, build_chain,
-                   build_scenario, network_to_dict, save_network)
+from phnet import (SCENARIOS, MatrixFunction, Network, PHSubsystem, build_beam,
+                   build_chain, build_scenario, network_to_dict, save_network)
 from phnet.cli import main
 
 
@@ -297,6 +297,19 @@ class TestExitCodes:
         out = ["--out", str(tmp_path / "s.csv")] if command == "spectrum" else []
         self.assert_usage_error(main([command, str(path)] + out), capsys)
 
+    @pytest.mark.parametrize("command", ["check", "spectrum"])
+    @pytest.mark.parametrize("build, interval", [
+        (build_chain, [0, 5e-324]), (build_chain, [0, 1e-310]), (build_beam, [0, 1e-160])])
+    def test_interval_too_short(self, tmp_path, capsys, command, build, interval):
+        # an order-1 string and an order-2 beam: (b - a) ** -k used to
+        # overflow with a traceback and exit 1
+        doc = network_to_dict(build())
+        doc["subsystems"][0]["interval"] = interval
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        out = ["--out", str(tmp_path / "s.csv")] if command == "spectrum" else []
+        self.assert_usage_error(main([command, str(path)] + out), capsys)
+
     def test_unsupported_schema(self, tmp_path, capsys):
         path = tmp_path / "schema2.json"
         path.write_text(json.dumps(
@@ -329,6 +342,7 @@ class TestExitCodes:
         ["resolvent", "--samples", "-1"],
         ["spectrum", "--n", "abc"],
         ["spectrum", "--bogus"],
+        ["spectrum", "--seed", "1"],
     ])
     def test_bad_flag(self, tmp_path, capsys, argv):
         path = write_chain(tmp_path, m=1, kappa=[0.5])

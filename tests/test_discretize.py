@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phnet import (MatrixFunction, Network, PHStructuralError, PHSubsystem,
                    assemble_generator, build_beam, build_chain, build_coupled,
@@ -9,7 +10,8 @@ from phnet import (MatrixFunction, Network, PHStructuralError, PHSubsystem,
 from phnet.discretize import boundary_flux, discrete_energy_rate
 from phnet.scenarios import _wave_subsystem
 
-from helpers import chain_transfer_characteristic, secant_root
+from helpers import (chain_transfer_characteristic, kron_collocation,
+                     random_passive_subsystem, secant_root)
 
 P1_WAVE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -73,6 +75,22 @@ class TestDiscretizeSubsystem:
         s = _wave_subsystem(1.0, 1.0, kind="last")
         with pytest.raises(PHStructuralError):
             discretize_subsystem(s, 6)
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2 ** 32 - 1), order=st.integers(1, 4), dim=st.integers(1, 3),
+           complex_ok=st.booleans(), with_p0=st.booleans(), varying_h=st.booleans(),
+           extra=st.integers(0, 20))
+    def test_matches_kronecker_reference(self, seed, order, dim, complex_ok, with_p0,
+                                         varying_h, extra):
+        s = random_passive_subsystem(np.random.default_rng(seed), order=order, dim=dim,
+                                     varying_h=varying_h, with_p0=with_p0,
+                                     complex_ok=complex_ok)
+        n = 4 * order + 4 + extra
+        ops = discretize_subsystem(s, n)
+        for got, want, rtol in zip((ops.l, ops.m, ops.t), kron_collocation(s, n),
+                                   (1e-14, 1e-15, 1e-15)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 def free_free_wave_network():

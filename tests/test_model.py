@@ -189,6 +189,18 @@ class TestFluxForm:
                         w_b=w_b, w_c=w_c, interval=interval)
 
 
+    @pytest.mark.parametrize("order, interval", [(1, (0.0, 5e-324)), (1, (0.0, 1e-310)),
+                                                 (2, (0.0, 1e-160))])
+    def test_tiny_interval_scales_p_out_of_range(self, order, interval):
+        # (b - a) ** -k used to raise OverflowError
+        d = 2
+        p = (None, np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        with pytest.raises(PHStructuralError, match="interval length"):
+            PHSubsystem(order=order, dim=d, p_matrices=p[:order + 1], hamiltonian=np.eye(d),
+                        w_b=np.eye(order * d, 2 * order * d),
+                        w_c=np.eye(order * d, 2 * order * d, order * d), interval=interval)
+
+
 class TestMatrixFunction:
     def test_polynomial_eval(self):
         mf = MatrixFunction.polynomial(np.array([np.eye(2), 2.0 * np.eye(2)]))
@@ -211,6 +223,13 @@ class TestMatrixFunction:
     def test_lipschitz_slope_recorded(self):
         mf = MatrixFunction.samples(np.array([np.eye(1), 3.0 * np.eye(1)]))
         assert mf.lipschitz_slope() == pytest.approx(2.0, rel=1e-6)
+
+    def test_lipschitz_slope_sees_every_knot(self):
+        # the 257-point grid holds only the even knots of 513 samples, where
+        # this profile is flat; it used to record 0.0
+        values = np.where(np.arange(513) % 2, 1.01, 1.0).reshape(-1, 1, 1)
+        mf = MatrixFunction.samples(values)
+        assert mf.lipschitz_slope() == pytest.approx(5.12, rel=1e-6)
 
     def test_roundtrip_complex(self):
         mf = MatrixFunction.constant(np.array([[1.0, 1j], [-1j, 2.0]]))
