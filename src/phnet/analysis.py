@@ -71,13 +71,13 @@ def spectrum(gen):
     first use); no eigenvector is formed (asp_diagnostic computes its own).
     An eigenvalue is trusted when the companion has one within
     TRUST_MATCH_RTOL * (1 + |lambda|).  Zero modes are |lambda| <
-    ZERO_MODE_REL_TOL * max|a_red|.
+    ZERO_MODE_REL_TOL * max|raw lambda|, a scale free of the reduction's basis.
     """
     vals = np.linalg.eigvals(gen.sim_operator())
     comp_vals = np.linalg.eigvals(gen.companion.sim_operator())
     trusted = vals[_matches(vals, comp_vals).any(axis=1)]
     trusted = trusted[np.argsort(-trusted.real)]
-    scale = max(float(np.abs(gen.a_red).max()), 1e-300)
+    scale = float(np.abs(vals).max(initial=1e-300))
     zero_modes = trusted[np.abs(trusted) < ZERO_MODE_REL_TOL * scale]
     return SpectrumReport(
         eigenvalues=trusted,
@@ -241,12 +241,12 @@ def asp_diagnostic(gen, r_selector):
     columns xi live in the energy frame m_red = L L^H, where the Euclidean
     norm is the energy norm; only the near-imaginary ones map back to
     reduced coordinates v = L^{-H} xi, for their traces.  Near-imaginary
-    means |Re lambda| < 10 * ZERO_MODE_REL_TOL * max|a_red|.  eig returns
-    an arbitrary basis of a multiple eigenspace, so such eigenvalues within
-    TRUST_MATCH_RTOL * (1 + |lambda|) of each other form one cluster, and
+    means |Re lambda| < 10 * ZERO_MODE_REL_TOL * max|raw lambda|.  eig
+    returns an arbitrary basis of a multiple eigenspace, so such eigenvalues
+    within TRUST_MATCH_RTOL * (1 + |lambda|) of each other form one cluster, and
     each member reports sigma_min(R V), V an energy-orthonormal basis of
     its cluster's eigenvectors.  Zero modes (|lambda| < ZERO_MODE_REL_TOL *
-    max|a_red|) are scored one eigenvector at a time: a trusted zero
+    max|raw lambda|) are scored one eigenvector at a time: a trusted zero
     eigenspace can hold a spurious kernel vector of the reduction (the
     free-free string has one), which the cluster residual would report as
     an invisible mode.  A residual ~ 0 exposes an undamped imaginary mode
@@ -255,7 +255,7 @@ def asp_diagnostic(gen, r_selector):
     """
     vals, xi = np.linalg.eig(gen.sim_operator())
     comp_vals = np.linalg.eigvals(gen.companion.sim_operator())
-    scale = max(float(np.abs(gen.a_red).max()), 1e-300)
+    scale = float(np.abs(vals).max(initial=1e-300))
     near = np.flatnonzero(_matches(vals, comp_vals).any(axis=1)
                           & (np.abs(vals.real) < ZERO_MODE_REL_TOL * scale * 10))
     near = near[np.argsort(-vals[near].real)]

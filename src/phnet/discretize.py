@@ -132,19 +132,19 @@ def discretize_subsystem(subsystem, n):
 class DiscreteGenerator:
     """Reduced pencil (m_red, s_red) of the constrained network generator.
 
-    The generator acts as a_red = m_red^{-1} s_red in the discrete energy
-    inner product m_red = Z* M Z (Z = lift, an orthonormal basis of the
-    discrete constraint null space over sample + controller coordinates,
+    The generator is m_red dv/dt = s_red v in the discrete energy inner
+    product m_red = Z* M Z (Z = lift, an orthonormal basis of the discrete
+    constraint null space over sample + controller coordinates,
     M = m_full); trace_map @ v stacks the boundary traces of every
     subsystem.  meta holds the constraint rows, constraint_residual =
     max |G Z|, and the measured dissipativity defect sym_drift = max eig of
     Sym of the energy-frame operator.  The energy frame is the Cholesky
-    factor m_red = L L^H (chol): sim_operator() = L^{-1} s_red L^{-H} =
-    L^H a_red L^{-H} has the generator's eigenvalues, and its Euclidean
-    norm is the energy norm.  a_red, chol, the frame operator and the
-    companion (the same network at a coarser resolution, for the two-grid
-    eigenvalue filter) are derived on first use; chol raises
-    PHStructuralError when m_red is not positive definite.
+    factor m_red = L L^H (chol): sim_operator() = L^{-1} s_red L^{-H} has
+    the generator's eigenvalues, and its Euclidean norm is the energy
+    norm.  chol, the frame operator and the companion (the same network at
+    a coarser resolution, for the two-grid eigenvalue filter) are derived
+    on first use; chol raises PHStructuralError when m_red is not positive
+    definite.
     """
 
     m_red: np.ndarray
@@ -165,11 +165,6 @@ class DiscreteGenerator:
     @property
     def n_full(self):
         return self.lift.shape[0]
-
-    @cached_property
-    def a_red(self):
-        """m_red^{-1} s_red: the generator in reduced coordinates."""
-        return np.linalg.solve(self.m_red, self.s_red)
 
     @cached_property
     def chol(self):
@@ -199,10 +194,6 @@ class DiscreteGenerator:
             nc = max(4 * s.order + 6, int(round(0.8 * grid.n)))
             n_comp.append(grid.n + 4 if nc == grid.n else nc)
         return assemble_generator(self.net, n_comp)
-
-    def energy(self, v):
-        """H = 1/2 <v, v>_{m_red} of a reduced state."""
-        return 0.5 * float(np.real(np.asarray(v).conj() @ self.m_red @ np.asarray(v)))
 
     def project(self, x_full):
         """M-orthogonal projection of a full sample vector; returns (v, rel residual)."""
@@ -297,7 +288,7 @@ def assemble_generator(net, n_per_subsystem):
 
 
 def discrete_energy_rate(gen, v):
-    """Re <a_red v, v>_{m_red}: the discrete energy balance left-hand side."""
+    """Re v* s_red v = dH/dt along m_red dv/dt = s_red v: the energy balance's left side."""
     v = np.asarray(v)
     return float(np.real(v.conj() @ gen.s_red @ v))
 

@@ -98,10 +98,13 @@ class MatrixFunction:
 
     def check_grid(self):
         """The points coefficient checks evaluate at: 257 uniform points on
-        [0, 1], joined by a sampled profile's knots."""
+        [0, 1], joined by a sampled profile's knots; a knot replaces the
+        grid point that only rounding (4 eps) separates from it."""
         zs = np.linspace(0.0, 1.0, 257)
         if self.kind == "samples":
-            zs = np.union1d(zs, np.linspace(0.0, 1.0, self.data.shape[0]))
+            knots = np.linspace(0.0, 1.0, self.data.shape[0])
+            nearest = knots[np.rint(zs * (len(knots) - 1)).astype(int)]
+            zs = np.union1d(zs[np.abs(zs - nearest) > 4 * np.finfo(float).eps], knots)
         return zs
 
     def hermitian_defect(self, z_grid):
@@ -167,8 +170,8 @@ def _decode_array(data, depth):
 
 
 def _has_bool(data):
-    if isinstance(data, (list, tuple)):
-        return any(_has_bool(x) for x in data)
+    if isinstance(data, (list, tuple, dict)):
+        return any(_has_bool(x) for x in (data.values() if isinstance(data, dict) else data))
     return isinstance(data, (bool, np.bool_))
 
 

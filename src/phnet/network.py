@@ -75,12 +75,10 @@ class Controller:
         return np.block([[s11, s12], [s12.conj().T, s22]])
 
     def input_projection(self):
-        """Orthogonal projector onto range(D_c*), the strictly passive input directions."""
-        d = self.d_c
-        u, sv, vh = np.linalg.svd(d.conj().T)
-        rank = int(np.sum(sv > 1e-10 * (sv[0] if len(sv) and sv[0] > 0 else 1.0)))
-        basis = u[:, :rank]
-        return basis @ basis.conj().T
+        """I - Z Z* with Z = null_basis(D_c): the projector onto range(D_c*),
+        the strictly passive input directions."""
+        z = null_basis(self.d_c)
+        return np.eye(self.n_port) - z @ z.conj().T
 
 
 @dataclass(frozen=True)

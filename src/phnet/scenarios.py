@@ -22,7 +22,7 @@ literal_bc_sign on the chain for the opposite end-damper orientation
 
 import numpy as np
 
-from .model import MatrixFunction, PHSubsystem
+from .model import MatrixFunction, PHSubsystem, _has_bool
 from .network import Controller, Network
 
 
@@ -441,6 +441,11 @@ def build_scenario(name, params=None):
     params = {} if params is None else params
     if not isinstance(params, dict):
         raise ScenarioError("scenario params must be an object, got %r" % (params,))
+    for key, value in params.items():
+        # a JSON true would read as 1 in a number, and "no" as a set flag
+        if not isinstance(value, bool) if key == "literal_bc_sign" else _has_bool(value):
+            raise ScenarioError("parameter %r = %r: literal_bc_sign must be a boolean, "
+                                "and no other parameter may hold one" % (key, value))
     entry = SCENARIOS[name]
     merged = dict(entry["defaults"])
     merged.update(params)

@@ -100,7 +100,7 @@ class CayleyStepper:
         return 2.0 * w - v
 
     def energy(self, v):
-        """H = 1/2 <v, v>_{m_red}, as gen.energy but from the sparse m_red."""
+        """H = 1/2 <v, v>_{m_red} of a reduced state, from the sparse m_red."""
         return 0.5 * float(np.real(np.vdot(v, self.m @ v)))
 
 
@@ -122,7 +122,7 @@ def _step_count(t_end, dt):
 
 
 def simulate(gen, x0, dt=None, t_end=10.0, record_every=1):
-    """Integrate dv/dt = a_red v from a full sample-coordinate initial state.
+    """Integrate dv/dt = m_red^{-1} s_red v from a full sample-coordinate initial state.
 
     x0 may omit the controller tail (zeros appended).  The initial state is
     projected M-orthogonally onto the constraint null space; a projection

@@ -1,5 +1,7 @@
 """Spectrum reports, resolvent scans, ASP diagnostics, decay fits."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +11,8 @@ from phnet import (Network, SpectrumReport, asp_diagnostic,
                    assemble_generator, build_beam, build_chain,
                    build_mass_damped_string, build_scenario,
                    certify_network_dissipative, decay_fit,
-                   exponential_verdict, make_initial_state, resolvent_scan,
-                   simulate, spectrum)
+                   exponential_verdict, make_initial_state, network_from_dict,
+                   network_to_dict, resolvent_scan, simulate, spectrum)
 from phnet.scenarios import SCENARIOS, _wave_subsystem
 
 from helpers import random_passive_network, slowest_mode
@@ -97,6 +99,31 @@ class TestSpectrum:
         rep = spectrum(gen)
         assert len(rep.eigenvalues) == 0 or rep.abscissa <= 1e-7
         assert gen.meta["sym_drift"] <= 1e-10 * np.abs(gen.sim_operator()).max()
+
+
+class TestNetworkFileRoundTrip:
+    """An explicit network file reproduces the trusted spectrum bit for bit."""
+
+    @staticmethod
+    def assert_round_trip_keeps_spectrum(net):
+        back = network_from_dict(json.loads(json.dumps(network_to_dict(net))))
+        n = [4 * s.order + 6 for s in net.subsystems]
+        gen, gen_back = assemble_generator(net, n), assemble_generator(back, n)
+        rep, rep_back = spectrum(gen), spectrum(gen_back)
+        assert rep_back.eigenvalues.tobytes() == rep.eigenvalues.tobytes()
+        assert len(rep_back.zero_modes) == len(rep.zero_modes)
+        assert gen_back.meta["sym_drift"] == gen.meta["sym_drift"]
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scenarios(self, name):
+        self.assert_round_trip_keeps_spectrum(build_scenario(name))
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_subsystems=st.integers(1, 2),
+           complex_ok=st.booleans(), with_controller=st.booleans())
+    def test_random_passive_networks(self, seed, n_subsystems, complex_ok, with_controller):
+        self.assert_round_trip_keeps_spectrum(random_passive_network(
+            np.random.default_rng(seed), n_subsystems, complex_ok, with_controller))
 
 
 class TestResolvent:

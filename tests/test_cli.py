@@ -279,6 +279,25 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be an integer" in err
 
+    @pytest.mark.parametrize("name, params", [
+        ("chain_of_strings", {"m": True}),
+        ("chain_of_strings", {"m": 2, "rho": [True, 1]}),
+        ("chain_of_strings", {"m": 1, "kappa": [True]}),
+        ("chain_of_strings", {"m": 1, "literal_bc_sign": "no"}),
+        ("chain_of_strings", {"m": 1, "literal_bc_sign": [False]}),
+        ("euler_bernoulli_beam", {"left_bc": [[True, 0], [0, 0]]}),
+        ("mass_damped_string", {"mass": True})])
+    def test_scenario_parameter_of_wrong_type(self, tmp_path, capsys, name, params):
+        # booleans used to read as 1 (exit 0), and a truthy non-boolean
+        # literal_bc_sign flipped the damper (exit 1)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"schema": 1, "scenario": {"name": name, "params": params}}))
+        self.assert_usage_error(main(["check", str(path)]), capsys)
+
+    @pytest.mark.parametrize("literal, rc", [(False, 0), (True, 1)])
+    def test_literal_bc_sign_boolean(self, tmp_path, capsys, literal, rc):
+        assert main(["check", write_chain(tmp_path, literal_bc_sign=literal)]) == rc
+
     @pytest.mark.parametrize("command", ["check", "spectrum"])
     @pytest.mark.parametrize("field, value", [
         ("external_ports", [99]), ("external_ports", [-1]),

@@ -231,6 +231,14 @@ class TestMatrixFunction:
         mf = MatrixFunction.samples(values)
         assert mf.lipschitz_slope() == pytest.approx(5.12, rel=1e-6)
 
+    @pytest.mark.parametrize("n_s", [99, 393, 601, 785])
+    def test_lipschitz_slope_is_the_knot_slope(self, n_s):
+        # a grid point 1e-17 to 1e-16 from a knot used to divide rounding
+        # noise by that gap: 1.53 times the knot slope at 601 samples
+        values = np.random.default_rng(n_s).uniform(size=(n_s, 1, 1))
+        want = (n_s - 1) * np.abs(np.diff(values[:, 0, 0])).max()
+        assert MatrixFunction.samples(values).lipschitz_slope() == pytest.approx(want, rel=1e-9)
+
     def test_roundtrip_complex(self):
         mf = MatrixFunction.constant(np.array([[1.0, 1j], [-1j, 2.0]]))
         back = MatrixFunction.from_dict(mf.to_dict())

@@ -213,7 +213,7 @@ class TestCoupled:
             v1 = stepper.step(v)
             mid = gen.lift @ (0.5 * (v + v1))
             xc2 = mid[gen.controller_slice][1]
-            lhs = (gen.energy(v1) - gen.energy(v)) / dt
+            lhs = (stepper.energy(v1) - stepper.energy(v)) / dt
             assert abs(lhs + r * abs(xc2) ** 2) <= 1e-10
             v = v1
 
@@ -326,6 +326,20 @@ class TestParameterProperty:
     ])
     def test_overflowing_coefficient_is_a_scenario_error(self, name, params):
         with pytest.raises(ScenarioError, match="not finite"):
+            build_scenario(name, params)
+
+    @pytest.mark.parametrize("name, params", [
+        ("chain_of_strings", {"m": True}),
+        ("chain_of_strings", {"m": 2, "rho": [True, 1]}),
+        ("chain_of_strings", {"m": 1, "kappa": [True]}),
+        ("chain_of_strings", {"m": 1, "rho": [{"kind": "samples", "data": [1, True]}]}),
+        ("chain_of_strings", {"m": 1, "literal_bc_sign": "no"}),
+        ("chain_of_strings", {"m": 1, "literal_bc_sign": [False]}),
+        ("chain_of_strings", {"m": 1, "literal_bc_sign": 1}),
+        ("euler_bernoulli_beam", {"left_bc": [[True, 0], [0, 0]]}),
+        ("mass_damped_string", {"mass": True})])
+    def test_wrongly_typed_parameter_is_a_scenario_error(self, name, params):
+        with pytest.raises(ScenarioError, match="boolean"):
             build_scenario(name, params)
 
     @settings(max_examples=200)
