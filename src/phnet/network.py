@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 from dataclasses import dataclass
 
-from .model import PHStructuralError, _as_matrix, flux_form
+from .model import REL_TOL, PHStructuralError, _as_matrix, flux_form
 from .passivity import _certificate, _psd_verdict, _tol_for, null_basis
 
 
@@ -73,12 +73,6 @@ class Controller:
         s12 = 0.5 * (w @ self.b_c - self.c_c.conj().T)
         s22 = -0.5 * (self.d_c + self.d_c.conj().T)
         return np.block([[s11, s12], [s12.conj().T, s22]])
-
-    def input_projection(self):
-        """I - Z Z* with Z = null_basis(D_c): the projector onto range(D_c*),
-        the strictly passive input directions."""
-        z = null_basis(self.d_c)
-        return np.eye(self.n_port) - z @ z.conj().T
 
 
 @dataclass(frozen=True)
@@ -211,12 +205,12 @@ def assemble(net):
             if r in used:
                 raise PHStructuralError("port row %d mapped by more than one controller" % r)
             used.add(r)
-        s_c = np.eye(p)[:, list(ports)]
+        rows = list(ports)
         sl = slice(col, col + c.n_state)
-        w_b_net = w_b_net + s_c @ c.d_c @ s_c.T @ w_c_blk
-        c_c_net[:, sl] = s_c @ c.c_c
+        w_b_net[rows] += c.d_c @ w_c_blk[rows]
+        c_c_net[rows, sl] = c.c_c
         a_c_net[sl, sl] = c.a_c
-        b_c_net[sl, :] = c.b_c @ s_c.T @ w_c_blk
+        b_c_net[sl] = c.b_c @ w_c_blk[rows]
         weight[sl, sl] = c.state_weight
         col += c.n_state
 
@@ -236,13 +230,16 @@ def check_controller_passive(controller):
     certificate detail also reports strict input passivity: the largest
     kappa with defect <= -kappa * diag(0, Pi), Pi the orthogonal projector
     onto range(D_c*), and whether ker D_c is contained in ker B_c (the
-    structural condition a strictly input passive loop needs).
+    structural condition a strictly input passive loop needs).  Both use
+    Z = null_basis(D_c), a basis of ker D_c: Pi = I - Z Z*, and
+    ker D_c subset ker B_c iff B_c Z = 0 to REL_TOL.
     """
     defect = controller.supply_defect()
     tol = _tol_for(defect)
     cert = _psd_verdict(-defect, "controller", tol,
                         detail="-(supply defect) on (x_c, u_c)")
-    pi = controller.input_projection()
+    z = null_basis(controller.d_c)
+    pi = np.eye(controller.n_port) - z @ z.conj().T
     pi_hat = np.zeros_like(defect)
     n = controller.n_state
     pi_hat[n:, n:] = pi
@@ -255,10 +252,8 @@ def check_controller_passive(controller):
                                            + (defect + mid * pi_hat).conj().T)).max() <= tol
             lo, hi = (mid, hi) if ok else (lo, mid)
         kappa = lo
-    # ker D_c subset of ker B_c <=> B_c (I - Pi_row) = 0 with Pi_row the
-    # projector onto range(D_c*) = (ker D_c)^perp
-    kernel_ok = bool(np.abs(controller.b_c @ (np.eye(controller.n_port) - pi)).max()
-                     <= 1e-10 * max(1.0, np.abs(controller.b_c).max()))
+    kernel_ok = bool(np.abs(controller.b_c @ z).max(initial=0.0)
+                     <= REL_TOL * max(1.0, np.abs(controller.b_c).max()))
     cert.detail += ("; strict input passivity margin kappa = %.3e; "
                     "ker D_c subset ker B_c: %s" % (kappa, kernel_ok))
     return cert

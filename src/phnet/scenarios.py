@@ -22,7 +22,7 @@ literal_bc_sign on the chain for the opposite end-damper orientation
 
 import numpy as np
 
-from .model import MatrixFunction, PHSubsystem, _has_bool
+from .model import MatrixFunction, PHSubsystem, _has_bool, flux_matrix
 from .network import Controller, Network
 
 
@@ -57,35 +57,46 @@ def _finite(values, what):
     return values
 
 
-def _reciprocal(profile):
-    """1 / profile: exact when constant, else sampled on _PROFILE_Z."""
-    if profile.kind == "constant":
-        return MatrixFunction.constant(1.0 / profile.data)
-    return MatrixFunction.samples(1.0 / profile(_PROFILE_Z))
-
-
-def _diag_hamiltonian(top, bottom):
-    """MatrixFunction for H = diag(top(z), bottom(z)); exact when constant."""
-    if top.kind == "constant" and bottom.kind == "constant":
-        return MatrixFunction.constant(np.diag([top.data[0, 0], bottom.data[0, 0]]))
+def _diag_hamiltonian(inertia, stiffness):
+    """MatrixFunction for H = diag(1/inertia(z), stiffness(z)); exact when
+    both are constant, else sampled on _PROFILE_Z."""
+    if inertia.kind == "constant" and stiffness.kind == "constant":
+        return MatrixFunction.constant(np.diag([1.0 / inertia.data[0, 0],
+                                                stiffness.data[0, 0]]))
     vals = np.zeros((len(_PROFILE_Z), 2, 2))
-    vals[:, 0, 0] = top(_PROFILE_Z)[:, 0, 0]
-    vals[:, 1, 1] = bottom(_PROFILE_Z)[:, 0, 0]
+    vals[:, 0, 0] = 1.0 / inertia(_PROFILE_Z)[:, 0, 0]
+    vals[:, 1, 1] = stiffness(_PROFILE_Z)[:, 0, 0]
     return MatrixFunction.samples(vals)
+
+
+def _subsystem(p_matrices, ham, rows, label):
+    """Every wave and beam subsystem: W_B from rows, W_C from the flux form.
+
+    rows are (defining trace component i, W_B row) pairs.  The W_C row of
+    each is the flux-conjugate partner sign(Q[i, p] row[i]) e_p, p the one
+    nonzero column of row i of Q = flux_matrix(p_matrices): unit W_B rows
+    give Sym(W_C* W_B) = Q/2 (impedance passive with equality), and
+    [W_B; W_C] stays invertible whatever coupling terms a dissipative end
+    adds to a row.
+    """
+    order, dim = len(p_matrices) - 1, len(p_matrices[-1])
+    q = flux_matrix(p_matrices, order, dim)
+    w_c = []
+    for i, row in rows:
+        (p,) = np.flatnonzero(q[i])
+        w_c.append(np.sign(q[i, p] * row[i]) * np.eye(len(q))[p])
+    return PHSubsystem(order=order, dim=dim, p_matrices=p_matrices, hamiltonian=ham,
+                       w_b=np.vstack([row for _, row in rows]), w_c=np.vstack(w_c),
+                       label=label)
 
 
 P1_WAVE = np.array([[0.0, 1.0], [1.0, 0.0]])
 P2_BEAM = np.array([[0.0, -1.0], [1.0, 0.0]])
 
-# trace component indices for N=1, d=2: tau = (y1(1), y2(1), y1(0), y2(0))
-_W1 = np.eye(4)
-# wave port splittings as trace indices ((negated B_1, B_2), (C_1, C_2))
-_WAVE_PORTS = {"interior": ((3, 0), (2, 1)), "last": ((3, 1), (2, 0)),
-               "mass_interior": ((2, 0), (3, 1)), "mass_free": ((2, 1), (3, 0))}
-
-# trace component indices for N=2, d=2:
-# tau = (y1(1), y2(1), y1'(1), y2'(1), y1(0), y2(0), y1'(0), y2'(0))
-_W2 = np.eye(8)
+# wave W_B rows (negated y(0) component, y(1) component) over the trace
+# tau = (y1(1), y2(1), y1(0), y2(0)) of N=1, d=2
+_WAVE_PORTS = {"interior": (3, 0), "last": (3, 1),
+               "mass_interior": (2, 0), "mass_free": (2, 1)}
 
 
 def _wave_subsystem(rho, tension, length=1.0, kind="interior", label=""):
@@ -94,8 +105,7 @@ def _wave_subsystem(rho, tension, length=1.0, kind="interior", label=""):
     A physical segment of length l folds into the unit interval through
     H = diag(1/(l rho), T/l), which keeps both the physical energy and the
     physical port variables (w_t, T w_zeta), so joints couple without
-    length factors.  kind selects the port splitting (all flux-conjugate,
-    hence impedance passive with equality):
+    length factors.  kind selects W_B; W_C is its flux-conjugate partner:
       interior      : B = (-y2(0), y1(1)),  C = (y1(0), y2(1))
       last          : B = (-y2(0), y2(1)),  C = (y1(0), y1(1))
       mass_interior : B = (-y1(0), y1(1)),  C = (y2(0), y2(1))
@@ -105,34 +115,26 @@ def _wave_subsystem(rho, tension, length=1.0, kind="interior", label=""):
     if rho.min_eig(_PROFILE_Z) <= 0 or tension.min_eig(_PROFILE_Z) <= 0:
         raise ScenarioError("rho and T must be uniformly positive")
     with np.errstate(all="ignore"):
-        ham = _diag_hamiltonian(_reciprocal(MatrixFunction(rho.kind, rho.data * length)),
+        ham = _diag_hamiltonian(MatrixFunction(rho.kind, rho.data * length),
                                 MatrixFunction(tension.kind, tension.data / length))
     _finite(ham.data, "H = diag(1/(l rho), T/l)")
     if kind not in _WAVE_PORTS:
         raise ScenarioError("unknown wave port splitting %r" % (kind,))
-    (b0, b1), (c0, c1) = _WAVE_PORTS[kind]
-    w_b = np.vstack([-_W1[b0], _W1[b1]])
-    w_c = np.vstack([_W1[c0], _W1[c1]])
-    return PHSubsystem(order=1, dim=2, p_matrices=(None, P1_WAVE),
-                       hamiltonian=ham, w_b=w_b, w_c=w_c, label=label)
+    (b0, b1), unit = _WAVE_PORTS[kind], np.eye(4)
+    return _subsystem((None, P1_WAVE), ham, ((b0, -unit[b0]), (b1, unit[b1])), label)
 
 
-# energy-space boundary rows at each beam end, per the conservative catalog
-_BEAM_RIGHT_ROWS = {
+# trace component indices for N=2, d=2:
+# tau = (y1(1), y2(1), y1'(1), y2'(1), y1(0), y2(0), y1'(0), y2'(0))
+_W2 = np.eye(8)
+# the components each conservative beam end fixes, at the right end z = 1;
+# the left end z = 0 fixes the same components + 4
+_BEAM_ENDS = {
     "pinned": (0, 1), "bc5": (0, 1),
     "free": (1, 3),
     "shear_hinge": (2, 3), "bc6": (2, 3),
     "clamped": (0, 2),
 }
-_BEAM_LEFT_ROWS = {
-    "pinned": (4, 5), "bc5": (4, 5),
-    "free": (5, 7),
-    "shear_hinge": (6, 7), "bc6": (6, 7),
-    "clamped": (4, 6),
-}
-# flux-conjugate partner of each trace component (sign, index)
-_BEAM_PARTNER = {0: (-1.0, 3), 1: (1.0, 2), 2: (1.0, 1), 3: (-1.0, 0),
-                 4: (1.0, 7), 5: (-1.0, 6), 6: (-1.0, 5), 7: (1.0, 4)}
 
 
 def _unit_rows(indices):
@@ -141,23 +143,15 @@ def _unit_rows(indices):
 
 
 def _beam_subsystem(rho, ei, left_rows, right_rows, label=""):
-    """left_rows / right_rows: (defining trace component, W_B row) pairs.
-
-    Each W_C row is the flux-conjugate partner of the component that
-    defines its W_B row, so [W_B; W_C] stays invertible whatever the
-    coupling terms a dissipative end adds to the row.
-    """
+    """left_rows / right_rows: (defining trace component, W_B row) pairs."""
     rho, ei = scalar_profile(rho), scalar_profile(ei)
     if rho.min_eig(_PROFILE_Z) <= 0 or ei.min_eig(_PROFILE_Z) <= 0:
         raise ScenarioError("rho and EI must be uniformly positive")
     with np.errstate(all="ignore"):
-        ham = _diag_hamiltonian(_reciprocal(rho), ei)
+        ham = _diag_hamiltonian(rho, ei)
     _finite(ham.data, "H = diag(1/rho, EI)")
-    rows = list(right_rows) + list(left_rows)
-    w_b = np.vstack([row for _, row in rows])
-    w_c = np.vstack([_BEAM_PARTNER[i][0] * _W2[_BEAM_PARTNER[i][1]] for i, _ in rows])
-    return PHSubsystem(order=2, dim=2, p_matrices=(None, np.zeros((2, 2)), P2_BEAM),
-                       hamiltonian=ham, w_b=w_b, w_c=w_c, label=label)
+    return _subsystem((None, np.zeros((2, 2)), P2_BEAM), ham, right_rows + left_rows,
+                      label)
 
 
 def _dissipative_end_rows(k0):
@@ -270,20 +264,18 @@ def build_beam(*, rho=1.0, ei=1.0, left_bc=None, right_bc="pinned"):
     free | shear_hinge | clamped | bc5 | bc6.  The network is the single
     subsystem with the K = 0 closure.
     """
-    rho, ei = scalar_profile(rho), scalar_profile(ei)
-    if right_bc not in _BEAM_RIGHT_ROWS:
+    if right_bc not in _BEAM_ENDS:
         raise ScenarioError("unknown right_bc %r (choose from %s)"
-                            % (right_bc, sorted(_BEAM_RIGHT_ROWS)))
+                            % (right_bc, sorted(_BEAM_ENDS)))
     if left_bc is None:
         left_bc = np.diag([1.0, 0.0])
     if isinstance(left_bc, str):
-        if left_bc not in _BEAM_LEFT_ROWS:
+        if left_bc not in _BEAM_ENDS:
             raise ScenarioError("unknown left_bc %r" % (left_bc,))
-        left = _unit_rows(_BEAM_LEFT_ROWS[left_bc])
+        left = _unit_rows(i + 4 for i in _BEAM_ENDS[left_bc])
     else:
         left = _dissipative_end_rows(_validate_k0(left_bc))
-    right = _unit_rows(_BEAM_RIGHT_ROWS[right_bc])
-    beam = _beam_subsystem(rho, ei, left, right, label="beam")
+    beam = _beam_subsystem(rho, ei, left, _unit_rows(_BEAM_ENDS[right_bc]), label="beam")
     return Network(subsystems=(beam,), k_mat=np.zeros((4, 4)),
                    label="euler_bernoulli_beam")
 
@@ -318,8 +310,6 @@ def build_coupled(*, variant="damper_string_beam", rho=1.0, tension=1.0, kappa=1
     """
     if variant not in ("damper_string_beam", "spring_mass_damper_string_beam"):
         raise ScenarioError("unknown coupled variant %r" % (variant,))
-    rho, tension = scalar_profile(rho), scalar_profile(tension)
-    rho_beam, ei_beam = scalar_profile(rho_beam), scalar_profile(ei_beam)
     with_msd = variant == "spring_mass_damper_string_beam"
     if not with_msd and not kappa > 0:
         raise ScenarioError("the boundary damper needs kappa > 0")
@@ -334,8 +324,8 @@ def build_coupled(*, variant="damper_string_beam", rho=1.0, tension=1.0, kappa=1
                            left_rows=_unit_rows((7, 5)),
                            right_rows=_unit_rows((0, 1)),
                            label="beam")
-    # ports: string rows 0-1, beam rows 2-5; C columns likewise.
-    # beam W_C rows: partners (y1'(1)... ) with C_3 = y1(0) at column 4.
+    # ports: string rows 0-1, beam rows 2-5 (pinned right end, then the
+    # left rows); the beam's C_3 = y1(0), partner of y2'(0), is column 4
     k = np.zeros((6, 6))
     k[1, 4] = 1.0       # string's right port equals the beam's left velocity
     k[4, 1] = -1.0      # beam shear row y2'(0) = -y2_string(1)
@@ -357,7 +347,6 @@ def build_mass_damped_string(*, rho=1.0, tension=1.0, mass=1.0, stiffness=1.0,
     1/beta^2, so the resolvent peaks grow along the imaginary axis: the
     discrete surrogate of asymptotic-but-not-exponential stability.
     """
-    rho, tension = scalar_profile(rho), scalar_profile(tension)
     if not (mass > 0 and stiffness > 0 and damping > 0):
         raise ScenarioError("mass, stiffness, damping must be positive")
     string = _wave_subsystem(rho, tension, kind="mass_free", label="string")

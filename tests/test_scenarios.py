@@ -14,6 +14,8 @@ from phnet import (ScenarioError, assemble_generator, build_beam, build_chain,
                    network_to_dict, spectrum, validate_subsystem,
                    SerialStructure, SCENARIOS)
 from phnet.discretize import discrete_energy_rate
+from phnet.model import flux_form
+from phnet.scenarios import _wave_subsystem
 
 from helpers import slowest_mode
 
@@ -233,6 +235,43 @@ class TestMassDampedString:
     def test_parameters_positive(self):
         with pytest.raises(ScenarioError):
             build_mass_damped_string(damping=-1.0)
+
+
+CONSERVATIVE_ENDS = ("pinned", "free", "shear_hinge", "clamped", "bc5", "bc6")
+
+
+def assert_invertible_splitting(s):
+    assert np.linalg.matrix_rank(np.vstack([s.w_b, s.w_c])) == 2 * s.order * s.dim
+
+
+def assert_flux_splitting(s):
+    """Sym(W_C* W_B) equals Q/2 entry for entry (the entries are +-1/2 and
+    0, so equality is exact) and [W_B; W_C] is invertible."""
+    cross = s.w_c.conj().T @ s.w_b
+    assert np.array_equal(0.5 * (cross + cross.conj().T), 0.5 * flux_form(s))
+    assert_invertible_splitting(s)
+
+
+class TestPortSplitting:
+    """W_C rows are the flux-conjugate partners of the W_B rows."""
+
+    @pytest.mark.parametrize("kind", ["interior", "last", "mass_interior", "mass_free"])
+    def test_wave_splitting_is_the_flux_form(self, kind):
+        assert_flux_splitting(_wave_subsystem(1.0, 1.0, kind=kind))
+
+    @pytest.mark.parametrize("left", CONSERVATIVE_ENDS + ("K0 = 0",))
+    @pytest.mark.parametrize("right", CONSERVATIVE_ENDS)
+    def test_conservative_beam_splitting_is_the_flux_form(self, left, right):
+        left_bc = np.zeros((2, 2)) if left == "K0 = 0" else left
+        assert_flux_splitting(build_beam(left_bc=left_bc, right_bc=right).subsystems[0])
+
+    @pytest.mark.parametrize("k0", [[[0.7, 0.0], [0.0, 0.0]], [[2.0, 0.4], [-0.3, 1.5]]],
+                             ids=["diag", "sym_pd"])
+    @pytest.mark.parametrize("right", CONSERVATIVE_ENDS)
+    def test_dissipative_beam_end_is_invertible_and_certifies(self, k0, right):
+        net = build_beam(left_bc=np.array(k0), right_bc=right)
+        assert_invertible_splitting(net.subsystems[0])
+        assert certify_network_dissipative(net).passed
 
 
 class TestRoundTrip:
