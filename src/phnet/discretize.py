@@ -132,10 +132,10 @@ def discretize_subsystem(subsystem, n):
 class DiscreteGenerator:
     """Reduced pencil (m_red, s_red) of the constrained network generator.
 
-    The generator is m_red dv/dt = s_red v in the discrete energy inner
-    product m_red = Z* M Z (Z = lift, an orthonormal basis of the discrete
-    constraint null space over sample + controller coordinates,
-    M = m_full); trace_map @ v stacks the boundary traces of every
+    The generator is m_red dv/dt = s_red v, m_red = Z* M Z, s_red = Z* M L Z
+    (Z = lift, an orthonormal basis of the discrete constraint null space
+    over sample + controller coordinates, M = m_full, L the closed loop,
+    never formed); trace_map @ v stacks the boundary traces of every
     subsystem.  meta holds the constraint rows, constraint_residual =
     max |G Z|, and the measured dissipativity defect sym_drift = max eig of
     Sym of the energy-frame operator.  The energy frame is the Cholesky
@@ -220,10 +220,11 @@ def assemble_generator(net, n_per_subsystem):
     """Reduce the closed-loop network to a DiscreteGenerator.
 
     n_per_subsystem is an int (applied to every subsystem) or a list.
-    The loop law comes from assemble(net) alone.  Raises PHStructuralError
-    naming the subsystem when one cannot be collocated, and naming the
-    offending block when the constraint matrix is rank deficient under
-    null_basis's rank rule.
+    The loop law comes from assemble(net) alone.  L Z is formed by blocks,
+    L_j Z_j per subsystem over the controller law A_c Z_c + B_c trace_map,
+    and Z* M once.  Raises PHStructuralError naming the subsystem when one
+    cannot be collocated, and naming the offending block when the
+    constraint matrix is rank deficient under null_basis's rank rule.
     """
     if np.isscalar(n_per_subsystem):
         n_list = [int(n_per_subsystem)] * len(net.subsystems)
@@ -240,8 +241,7 @@ def assemble_generator(net, n_per_subsystem):
         except PHStructuralError as exc:
             raise PHStructuralError("subsystem %d: %s" % (j, exc)) from None
 
-    sizes = [o.l.shape[0] for o in ops]
-    offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    offs = np.concatenate([[0], np.cumsum([o.l.shape[0] for o in ops])]).astype(int)
     n_pde = int(offs[-1])
     n_full = n_pde + closed.a_c_net.shape[0]
     sample_slices = [slice(int(offs[j]), int(offs[j + 1])) for j in range(len(ops))]
@@ -249,19 +249,14 @@ def assemble_generator(net, n_per_subsystem):
 
     # w_b_net carries the dtype of K, W_B, W_C and the controllers
     dtype = np.result_type(closed.w_b_net, *(o.l for o in ops))
-    l_full = np.zeros((n_full, n_full), dtype=dtype)
     m_full = np.zeros((n_full, n_full), dtype=dtype)
     t_stack = np.zeros((sum(o.t.shape[0] for o in ops), n_pde), dtype=dtype)
     r = 0
-    for j, o in enumerate(ops):
-        sl = sample_slices[j]
-        l_full[sl, sl] = o.l
+    for o, sl in zip(ops, sample_slices):
         m_full[sl, sl] = o.m
         t_stack[r:r + o.t.shape[0], sl] = o.t
         r += o.t.shape[0]
     m_full[controller_slice, controller_slice] = closed.controller_weight
-    l_full[controller_slice, controller_slice] = closed.a_c_net
-    l_full[controller_slice, :n_pde] = closed.b_c_net @ t_stack
 
     # constraint rows on (samples, x_c); z spans their null space
     g = np.hstack([closed.w_b_net @ t_stack, closed.c_c_net])
@@ -275,9 +270,14 @@ def assemble_generator(net, n_per_subsystem):
                                 "%.2e); offending block: subsystem %d (port row %d)"
                                 % (sv.min(), j, row))
 
+    trace_map = t_stack @ z[:n_pde]
+    lz = np.vstack([o.l @ z[sl] for o, sl in zip(ops, sample_slices)]
+                   + [closed.a_c_net @ z[controller_slice] + closed.b_c_net @ trace_map])
+    zm = z.conj().T @ m_full
+    m_red, s_red = zm @ z, zm @ lz
+    del zm, lz      # two n_full x n_red temporaries, freed before the energy frame is built
     gen = DiscreteGenerator(
-        m_red=z.conj().T @ m_full @ z, s_red=z.conj().T @ m_full @ l_full @ z,
-        lift=z, m_full=m_full, trace_map=t_stack @ z[:n_pde],
+        m_red=m_red, s_red=s_red, lift=z, m_full=m_full, trace_map=trace_map,
         sample_slices=sample_slices, controller_slice=controller_slice,
         grids=[o.grid for o in ops], net=net,
         meta={"constraint": g,

@@ -221,6 +221,7 @@ class PHSubsystem:
                                         "finite" % (k, scale))
             coerced.append(pk)
         object.__setattr__(self, "p_matrices", tuple(coerced))
+        object.__setattr__(self, "interval", (0.0, 1.0))    # replace() must not rescale again
         for name in ("w_b", "w_c"):
             w = _as_matrix(getattr(self, name))
             if w.shape != (n * d, 2 * n * d):
@@ -290,17 +291,13 @@ def validate_subsystem(subsystem):
         rep.add("P_%d symmetry" % k, defect <= 1e-12, defect,
                 "relative defect of P_k^* = (-1)^(k+1) P_k")
 
-    # P_N invertible
-    sv = np.linalg.svd(s.p_matrices[s.order], compute_uv=False)
-    ratio = sv.min() / max(sv.max(), 1e-300)
-    rep.add("P_N invertible", ratio > 1e-10, ratio, "sigma_min / sigma_max of P_N")
-
-    # [W_B; W_C] invertible
-    stacked = np.vstack([s.w_b, s.w_c])
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    ratio = sv.min() / max(sv.max(), 1e-300)
-    rep.add("[W_B; W_C] invertible", ratio > REL_TOL * 1.0, ratio,
-            "sigma_min / sigma_max of the stacked boundary matrix")
+    # P_N and [W_B; W_C] invertible
+    for name, mat, of in (("P_N invertible", s.p_matrices[s.order], "P_N"),
+                          ("[W_B; W_C] invertible", np.vstack([s.w_b, s.w_c]),
+                           "the stacked boundary matrix")):
+        sv = np.linalg.svd(mat, compute_uv=False)
+        ratio = sv.min() / max(sv.max(), 1e-300)
+        rep.add(name, ratio > REL_TOL, ratio, "sigma_min / sigma_max of " + of)
 
     # H Hermitian and coercive on the sample grid
     zs = s.hamiltonian.check_grid()

@@ -59,7 +59,7 @@ def subsystem_to_dict(s):
     return {"order": s.order, "dim": s.dim, "p_matrices": p_list,
             "hamiltonian": s.hamiltonian.to_dict(),
             "w_b": _encode_array(s.w_b), "w_c": _encode_array(s.w_c),
-            "interval": [0.0, 1.0], "label": s.label}
+            "interval": list(s.interval), "label": s.label}
 
 
 def subsystem_from_dict(d):

@@ -170,7 +170,7 @@ def assemble(net):
     into the constraint rows and records the controller dynamics
     d/dt x_c = A_c x_c + B_c S_c^T W_C tau.  Raises PHStructuralError on
     port-dimension mismatches, a controller attached to a nonexistent /
-    doubly-used port row, or an external port that names no port row.
+    doubly-used port row, or an external port on a missing or controller row.
     """
     p = net.total_ports
     if len(net.coupling) != len(net.controllers):
@@ -217,6 +217,8 @@ def assemble(net):
     for r in net.external_ports:
         if not (0 <= r < p):
             raise PHStructuralError("external port on nonexistent port row %d" % r)
+        if r in used:
+            raise PHStructuralError("external port on controller port row %d" % r)
     kept = np.array([r for r in range(p) if r not in set(net.external_ports)], dtype=int)
     return ClosedLoopDescription(
         w_b_net=w_b_net[kept], c_c_net=c_c_net[kept], q_blk=q_blk,

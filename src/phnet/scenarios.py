@@ -364,7 +364,7 @@ def make_initial_state(net, gen, preset="sine"):
     ("random" alone is "random:0"); all other components and controller
     states start at zero.
     """
-    if preset.startswith("random"):
+    if preset == "random" or preset.startswith("random:"):
         try:
             seed = int(preset.split(":", 1)[1]) if ":" in preset else 0
             rng = np.random.default_rng(seed)

@@ -10,8 +10,10 @@ import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial import polynomial as npoly
 
-from phnet import MatrixFunction, Network, PHSubsystem, make_grid
+from phnet import MatrixFunction, Network, PHSubsystem, discretize_subsystem, make_grid
 from phnet.model import flux_matrix
+from phnet.network import assemble
+from phnet.passivity import null_basis
 
 GAUSS_N = 64
 _gx, _gw = np.polynomial.legendre.leggauss(GAUSS_N)
@@ -192,6 +194,34 @@ def kron_collocation(subsystem, n):
         rows_zero.append(mk[:d_dim])
         dk = grid.diff @ dk
     return l_mat, m_mat, np.vstack(rows_one + rows_zero)
+
+
+def full_space_pencil(net, n):
+    """Reference (m_red, s_red, lift, trace_map) of assemble_generator from
+    the full-space closed loop: L = blkdiag(L_j) with the controller rows
+    [B_c T, A_c] appended, M = blkdiag(M_j, controller weight), and the
+    triple products Z* M Z and Z* M L Z on Z = null_basis([W_B T, C_c])."""
+    closed = assemble(net)
+    ops = [discretize_subsystem(s, n) for s in net.subsystems]
+    n_pde = sum(o.l.shape[0] for o in ops)
+    n_full = n_pde + closed.a_c_net.shape[0]
+    dtype = np.result_type(closed.w_b_net, *(o.l for o in ops))
+    l_full = np.zeros((n_full, n_full), dtype=dtype)
+    m_full = np.zeros((n_full, n_full), dtype=dtype)
+    t_stack = np.zeros((sum(o.t.shape[0] for o in ops), n_pde), dtype=dtype)
+    r = c = 0
+    for o in ops:
+        sl = slice(c, c + o.l.shape[0])
+        l_full[sl, sl] = o.l
+        m_full[sl, sl] = o.m
+        t_stack[r:r + o.t.shape[0], sl] = o.t
+        r, c = r + o.t.shape[0], sl.stop
+    m_full[n_pde:, n_pde:] = closed.controller_weight
+    l_full[n_pde:, n_pde:] = closed.a_c_net
+    l_full[n_pde:, :n_pde] = closed.b_c_net @ t_stack
+    z = null_basis(np.hstack([closed.w_b_net @ t_stack, closed.c_c_net]))
+    return (z.conj().T @ m_full @ z, z.conj().T @ m_full @ l_full @ z, z,
+            t_stack @ z[:n_pde])
 
 
 def random_nsd_k(rng, size, strict=0.0):

@@ -317,6 +317,18 @@ class TestExitCodes:
         self.assert_usage_error(main([command, str(path)] + out), capsys)
 
     @pytest.mark.parametrize("command", ["check", "spectrum"])
+    def test_controller_on_external_port(self, tmp_path, capsys, command):
+        # used to exit 1 (check) and 0 (spectrum, sym_drift 1128): the
+        # external row 0 defined u_0 a second time beside the controller
+        doc = network_to_dict(build_scenario("mass_damped_string", {}))
+        assert doc["coupling"] == [[0]]
+        doc["external_ports"] = [0]
+        path = tmp_path / "external.json"
+        path.write_text(json.dumps(doc))
+        out = ["--out", str(tmp_path / "s.csv")] if command == "spectrum" else []
+        self.assert_usage_error(main([command, str(path)] + out), capsys)
+
+    @pytest.mark.parametrize("command", ["check", "spectrum"])
     @pytest.mark.parametrize("build, interval", [
         (build_chain, [0, 5e-324]), (build_chain, [0, 1e-310]), (build_beam, [0, 1e-160])])
     def test_interval_too_short(self, tmp_path, capsys, command, build, interval):
@@ -358,6 +370,8 @@ class TestExitCodes:
         ["simulate", "--t-end", "-1"],
         ["simulate", "--record-every", "0"],
         ["simulate", "--x0", "random:abc"],
+        ["simulate", "--x0", "randomfoo"],
+        ["simulate", "--x0", "random_7"],
         ["resolvent", "--samples", "-1"],
         ["spectrum", "--n", "abc"],
         ["spectrum", "--bogus"],

@@ -10,8 +10,8 @@ from phnet import (MatrixFunction, Network, PHStructuralError, PHSubsystem,
 from phnet.discretize import boundary_flux, discrete_energy_rate
 from phnet.scenarios import _wave_subsystem
 
-from helpers import (chain_transfer_characteristic, kron_collocation,
-                     random_passive_subsystem, secant_root)
+from helpers import (chain_transfer_characteristic, full_space_pencil, kron_collocation,
+                     random_passive_network, random_passive_subsystem, secant_root)
 
 P1_WAVE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -257,6 +257,23 @@ class TestAssembleGenerator:
         got, want = spectrum(scalar).eigenvalues, spectrum(matrix).eigenvalues
         assert len(got) == len(want) > 0
         assert np.abs(got - want).max() <= 1e-12
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_subsystems=st.integers(1, 2),
+           complex_ok=st.booleans(), with_controller=st.booleans(), extra=st.integers(0, 8))
+    def test_matches_full_space_reference(self, seed, n_subsystems, complex_ok,
+                                          with_controller, extra):
+        # the block-wise L Z against the full-space closed-loop oracle
+        net = random_passive_network(np.random.default_rng(seed), n_subsystems,
+                                     complex_ok, with_controller)
+        n = 12 + extra
+        gen = assemble_generator(net, n)
+        m_red, s_red, lift, trace_map = full_space_pencil(net, n)
+        for got, want in ((gen.m_red, m_red), (gen.lift, lift), (gen.trace_map, trace_map)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert gen.s_red.dtype == s_red.dtype and gen.s_red.shape == s_red.shape
+        assert np.abs(gen.s_red - s_red).max() <= 1e-13 * np.abs(s_red).max()
 
 
 class TestDiscreteEnergyBalance:

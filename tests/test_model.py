@@ -1,5 +1,7 @@
 """Subsystem validation, trace ordering, and the boundary flux form."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,11 @@ class TestFluxForm:
                              hamiltonian=ham, w_b=w_b, w_c=w_c)
         assert np.allclose(s_phys.p_matrices[1], p1 / 2.0)
         assert np.allclose(flux_form(s_phys), flux_form(s_unit))
+        # the stored interval is the rescaled one, so replace() does not
+        # rescale a second time (P_1 used to go 0.5 -> 0.25)
+        again = dataclasses.replace(s_phys, label="x")
+        assert s_phys.interval == again.interval == (0.0, 1.0)
+        assert np.array_equal(again.p_matrices[1], s_phys.p_matrices[1])
 
     @pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan),
                                           (-1e308, 1e308), (1.0, 1.0)])

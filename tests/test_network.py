@@ -69,6 +69,10 @@ class TestAssemble:
         with pytest.raises(PHStructuralError):
             assemble(Network(subsystems=(s,), controllers=(ctrl, ctrl),
                              coupling=((0,), (0,))))
+        # a controller row cannot also be an external input
+        with pytest.raises(PHStructuralError, match="external port on controller port row 0"):
+            assemble(Network(subsystems=(s,), controllers=(ctrl,),
+                             coupling=((0,),), external_ports=(0,)))
 
     def test_external_ports_drop_constraint_rows(self):
         # an external row leaves its port unconstrained: one fewer
