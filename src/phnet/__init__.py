@@ -8,13 +8,12 @@ resolvent scans, and contractive time integration.
 
 from .model import (MatrixFunction, PHStructuralError, PHSubsystem,
                     ValidationReport, flux_form, flux_matrix, validate_subsystem)
-from .passivity import (PassivityCertificate, check_dissipative_closure,
-                        check_impedance, check_scattering, check_sym_p0,
-                        null_basis)
 from .network import (ClosedLoopDescription, Controller, Network, NotSerial,
-                      SerialStructure, assemble, certify_network_dissipative,
-                      check_controller_passive, constraint_projector,
-                      detect_serial_structure, detect_serial_structure_blocks)
+                      SerialStructure, assemble, detect_serial_structure,
+                      detect_serial_structure_blocks)
+from .passivity import (PassivityCertificate, certify_network_dissipative,
+                        check_controller_passive, check_impedance,
+                        check_scattering, check_sym_p0, null_basis)
 from .discretize import (DiscreteGenerator, SubsystemGrid, assemble_generator,
                          discretize_subsystem, make_grid)
 from .analysis import (ResolventScan, SpectrumReport, asp_diagnostic,

@@ -18,9 +18,9 @@ from .analysis import (decay_fit, exponential_verdict, resolvent_scan, spectrum)
 from .discretize import assemble_generator
 from .model import PHStructuralError, validate_subsystem
 from .netfile import NetworkFileError, load_network, network_to_dict
-from .network import (NotSerial, certify_network_dissipative,
-                      check_controller_passive, detect_serial_structure)
-from .passivity import check_impedance, check_scattering, check_sym_p0
+from .network import NotSerial, detect_serial_structure
+from .passivity import (certify_network_dissipative, check_controller_passive,
+                        check_impedance, check_scattering, check_sym_p0)
 from .scenarios import SCENARIOS, ScenarioError, build_scenario, make_initial_state
 from .simulate import simulate, write_csv
 

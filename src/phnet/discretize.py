@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from numpy.polynomial import legendre as npleg
 
-from .model import REL_TOL, PHStructuralError, flux_form
+from .model import PHStructuralError, coercivity, flux_form
 from .network import assemble
 from .passivity import null_basis
 
@@ -97,8 +97,9 @@ def discretize_subsystem(subsystem, n):
     the trace rows y^(k)(1), then y^(k)(0) (y = Hx, k < N) are rows n - 1
     and 0 of D^k times the H stack.  Needs n >= 4N + 4, so that the trace
     derivatives to order N - 1 and the operator are resolved, and an H
-    whose eigenvalues at the nodes all exceed REL_TOL times the largest in
-    modulus: a vanishing H leaves the energy and the traces degenerate.
+    coercive at the nodes by model.coercivity (every eigenvalue exceeds
+    REL_TOL times the largest modulus): a vanishing or indefinite H leaves
+    the energy and the traces degenerate.
     """
     s = subsystem
     if n < 4 * s.order + 4:
@@ -106,10 +107,11 @@ def discretize_subsystem(subsystem, n):
                                 % (n, s.order, 4 * s.order + 4))
     grid = make_grid(n)
     h_vals = s.hamiltonian(grid.points)
-    h_eig = np.abs(np.linalg.eigvalsh(h_vals))
-    if h_eig.min() <= REL_TOL * h_eig.max():
-        raise PHStructuralError("H numerically singular at the collocation nodes (smallest "
-                                "|eigenvalue| %.2e, largest %.2e)" % (h_eig.min(), h_eig.max()))
+    coercive, least, largest = coercivity(h_vals)
+    if not coercive:
+        raise PHStructuralError("H numerically singular at the collocation nodes, or "
+                                "indefinite (smallest eigenvalue %.2e, largest |eigenvalue| "
+                                "%.2e)" % (least, largest))
     nodes, shape = np.arange(n), (n, s.dim, n, s.dim)
     p0h = [] if s.p0 is None else [s.p0(grid.points) @ h_vals]
     l4 = np.zeros(shape, dtype=np.result_type(float, h_vals, *p0h, *s.p_matrices[1:]))

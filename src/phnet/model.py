@@ -272,6 +272,18 @@ class ValidationReport:
 REL_TOL = 1e-10
 
 
+def coercivity(h_vals):
+    """The one coercivity rule for H, on a stack h_vals of its values.
+
+    Returns (passed, least, largest): the least eigenvalue of Sym H and the
+    largest eigenvalue modulus over the stack; passed iff least exceeds
+    REL_TOL * largest.
+    """
+    ev = np.linalg.eigvalsh(0.5 * (h_vals + h_vals.conj().transpose(0, 2, 1)))
+    least, largest = float(ev.min()), float(np.abs(ev).max())
+    return least > REL_TOL * largest, least, largest
+
+
 def validate_subsystem(subsystem):
     """Check every structural invariant of a PHSubsystem.
 
@@ -301,11 +313,12 @@ def validate_subsystem(subsystem):
 
     # H Hermitian and coercive on the sample grid
     zs = s.hamiltonian.check_grid()
+    h_vals = s.hamiltonian(zs)
     herm = s.hamiltonian.hermitian_defect(zs)
-    rep.add("H Hermitian", herm <= 1e-12 * max(1.0, float(np.abs(s.hamiltonian(zs)).max())),
+    rep.add("H Hermitian", herm <= 1e-12 * max(1.0, float(np.abs(h_vals).max())),
             herm, "max entrywise Hermitian defect over sample grid")
-    m_coer = s.hamiltonian.min_eig(zs)
-    rep.add("H coercive", m_coer > 1e-8, m_coer, "min eigenvalue of H over sample grid")
+    coercive, m_coer, _ = coercivity(h_vals)
+    rep.add("H coercive", coercive, m_coer, "min eigenvalue of H over sample grid")
 
     # Lipschitz surrogate, recorded only (no pass/fail threshold)
     slope = s.hamiltonian.lipschitz_slope()
@@ -314,8 +327,9 @@ def validate_subsystem(subsystem):
     return rep
 
 
-def flux_matrix(p_matrices, order, dim):
-    """Hermitian 2Nd x 2Nd matrix of the boundary flux quadratic form.
+def flux_matrix(p_matrices):
+    """Hermitian 2Nd x 2Nd matrix of the boundary flux quadratic form of
+    p_matrices = (P_0, P_1, ..., P_N), N and d read off the list.
 
     Built by accumulating the integration-by-parts identity
 
@@ -325,8 +339,8 @@ def flux_matrix(p_matrices, order, dim):
     over k = 1..N, which holds for every polynomial y because of the
     symmetry relations P_k^* = (-1)^{k+1} P_k.
     """
-    n, d = order, dim
-    pks = [np.asarray(pk) for pk in p_matrices[1:n + 1]]
+    pks = [np.asarray(pk) for pk in p_matrices[1:]]
+    n, d = len(pks), len(pks[-1])
     q = np.zeros((2 * n * d, 2 * n * d), dtype=np.result_type(float, *pks))
 
     def add(row, col, mat):
@@ -343,5 +357,4 @@ def flux_matrix(p_matrices, order, dim):
 
 def flux_form(subsystem):
     """Hermitian Q with Re<Ax, x>_X = 1/2 tau(Hx)* Q tau(Hx) + P_0 volume term."""
-    s = subsystem
-    return flux_matrix(s.p_matrices, s.order, s.dim)
+    return flux_matrix(subsystem.p_matrices)

@@ -6,11 +6,11 @@ The network couples the stacked boundary maps through
     d/dt x_c = A_c x_c + B_c S_c^T C x,
 
 where K is the global interconnection matrix on stacked outputs and S_c
-embeds controller c's ports into the stacked port space.  Assembly
-produces constraint rows on (tau, x_c); dissipativity of the closed loop
-is certified by restricting the aggregate flux + controller supply form
-to the constraint null space.  Dissipative <=> contraction semigroup, by
-the generation theorems the certificates realize.
+embeds controller c's ports into the stacked port space.  This module
+builds the closed loop: assembly produces constraint rows on (tau, x_c)
+and the aggregate flux + controller supply form, and serial detection
+orders the subsystems.  It decides no certificate: passivity certifies
+the closed loop from these blocks.
 """
 
 import graphlib
@@ -20,8 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 from dataclasses import dataclass
 
-from .model import REL_TOL, PHStructuralError, _as_matrix, flux_form
-from .passivity import _certificate, _psd_verdict, _tol_for, null_basis
+from .model import PHStructuralError, _as_matrix, flux_form
 
 
 @dataclass(frozen=True)
@@ -223,69 +222,6 @@ def assemble(net):
     return ClosedLoopDescription(
         w_b_net=w_b_net[kept], c_c_net=c_c_net[kept], q_blk=q_blk,
         controller_weight=weight, a_c_net=a_c_net, b_c_net=b_c_net, kept_rows=kept)
-
-
-def check_controller_passive(controller):
-    """Impedance passivity certificate for a Controller.
-
-    Tests the Hermitian supply-defect block matrix on (x_c, u_c); the
-    certificate detail also reports strict input passivity: the largest
-    kappa with defect <= -kappa * diag(0, Pi), Pi the orthogonal projector
-    onto range(D_c*), and whether ker D_c is contained in ker B_c (the
-    structural condition a strictly input passive loop needs).  Both use
-    Z = null_basis(D_c), a basis of ker D_c: Pi = I - Z Z*, and
-    ker D_c subset ker B_c iff B_c Z = 0 to REL_TOL.
-    """
-    defect = controller.supply_defect()
-    tol = _tol_for(defect)
-    cert = _psd_verdict(-defect, "controller", tol,
-                        detail="-(supply defect) on (x_c, u_c)")
-    z = null_basis(controller.d_c)
-    pi = np.eye(controller.n_port) - z @ z.conj().T
-    pi_hat = np.zeros_like(defect)
-    n = controller.n_state
-    pi_hat[n:, n:] = pi
-    kappa = 0.0
-    if cert.passed and np.abs(pi).max() > 0:
-        lo, hi = 0.0, float(np.abs(defect).max() + 1.0)
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            ok = np.linalg.eigvalsh(0.5 * ((defect + mid * pi_hat)
-                                           + (defect + mid * pi_hat).conj().T)).max() <= tol
-            lo, hi = (mid, hi) if ok else (lo, mid)
-        kappa = lo
-    kernel_ok = bool(np.abs(controller.b_c @ z).max(initial=0.0)
-                     <= REL_TOL * max(1.0, np.abs(controller.b_c).max()))
-    cert.detail += ("; strict input passivity margin kappa = %.3e; "
-                    "ker D_c subset ker B_c: %s" % (kappa, kernel_ok))
-    return cert
-
-
-def constraint_projector(net):
-    """Orthogonal projector onto the constraint null space on (tau, x_c)."""
-    closed = assemble(net)
-    z = null_basis(closed.constraint_matrix())
-    return z @ z.conj().T
-
-
-def certify_network_dissipative(net):
-    """Generation certificate for the closed-loop network operator.
-
-    Pass iff the aggregate flux + controller supply form restricted to the
-    constraint null space is negative semi-definite and every spatially
-    varying P_0 has pointwise Sym P_0 <= 0.  Pass implies the closed loop
-    generates a contraction semigroup.  Networks with external_ports leave
-    those rows unconstrained, so an open port that can carry power in makes
-    the certificate fail (the open-loop system is only passive, not
-    dissipative).
-    """
-    closed = assemble(net)
-    form = closed.energy_form()
-    return _certificate(
-        "network", [("subsystem %d: " % j, s) for j, s in enumerate(net.subsystems)],
-        -form, _tol_for(form),
-        "-(flux + controller supply) on the constraint null space",
-        basis=null_basis(closed.constraint_matrix()))
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,31 @@
-"""Algebraic passivity and dissipativity certificates.
+"""Algebraic passivity and dissipativity certificates: every verdict the
+package gives on a subsystem, a controller or a network.
 
 All checks reduce to eigenvalue tests of Hermitian quadratic forms on the
-boundary trace space K^{2Nd}, using the flux identity
+boundary trace space K^{2Nd} (and controller states), using the flux identity
 
     Re<Ax, x>_X = 1/2 tau* Q tau + int Re <P_0 y, y> dz,   y = H x,
 
 with tau ranging over all of K^{2Nd}.  Impedance passivity is the matrix
-condition Sym(W_C* W_B) - Q/2 >= 0 together with Sym P_0 <= 0 pointwise;
-a static closure Bx = K Cx is dissipative iff Q/2 restricted to
-ker(W_B - K W_C) is negative semi-definite.
+condition Sym(W_C* W_B) - Q/2 >= 0 together with Sym P_0 <= 0 pointwise.
+A static closure Bx = K Cx of one subsystem s is the one-node network
+Network((s,), k_mat=K), whose certificate tests Q/2 <= 0 on ker(W_B - K W_C).
+Dissipative <=> contraction semigroup, by the generation theorems the
+certificates realize.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
 from .model import REL_TOL, flux_form
+from .network import assemble
 
 
 @dataclass
 class PassivityCertificate:
     """Outcome of one algebraic test.
 
-    kind     : "impedance" | "scattering" | "closure" | "sym_p0" | "network"
+    kind     : "impedance" | "scattering" | "sym_p0" | "controller" | "network"
     passed   : overall verdict
     margin   : least eigenvalue of the form required to be PSD (after
                orienting the test); pass iff margin >= -tol
@@ -153,18 +157,58 @@ def null_basis(mat):
     return vh[rank:].conj().T
 
 
-def check_dissipative_closure(subsystem, k_mat):
-    """Dissipativity of A = A|ker(B - K C): the generation criterion.
+def check_controller_passive(controller):
+    """Impedance passivity certificate for a Controller.
 
-    Pass means Q/2 restricted to ker(W_B - K W_C) is <= 0 and Sym P_0 <= 0
-    pointwise, hence A generates a contraction semigroup.
+    Tests the Hermitian supply-defect block matrix on (x_c, u_c); the
+    certificate detail also reports strict input passivity: the largest
+    kappa with defect <= -kappa * diag(0, Pi), Pi the orthogonal projector
+    onto range(D_c*), and whether ker D_c is contained in ker B_c (the
+    structural condition a strictly input passive loop needs).  Both use
+    Z = null_basis(D_c), a basis of ker D_c: Pi = I - Z Z*, and
+    ker D_c subset ker B_c iff B_c Z = 0 to REL_TOL.
     """
-    s = subsystem
-    k_mat = np.atleast_2d(np.asarray(k_mat))
-    q = flux_form(s)
-    z = null_basis(s.w_b - k_mat @ s.w_c)
-    detail = "Q/2 restricted to ker(W_B - K W_C)"
-    if z.shape[1] != s.port_dim:
-        detail += ("; degenerate kernel dimension %d != %d, closure is not a graph of K"
-                   % (z.shape[1], s.port_dim))
-    return _certificate("closure", [("", s)], -0.5 * q, _tol_for(q, k_mat), detail, basis=z)
+    defect = controller.supply_defect()
+    tol = _tol_for(defect)
+    cert = _psd_verdict(-defect, "controller", tol,
+                        detail="-(supply defect) on (x_c, u_c)")
+    z = null_basis(controller.d_c)
+    pi = np.eye(controller.n_port) - z @ z.conj().T
+    pi_hat = np.zeros_like(defect)
+    n = controller.n_state
+    pi_hat[n:, n:] = pi
+    kappa = 0.0
+    if cert.passed and np.abs(pi).max() > 0:
+        lo, hi = 0.0, float(np.abs(defect).max() + 1.0)
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            ok = np.linalg.eigvalsh(0.5 * ((defect + mid * pi_hat)
+                                           + (defect + mid * pi_hat).conj().T)).max() <= tol
+            lo, hi = (mid, hi) if ok else (lo, mid)
+        kappa = lo
+    kernel_ok = bool(np.abs(controller.b_c @ z).max(initial=0.0)
+                     <= _tol_for(controller.b_c))
+    cert.detail += ("; strict input passivity margin kappa = %.3e; "
+                    "ker D_c subset ker B_c: %s" % (kappa, kernel_ok))
+    return cert
+
+
+def certify_network_dissipative(net):
+    """Generation certificate for the closed-loop network operator.
+
+    Pass iff the aggregate flux + controller supply form restricted to the
+    constraint null space is negative semi-definite and every spatially
+    varying P_0 has pointwise Sym P_0 <= 0.  Pass implies the closed loop
+    generates a contraction semigroup.  Networks with external_ports leave
+    those rows unconstrained, so an open port that can carry power in makes
+    the certificate fail (the open-loop system is only passive, not
+    dissipative).  A static closure B x = K C x of one subsystem s is the
+    one-node network Network((s,), k_mat=K).
+    """
+    closed = assemble(net)
+    form = closed.energy_form()
+    return _certificate(
+        "network", [("subsystem %d: " % j, s) for j, s in enumerate(net.subsystems)],
+        -form, _tol_for(form),
+        "-(flux + controller supply) on the constraint null space",
+        basis=null_basis(closed.constraint_matrix()))

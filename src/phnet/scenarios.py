@@ -80,7 +80,7 @@ def _subsystem(p_matrices, ham, rows, label):
     adds to a row.
     """
     order, dim = len(p_matrices) - 1, len(p_matrices[-1])
-    q = flux_matrix(p_matrices, order, dim)
+    q = flux_matrix(p_matrices)
     w_c = []
     for i, row in rows:
         (p,) = np.flatnonzero(q[i])

@@ -103,7 +103,7 @@ def random_passive_subsystem(rng, order=None, dim=None, varying_h=False,
     else:
         ham = MatrixFunction.constant(random_spd(rng, dim))
 
-    w_b, w_c = impedance_splitting(flux_matrix(p_list, order, dim))
+    w_b, w_c = impedance_splitting(flux_matrix(p_list))
     nd = order * dim
     mix = np.eye(nd) + 0.3 * rng.standard_normal((nd, nd))
     while np.linalg.cond(mix) > 50:

@@ -389,7 +389,8 @@ class TestExitCodes:
                    "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: m_red not positive definite")
+        assert err.startswith("error: subsystem 0: H numerically singular at the "
+                              "collocation nodes, or indefinite")
         assert err.count("\n") == 1
 
     def test_too_few_samples_for_decay_fit(self, tmp_path, capsys):

@@ -53,6 +53,15 @@ class TestDiscretizeSubsystem:
         ops = discretize_subsystem(s, 16)
         assert np.allclose(ops.l, make_grid(16).diff)
 
+    def test_indefinite_hamiltonian_named(self):
+        s = _wave_subsystem(1.0, 1.0, kind="last")
+        bad = PHSubsystem(order=1, dim=2, p_matrices=(None, P1_WAVE),
+                          hamiltonian=MatrixFunction.constant(np.diag([1.0, -1.0])),
+                          w_b=s.w_b, w_c=s.w_c)
+        with pytest.raises(PHStructuralError, match="H numerically singular at the "
+                           "collocation nodes, or indefinite"):
+            discretize_subsystem(bad, 16)
+
     def test_mass_scales_with_hamiltonian(self):
         s1 = _wave_subsystem(1.0, 1.0, kind="last")
         s2 = PHSubsystem(order=1, dim=2, p_matrices=(None, P1_WAVE),

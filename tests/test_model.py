@@ -79,6 +79,17 @@ class TestValidate:
         rep = validate_subsystem(bad)
         assert any(c["name"] == "H coercive" and not c["passed"] for c in rep.checks)
 
+    def test_small_coercive_h_validates(self):
+        # coercivity is relative to the size of H, like every REL_TOL check
+        s = wave_subsystem()
+        tiny = PHSubsystem(order=1, dim=2, p_matrices=(None, P1_WAVE),
+                           hamiltonian=MatrixFunction.constant(1e-9 * np.eye(2)),
+                           w_b=s.w_b, w_c=s.w_c)
+        rep = validate_subsystem(tiny)
+        assert rep.passed
+        coercive = next(c for c in rep.checks if c["name"] == "H coercive")
+        assert coercive["margin"] == pytest.approx(1e-9)
+
     def test_margins_are_recorded(self):
         rep = validate_subsystem(wave_subsystem())
         names = [c["name"] for c in rep.checks]
@@ -127,7 +138,7 @@ class TestFluxForm:
         for d in (1, 2, 3):
             p1 = rng.standard_normal((d, d))
             p1 = 0.5 * (p1 + p1.T)
-            q = flux_matrix([None, p1], 1, d)
+            q = flux_matrix([None, p1])
             expect = np.block([[p1, np.zeros((d, d))], [np.zeros((d, d)), -p1]])
             assert np.allclose(q, expect)
 

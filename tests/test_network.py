@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from phnet import (Controller, Network, NotSerial, PHStructuralError,
                    SerialStructure, assemble, build_chain,
                    certify_network_dissipative, check_controller_passive,
-                   constraint_projector, detect_serial_structure,
-                   detect_serial_structure_blocks)
+                   detect_serial_structure, detect_serial_structure_blocks,
+                   null_basis)
 from phnet.scenarios import _wave_subsystem
 
 from helpers import (random_nsd_k, random_passive_controller,
@@ -116,8 +116,9 @@ class TestAssemble:
             perm_ports = np.concatenate([np.arange(p1, p1 + p2), np.arange(p1)])
             k_perm = k[np.ix_(perm_ports, perm_ports)]
             net_p = Network(subsystems=(s2, s1), k_mat=k_perm)
-            proj = constraint_projector(net)
-            proj_p = constraint_projector(net_p)
+            # orthogonal projectors onto the constraint null spaces
+            z, z_p = (null_basis(assemble(n).constraint_matrix()) for n in (net, net_p))
+            proj, proj_p = z @ z.conj().T, z_p @ z_p.conj().T
             # map stacked trace coordinates under the permutation
             t1, t2 = s1.trace_dim, s2.trace_dim
             perm_tau = np.concatenate([np.arange(t1, t1 + t2), np.arange(t1)])

@@ -1,11 +1,15 @@
-"""Impedance/scattering certificates, dissipative closures, witnesses."""
+"""Impedance/scattering certificates, static closures as one-node networks,
+witnesses."""
 
 import numpy as np
+import pytest
 
 from phnet import (MatrixFunction, PHSubsystem, assemble_generator,
-                   check_dissipative_closure, check_impedance,
+                   certify_network_dissipative, check_impedance,
                    check_scattering, check_sym_p0, flux_form, Network,
-                   simulate)
+                   save_network, simulate, validate_subsystem)
+from phnet.cli import main
+from phnet.scenarios import _wave_subsystem
 from helpers import (impedance_splitting, quadrature_energy_rate,
                      quadrature_supply_rate, random_nsd_k,
                      random_passive_subsystem, random_poly_state,
@@ -20,6 +24,11 @@ def wave(w_b=W_B_WAVE, w_c=W_C_WAVE, p0=None):
     return PHSubsystem(order=1, dim=2, p_matrices=(p0, P1_WAVE),
                        hamiltonian=MatrixFunction.constant(np.eye(2)),
                        w_b=w_b, w_c=w_c)
+
+
+def closure(s, k):
+    """Certificate of the static closure B x = K C x: the one-node network."""
+    return certify_network_dissipative(Network((s,), k_mat=k))
 
 
 class TestSymP0:
@@ -135,17 +144,17 @@ class TestScattering:
 
 class TestDissipativeClosure:
     def test_zero_feedback_passes(self):
-        assert check_dissipative_closure(wave(), np.zeros((2, 2))).passed
+        assert closure(wave(), np.zeros((2, 2))).passed
 
     def test_nsd_k_passes(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
             k = random_nsd_k(rng, 2)
-            assert check_dissipative_closure(wave(), k).passed
+            assert closure(wave(), k).passed
 
     def test_positive_feedback_fails_with_energy_growth(self):
         k = np.array([[2.0, 0.0], [0.0, 0.0]])
-        cert = check_dissipative_closure(wave(), k)
+        cert = closure(wave(), k)
         assert not cert.passed
         # witness reproduces a positive flux value
         q = flux_form(wave())
@@ -163,14 +172,28 @@ class TestDissipativeClosure:
         tr = simulate(gen, x0, dt=1e-2, t_end=5.0)
         assert tr.energies[-1] > 1.5 * tr.energies[0]
 
-    def test_degenerate_kernel_flagged(self):
-        # K chosen so that W_B - K W_C loses rank: kernel dimension > Nd
-        s = wave()
-        # W_B row2 = y1(1), W_C row2 = y2(1); choose K mapping making row2 zero:
-        k = np.zeros((2, 2))
-        cert = check_dissipative_closure(
-            wave(w_b=np.vstack([W_B_WAVE[0], np.zeros(4)])), k)
-        assert "degenerate kernel" in cert.detail
+    def test_degenerate_kernel_flagged(self, tmp_path):
+        # a zero W_B row makes W_B - K W_C lose rank (kernel dimension > Nd);
+        # that needs a singular [W_B; W_C], which validation fails, so
+        # `phnet check` exits 1
+        s = wave(w_b=np.vstack([W_B_WAVE[0], np.zeros(4)]))
+        rep = validate_subsystem(s)
+        assert not next(c["passed"] for c in rep.checks
+                        if c["name"] == "[W_B; W_C] invertible")
+        path = tmp_path / "degenerate.json"
+        save_network(Network((s,), k_mat=np.zeros((2, 2))), path)
+        assert main(["check", str(path)]) == 1
+
+    @pytest.mark.parametrize("gain", [1e8, 1e9])
+    def test_large_pumping_gain_fails(self, gain, tmp_path):
+        # B x = K C x with K = diag(gain, 0) pumps energy in at the string's
+        # end: the certificate's tolerance does not grow with |K|
+        net = Network((_wave_subsystem(1, 1, kind="last"),), k_mat=np.diag([gain, 0.0]))
+        cert = certify_network_dissipative(net)
+        assert not cert.passed and not cert.marginal
+        path = tmp_path / "pumped.json"
+        save_network(net, path)
+        assert main(["check", str(path)]) == 1
 
 
 class TestConsistencyProperties:
@@ -182,7 +205,7 @@ class TestConsistencyProperties:
             k = random_nsd_k(rng, s.port_dim)
             if not check_impedance(s).passed:
                 continue
-            assert check_dissipative_closure(s, k).passed
+            assert closure(s, k).passed
 
     def test_witness_validity(self):
         rng = np.random.default_rng(43)
