@@ -97,35 +97,15 @@ class MatrixFunction:
         return (1.0 - w) * self.data[i0] + w * self.data[i0 + 1]
 
     def check_grid(self):
-        """The points coefficient checks evaluate at: 257 uniform points on
-        [0, 1], joined by a sampled profile's knots; a knot replaces the
-        grid point that only rounding (4 eps) separates from it."""
-        zs = np.linspace(0.0, 1.0, 257)
-        if self.kind == "samples":
-            knots = np.linspace(0.0, 1.0, self.data.shape[0])
-            nearest = knots[np.rint(zs * (len(knots) - 1)).astype(int)]
-            zs = np.union1d(zs[np.abs(zs - nearest) > 4 * np.finfo(float).eps], knots)
-        return zs
-
-    def hermitian_defect(self, z_grid):
-        """Max entrywise deviation from Hermitian symmetry over the points z_grid."""
-        vals = self(z_grid)
-        return float(np.max(np.abs(vals - vals.conj().transpose(0, 2, 1))))
-
-    def lipschitz_slope(self):
-        """Finite-difference slope surrogate for the Lipschitz constant on
-        the check grid (at least a sampled profile's largest knot slope)."""
-        z_grid = self.check_grid()
-        vals = self(z_grid)
-        dz = np.diff(z_grid)
-        steps = np.abs(np.diff(vals, axis=0)).max(axis=(1, 2)) / dz
-        return float(steps.max())
-
-    def min_eig(self, z_grid):
-        """Least eigenvalue of the Hermitian part over the points z_grid."""
-        vals = self(z_grid)
-        vals = 0.5 * (vals + vals.conj().transpose(0, 2, 1))
-        return float(np.linalg.eigvalsh(vals).min())
+        """The points every coefficient check evaluates at: z = 0 for a
+        constant, the knots of a sampled profile, 257 uniform points for a
+        polynomial.  A sampled profile is affine between knots: there its
+        Hermitian defect, largest entry modulus and largest eigenvalue of
+        the Hermitian part are convex, the least concave, the slope
+        constant, so each check takes its extreme at a knot."""
+        if self.kind == "constant":
+            return np.zeros(1)
+        return np.linspace(0.0, 1.0, self.data.shape[0] if self.kind == "samples" else 257)
 
     def to_dict(self):
         return {"kind": self.kind, "data": _encode_array(self.data)}
@@ -158,7 +138,7 @@ def _encode_array(a):
 def _decode_array(data, depth):
     """Inverse of _encode_array given the expected nesting depth."""
     a = np.asarray(data, dtype=float)
-    if _has_bool(data) or not np.isfinite(a).all():    # null reads as NaN
+    if _has_leaf(data, _is_bool) or not np.isfinite(a).all():    # null reads as NaN
         raise PHStructuralError("matrix entries must be finite numbers, not null, "
                                 "NaN, infinity or a boolean")
     if a.ndim == depth:
@@ -169,10 +149,16 @@ def _decode_array(data, depth):
                             "of [re, im] pairs" % (a.shape, depth, depth + 1))
 
 
-def _has_bool(data):
+def _has_leaf(data, test):
+    """Whether test holds for some leaf of nested lists, tuples and dicts."""
     if isinstance(data, (list, tuple, dict)):
-        return any(_has_bool(x) for x in (data.values() if isinstance(data, dict) else data))
-    return isinstance(data, (bool, np.bool_))
+        return any(_has_leaf(x, test)
+                   for x in (data.values() if isinstance(data, dict) else data))
+    return test(data)
+
+
+def _is_bool(x):
+    return isinstance(x, (bool, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -289,7 +275,8 @@ def validate_subsystem(subsystem):
 
     Returns a ValidationReport listing, per invariant, pass/fail and the
     measured margin.  Shape mismatches are not invariant failures: they
-    raise PHStructuralError when the PHSubsystem is built.
+    raise PHStructuralError when the PHSubsystem is built.  The H checks
+    read one evaluation on check_grid() (a one-point grid records slope 0).
     """
     s = subsystem
     rep = ValidationReport()
@@ -311,18 +298,18 @@ def validate_subsystem(subsystem):
         ratio = sv.min() / max(sv.max(), 1e-300)
         rep.add(name, ratio > REL_TOL, ratio, "sigma_min / sigma_max of " + of)
 
-    # H Hermitian and coercive on the sample grid
+    # H Hermitian, coercive and its slope, off one stack on the check grid
     zs = s.hamiltonian.check_grid()
     h_vals = s.hamiltonian(zs)
-    herm = s.hamiltonian.hermitian_defect(zs)
+    herm = float(np.abs(h_vals - h_vals.conj().transpose(0, 2, 1)).max())
     rep.add("H Hermitian", herm <= 1e-12 * max(1.0, float(np.abs(h_vals).max())),
             herm, "max entrywise Hermitian defect over sample grid")
     coercive, m_coer, _ = coercivity(h_vals)
     rep.add("H coercive", coercive, m_coer, "min eigenvalue of H over sample grid")
 
     # Lipschitz surrogate, recorded only (no pass/fail threshold)
-    slope = s.hamiltonian.lipschitz_slope()
-    rep.add("H Lipschitz slope (recorded)", True, slope,
+    steps = np.abs(np.diff(h_vals, axis=0)).max(axis=(1, 2)) / np.diff(zs)
+    rep.add("H Lipschitz slope (recorded)", True, steps.max(initial=0.0),
             "finite-difference slope bound between adjacent samples")
     return rep
 

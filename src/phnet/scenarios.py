@@ -22,7 +22,7 @@ literal_bc_sign on the chain for the opposite end-damper orientation
 
 import numpy as np
 
-from .model import MatrixFunction, PHSubsystem, _has_bool, flux_matrix
+from .model import MatrixFunction, PHSubsystem, _has_leaf, _is_bool, flux_matrix
 from .network import Controller, Network
 
 
@@ -41,6 +41,8 @@ def scalar_profile(value):
         return value
     if isinstance(value, dict):
         data = np.atleast_1d(np.asarray(value["data"], dtype=float))
+        if not data.size:
+            raise ScenarioError("profile %r has no data" % (value,))
         if value["kind"] == "constant":
             return MatrixFunction.constant(data[0])
         return MatrixFunction(value["kind"], data.reshape(-1, 1, 1))
@@ -57,16 +59,32 @@ def _finite(values, what):
     return values
 
 
-def _diag_hamiltonian(inertia, stiffness):
-    """MatrixFunction for H = diag(1/inertia(z), stiffness(z)); exact when
-    both are constant, else sampled on _PROFILE_Z."""
-    if inertia.kind == "constant" and stiffness.kind == "constant":
-        return MatrixFunction.constant(np.diag([1.0 / inertia.data[0, 0],
-                                                stiffness.data[0, 0]]))
-    vals = np.zeros((len(_PROFILE_Z), 2, 2))
-    vals[:, 0, 0] = 1.0 / inertia(_PROFILE_Z)[:, 0, 0]
-    vals[:, 1, 1] = stiffness(_PROFILE_Z)[:, 0, 0]
-    return MatrixFunction.samples(vals)
+def _diag_hamiltonian(rho, stiffness, length=None):
+    """H = diag(1/rho, EI) of a beam, or diag(1/(l rho), T/l) of a wave
+    segment of length l, from the raw parameters.  Each profile must be
+    positive on _PROFILE_Z and on its check_grid(), which holds a sampled
+    profile's knots.  H is exact when both are constant, else sampled on
+    _PROFILE_Z; out of floating-point range it is a ScenarioError."""
+    wave = length is not None
+    rho, stiffness = scalar_profile(rho), scalar_profile(stiffness)
+    for profile in (rho, stiffness):
+        if profile(np.concatenate([_PROFILE_Z, profile.check_grid()])).real.min() <= 0:
+            raise ScenarioError("rho and %s must be uniformly positive"
+                                % ("T" if wave else "EI"))
+    fold = length if wave else 1.0
+    with np.errstate(all="ignore"):
+        inertia = MatrixFunction(rho.kind, rho.data * fold)
+        stiffness = MatrixFunction(stiffness.kind, stiffness.data / fold)
+        if inertia.kind == "constant" and stiffness.kind == "constant":
+            ham = MatrixFunction.constant(np.diag([1.0 / inertia.data[0, 0],
+                                                   stiffness.data[0, 0]]))
+        else:
+            vals = np.zeros((len(_PROFILE_Z), 2, 2))
+            vals[:, 0, 0] = 1.0 / inertia(_PROFILE_Z)[:, 0, 0]
+            vals[:, 1, 1] = stiffness(_PROFILE_Z)[:, 0, 0]
+            ham = MatrixFunction.samples(vals)
+    _finite(ham.data, "H = diag(1/(l rho), T/l)" if wave else "H = diag(1/rho, EI)")
+    return ham
 
 
 def _subsystem(p_matrices, ham, rows, label):
@@ -111,13 +129,7 @@ def _wave_subsystem(rho, tension, length=1.0, kind="interior", label=""):
       mass_interior : B = (-y1(0), y1(1)),  C = (y2(0), y2(1))
       mass_free     : B = (-y1(0), y2(1)),  C = (y2(0), y1(1))
     """
-    rho, tension = scalar_profile(rho), scalar_profile(tension)
-    if rho.min_eig(_PROFILE_Z) <= 0 or tension.min_eig(_PROFILE_Z) <= 0:
-        raise ScenarioError("rho and T must be uniformly positive")
-    with np.errstate(all="ignore"):
-        ham = _diag_hamiltonian(MatrixFunction(rho.kind, rho.data * length),
-                                MatrixFunction(tension.kind, tension.data / length))
-    _finite(ham.data, "H = diag(1/(l rho), T/l)")
+    ham = _diag_hamiltonian(rho, tension, length)
     if kind not in _WAVE_PORTS:
         raise ScenarioError("unknown wave port splitting %r" % (kind,))
     (b0, b1), unit = _WAVE_PORTS[kind], np.eye(4)
@@ -144,14 +156,8 @@ def _unit_rows(indices):
 
 def _beam_subsystem(rho, ei, left_rows, right_rows, label=""):
     """left_rows / right_rows: (defining trace component, W_B row) pairs."""
-    rho, ei = scalar_profile(rho), scalar_profile(ei)
-    if rho.min_eig(_PROFILE_Z) <= 0 or ei.min_eig(_PROFILE_Z) <= 0:
-        raise ScenarioError("rho and EI must be uniformly positive")
-    with np.errstate(all="ignore"):
-        ham = _diag_hamiltonian(rho, ei)
-    _finite(ham.data, "H = diag(1/rho, EI)")
-    return _subsystem((None, np.zeros((2, 2)), P2_BEAM), ham, right_rows + left_rows,
-                      label)
+    return _subsystem((None, np.zeros((2, 2)), P2_BEAM), _diag_hamiltonian(rho, ei),
+                      right_rows + left_rows, label)
 
 
 def _dissipative_end_rows(k0):
@@ -432,9 +438,14 @@ def build_scenario(name, params=None):
         raise ScenarioError("scenario params must be an object, got %r" % (params,))
     for key, value in params.items():
         # a JSON true would read as 1 in a number, and "no" as a set flag
-        if not isinstance(value, bool) if key == "literal_bc_sign" else _has_bool(value):
+        if not isinstance(value, bool) if key == "literal_bc_sign" else _has_leaf(value, _is_bool):
             raise ScenarioError("parameter %r = %r: literal_bc_sign must be a boolean, "
                                 "and no other parameter may hold one" % (key, value))
+        # JSON reads NaN and Infinity, which no coefficient may hold
+        if _has_leaf(value, lambda x: isinstance(x, (float, np.floating))
+                     and not np.isfinite(x)):
+            raise ScenarioError("parameter %r = %r: every number must be finite, "
+                                "not NaN or infinity" % (key, value))
     entry = SCENARIOS[name]
     merged = dict(entry["defaults"])
     merged.update(params)

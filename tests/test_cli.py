@@ -294,6 +294,23 @@ class TestExitCodes:
         path.write_text(json.dumps({"schema": 1, "scenario": {"name": name, "params": params}}))
         self.assert_usage_error(main(["check", str(path)]), capsys)
 
+    @pytest.mark.parametrize("command", ["check", "spectrum"])
+    @pytest.mark.parametrize("name, params", [
+        ("chain_of_strings", {"m": 2, "kappa": [0.5, float("nan")]}),
+        ("damper_string_beam", {"kappa": float("inf")}),
+        ("chain_of_strings", {"m": 2, "lengths": [1, float("inf")]}),
+        ("chain_of_strings", {"m": 1, "rho": [{"kind": "samples",
+                                               "data": [1, -0.001, 1, 1, 1, 1, 1]}]}),
+        ("chain_of_strings", {"m": 1, "rho": [{"kind": "constant", "data": []}]})],
+        ids=["nan_kappa", "infinite_kappa", "infinite_length", "negative_knot", "empty"])
+    def test_scenario_parameter_out_of_range(self, tmp_path, capsys, command, name, params):
+        # NaN and Infinity used to exit 1 (an SVD traceback, or "pass": false),
+        # an empty profile with an IndexError; the negative knot exited 0
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"schema": 1, "scenario": {"name": name, "params": params}}))
+        out = ["--out", str(tmp_path / "s.csv")] if command == "spectrum" else []
+        self.assert_usage_error(main([command, str(path)] + out), capsys)
+
     @pytest.mark.parametrize("literal, rc", [(False, 0), (True, 1)])
     def test_literal_bc_sign_boolean(self, tmp_path, capsys, literal, rc):
         assert main(["check", write_chain(tmp_path, literal_bc_sign=literal)]) == rc

@@ -33,6 +33,15 @@ def beam_subsystem():
                        w_b=w_b, w_c=w_c)
 
 
+def recorded_slope(values):
+    """validate_subsystem's recorded Lipschitz slope of the wave with
+    H = values * I: a constant for (1, 1) values, else (n_s, 1, 1) samples."""
+    kind = "constant" if values.ndim == 2 else "samples"
+    ham = MatrixFunction(kind, values * np.eye(2))
+    rep = validate_subsystem(dataclasses.replace(wave_subsystem(), hamiltonian=ham))
+    return next(c["margin"] for c in rep.checks if c["name"] == "H Lipschitz slope (recorded)")
+
+
 class TestValidate:
     def test_wave_passes(self):
         rep = validate_subsystem(wave_subsystem())
@@ -229,25 +238,23 @@ class TestMatrixFunction:
         mf = MatrixFunction.samples(np.array([np.eye(1), 3.0 * np.eye(1)]))
         assert np.allclose(mf(np.array([0.5]))[0], [[2.0]])
 
-    def test_min_eig_matches_pointwise_loop(self):
-        rng = np.random.default_rng(2)
-        mf = MatrixFunction.polynomial(rng.standard_normal((3, 3, 3))
-                                       + 1j * rng.standard_normal((3, 3, 3)))
-        zs = np.linspace(0, 1, 513)
-        vals = mf(zs)
-        loop = min(np.linalg.eigvalsh(0.5 * (v + v.conj().T)).min() for v in vals)
-        assert mf.min_eig(zs) == loop
+    def test_check_grid_of_each_kind(self):
+        # a constant is checked once, a sampled profile at its knots, where
+        # every check on an affine segment takes its extreme
+        assert np.array_equal(MatrixFunction.constant(np.eye(2)).check_grid(), [0.0])
+        samples = MatrixFunction.samples(np.ones((7, 1, 1)))
+        assert np.array_equal(samples.check_grid(), np.linspace(0.0, 1.0, 7))
+        poly = MatrixFunction.polynomial(np.ones((3, 1, 1)))
+        assert np.array_equal(poly.check_grid(), np.linspace(0.0, 1.0, 257))
 
     def test_lipschitz_slope_recorded(self):
-        mf = MatrixFunction.samples(np.array([np.eye(1), 3.0 * np.eye(1)]))
-        assert mf.lipschitz_slope() == pytest.approx(2.0, rel=1e-6)
+        assert recorded_slope(np.array([[[1.0]], [[3.0]]])) == pytest.approx(2.0, rel=1e-6)
 
     def test_lipschitz_slope_sees_every_knot(self):
         # the 257-point grid holds only the even knots of 513 samples, where
         # this profile is flat; it used to record 0.0
         values = np.where(np.arange(513) % 2, 1.01, 1.0).reshape(-1, 1, 1)
-        mf = MatrixFunction.samples(values)
-        assert mf.lipschitz_slope() == pytest.approx(5.12, rel=1e-6)
+        assert recorded_slope(values) == pytest.approx(5.12, rel=1e-6)
 
     @pytest.mark.parametrize("n_s", [99, 393, 601, 785])
     def test_lipschitz_slope_is_the_knot_slope(self, n_s):
@@ -255,7 +262,10 @@ class TestMatrixFunction:
         # noise by that gap: 1.53 times the knot slope at 601 samples
         values = np.random.default_rng(n_s).uniform(size=(n_s, 1, 1))
         want = (n_s - 1) * np.abs(np.diff(values[:, 0, 0])).max()
-        assert MatrixFunction.samples(values).lipschitz_slope() == pytest.approx(want, rel=1e-9)
+        assert recorded_slope(values) == pytest.approx(want, rel=1e-9)
+
+    def test_constant_h_records_slope_zero(self):
+        assert recorded_slope(np.ones((1, 1))) == 0.0
 
     def test_roundtrip_complex(self):
         mf = MatrixFunction.constant(np.array([[1.0, 1j], [-1j, 2.0]]))

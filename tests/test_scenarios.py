@@ -86,6 +86,18 @@ class TestChain:
             build_chain(m=1, kappa=[0.5],
                         rho=[{"kind": "polynomial", "data": [0.5, -1.0]}])
 
+    def test_negative_knot_rejected(self):
+        # the knot at z = 1/6 lies between points of the 513-point grid,
+        # which used to accept this rho and build H entries up to 344
+        with pytest.raises(ScenarioError, match="rho and T must be uniformly positive"):
+            build_chain(m=1, kappa=[0.5],
+                        rho=[{"kind": "samples", "data": [1, -0.001, 1, 1, 1, 1, 1]}])
+
+    @pytest.mark.parametrize("kind", ["constant", "polynomial", "samples"])
+    def test_empty_profile_rejected(self, kind):
+        with pytest.raises(ScenarioError, match="no data"):
+            build_chain(m=1, kappa=[0.5], tension=[{"kind": kind, "data": []}])
+
 
 class TestBeam:
     def test_k0_diag_clamped_certified(self):
@@ -151,6 +163,10 @@ class TestBeam:
         with pytest.raises(ScenarioError, match="K0"):
             build_beam(left_bc=np.array([[1.0, 0.0], [0.0, -2.0]]),
                        right_bc="clamped")
+
+    def test_negative_knot_ei_rejected(self):
+        with pytest.raises(ScenarioError, match="rho and EI must be uniformly positive"):
+            build_beam(ei={"kind": "samples", "data": [1, 1, 1, 1, 1, -0.001, 1]})
 
     def test_every_conservative_right_end_certifies(self):
         for right in ("pinned", "free", "shear_hinge", "clamped", "bc5", "bc6"):
@@ -321,7 +337,15 @@ class TestRoundTrip:
 
 # the conservative beam-end catalogue plus one name that is not in it
 BEAM_ENDS = ("pinned", "free", "shear_hinge", "clamped", "bc5", "bc6", "hinged")
-COEFFICIENT = st.floats(-1.0, 2.0)
+FINITE = st.floats(-1.0, 2.0)
+COEFFICIENT = FINITE | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+def profiles(number):
+    """A number or a profile dict, its data possibly empty or non-positive at a knot."""
+    return number | st.fixed_dictionaries({
+        "kind": st.sampled_from(["constant", "polynomial", "samples"]),
+        "data": st.lists(number, max_size=8)})
 
 
 @st.composite
@@ -334,19 +358,22 @@ def scenario_params(draw):
         if draw(st.booleans()):
             params[key] = draw(strategy)
 
+    # one parameter set in four may hold NaN or an infinity
+    number = COEFFICIENT if draw(st.integers(0, 3)) == 0 else FINITE
+    profile = profiles(number)
     if name == "chain_of_strings":
         m = draw(st.integers(1, 5))
         params["m"] = m
-        per_segment = st.one_of(st.lists(COEFFICIENT, min_size=m, max_size=m),
-                                st.lists(COEFFICIENT, max_size=m + 1))
-        for key in ("kappa", "lengths", "rho", "tension"):
-            maybe(key, per_segment)
+        for key, leaf in (("kappa", number), ("lengths", number),
+                          ("rho", profile), ("tension", profile)):
+            maybe(key, st.one_of(st.lists(leaf, min_size=m, max_size=m),
+                                 st.lists(leaf, max_size=m + 1)))
         maybe("literal_bc_sign", st.booleans())
     elif name == "euler_bernoulli_beam":
         for key in ("rho", "ei"):
-            maybe(key, COEFFICIENT)
+            maybe(key, profile)
         maybe("left_bc", st.one_of(st.sampled_from(BEAM_ENDS),
-                                   st.lists(st.lists(COEFFICIENT, min_size=2, max_size=2),
+                                   st.lists(st.lists(number, min_size=2, max_size=2),
                                             min_size=2, max_size=2)))
         maybe("right_bc", st.sampled_from(BEAM_ENDS))
     else:
@@ -354,7 +381,8 @@ def scenario_params(draw):
         if name != "mass_damped_string":
             keys += ["kappa", "rho_beam", "ei_beam"]
         for key in keys:
-            maybe(key, COEFFICIENT)
+            maybe(key, profile if key in ("rho", "tension", "rho_beam", "ei_beam")
+                  else number)
     if draw(st.integers(0, 9)) == 5:      # now and then an unknown key
         params["bogus"] = 1
     return name, params
@@ -383,6 +411,17 @@ class TestParameterProperty:
         ("mass_damped_string", {"mass": True})])
     def test_wrongly_typed_parameter_is_a_scenario_error(self, name, params):
         with pytest.raises(ScenarioError, match="boolean"):
+            build_scenario(name, params)
+
+    @pytest.mark.parametrize("name, params, key", [
+        ("chain_of_strings", {"m": 2, "kappa": [0.5, float("nan")]}, "kappa"),
+        ("chain_of_strings", {"m": 2, "lengths": [1, float("inf")]}, "lengths"),
+        ("chain_of_strings", {"m": 1, "rho": [{"kind": "samples", "data": [1, -np.inf]}]},
+         "rho"),
+        ("damper_string_beam", {"kappa": float("inf")}, "kappa"),
+        ("euler_bernoulli_beam", {"left_bc": [[np.nan, 0], [0, 0]]}, "left_bc")])
+    def test_non_finite_parameter_is_a_scenario_error(self, name, params, key):
+        with pytest.raises(ScenarioError, match="parameter '%s' = .*must be finite" % key):
             build_scenario(name, params)
 
     @settings(max_examples=200)
