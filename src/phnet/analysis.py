@@ -1,14 +1,13 @@
 """Numerical stability surrogates: spectrum, resolvent scan, decay fit.
 
-Eigenvalues are computed for the energy-frame operator L^{-1} s_red L^{-H}
-(m_red = L L^H), so real parts are energy-space growth rates.  Any
-fixed-resolution discretization of a boundary-damped system carries
-under-resolved modes whose eigenvalues bend back toward the imaginary axis;
-the reported spectrum therefore keeps only eigenvalues that agree between
-the generator and its coarser companion (two-grid filter), with the raw
-list retained for inspection.  Exponential stability verdicts are
-surrogates, not proofs: abscissa < -1e-6 plus a bounded resolvent growth
-trend over the trusted frequency band.
+Eigenvalues are computed for s_red, the generator in the energy frame, so
+real parts are energy-space growth rates.  Any fixed-resolution
+discretization of a boundary-damped system carries under-resolved modes
+whose eigenvalues bend back toward the imaginary axis; the reported
+spectrum keeps only eigenvalues that agree between the generator and its
+coarser companion (two-grid filter), the raw list kept for inspection.
+Exponential stability verdicts are surrogates, not proofs: abscissa <
+-1e-6 plus a bounded resolvent growth trend over the trusted frequency band.
 """
 
 import numpy as np
@@ -66,15 +65,15 @@ def _matches(vals, ref):
 def spectrum(gen):
     """Eigenvalues of the reduced generator in the energy inner product.
 
-    One eigvals of the generator in the Cholesky energy frame m_red = L L^H
-    (gen.sim_operator()) and one of its companion resolution (built on
-    first use); no eigenvector is formed (asp_diagnostic computes its own).
+    One eigvals of the energy-frame generator s_red and one of its
+    companion resolution (built on first use); no eigenvector is formed
+    (asp_diagnostic computes its own).
     An eigenvalue is trusted when the companion has one within
     TRUST_MATCH_RTOL * (1 + |lambda|).  Zero modes are |lambda| <
     ZERO_MODE_REL_TOL * max|raw lambda|, a scale free of the reduction's basis.
     """
-    vals = np.linalg.eigvals(gen.sim_operator())
-    comp_vals = np.linalg.eigvals(gen.companion.sim_operator())
+    vals = np.linalg.eigvals(gen.s_red)
+    comp_vals = np.linalg.eigvals(gen.companion.s_red)
     trusted = vals[_matches(vals, comp_vals).any(axis=1)]
     trusted = trusted[np.argsort(-trusted.real)]
     scale = float(np.abs(vals).max(initial=1e-300))
@@ -143,7 +142,7 @@ def _inverse_lanczos(b, start):
 def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None):
     """Scan the resolvent norm along the imaginary axis.
 
-    norm(beta) = 1 / sigma_min(i beta I - A_sim) in the energy frame.
+    norm(beta) = 1 / sigma_min(i beta I - s_red), the energy norm.
     Scans [0, beta_max]; for real-coefficient networks negative beta is
     implied by conjugate symmetry.  The uniform grid is refined with
     PEAK_REFINE_LEVELS log-spaced offsets around every trusted
@@ -153,14 +152,14 @@ def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None):
     [0, beta_max/2]; growth with frequency signals a failing uniform
     resolvent bound (no exponential stability).
 
-    A_sim is reduced once to complex Schur form Z T Z^H; since Z is
-    unitary, sigma_min(i beta I - A_sim) = sigma_min(B) with B = i beta I
+    s_red is reduced once to complex Schur form Z T Z^H; since Z is
+    unitary, sigma_min(i beta I - s_red) = sigma_min(B) with B = i beta I
     - T upper triangular.  1 / sigma_min(B)^2 is the largest eigenvalue of
     (B B^H)^{-1}, found by Lanczos with two O(n^2) triangular solves per
     step and a residual stop (_inverse_lanczos).  Each frequency starts
     from the previous one's Ritz vector blended with a fixed seeded
     vector, and from the seeded vector alone after a diverged sample.  The
-    dense SVD of i beta I - A_sim is the tests' oracle, not a code path.
+    dense SVD of i beta I - s_red is the tests' oracle, not a code path.
     """
     rep = spectrum_report if spectrum_report is not None else spectrum(gen)
     ev = rep.eigenvalues
@@ -189,7 +188,7 @@ def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None):
     div_tol = 1e-9 * scale
     diverged = np.abs(1j * betas[:, None] - ev_all).min(axis=1, initial=np.inf) < div_tol
 
-    t_mat = rsf2csf(*schur(gen.sim_operator()))[0]
+    t_mat = rsf2csf(*schur(gen.s_red))[0]
     n = t_mat.shape[0]
     b = np.asfortranarray(-t_mat)
     t_diag = np.diag(t_mat)
@@ -236,34 +235,29 @@ def asp_diagnostic(gen, r_selector):
 
     r_selector is a sequence of (subsystem_index, trace_component) pairs
     selecting rows of the stacked trace, the concrete dissipation observer
-    R.  This is the package's one eigenvector computation: eig of
-    gen.sim_operator(), trusted by spectrum's companion-match rule.  Its
-    columns xi live in the energy frame m_red = L L^H, where the Euclidean
-    norm is the energy norm; only the near-imaginary ones map back to
-    reduced coordinates v = L^{-H} xi, for their traces.  Near-imaginary
-    means |Re lambda| < 10 * ZERO_MODE_REL_TOL * max|raw lambda|.  eig
-    returns an arbitrary basis of a multiple eigenspace, so such eigenvalues
-    within TRUST_MATCH_RTOL * (1 + |lambda|) of each other form one cluster, and
-    each member reports sigma_min(R V), V an energy-orthonormal basis of
-    its cluster's eigenvectors.  Zero modes (|lambda| < ZERO_MODE_REL_TOL *
+    R.  This is the package's one eigenvector computation: eig of s_red,
+    trusted by spectrum's companion-match rule, whose near-imaginary
+    eigenvectors v are kept for their traces.  Near-imaginary means |Re
+    lambda| < 10 * ZERO_MODE_REL_TOL * max|raw lambda|.  eig returns an
+    arbitrary basis of a multiple eigenspace, so such eigenvalues within
+    TRUST_MATCH_RTOL * (1 + |lambda|) of each other form one cluster, and
+    each member reports sigma_min(R V), V an orthonormal basis of its
+    cluster's eigenvectors.  Zero modes (|lambda| < ZERO_MODE_REL_TOL *
     max|raw lambda|) are scored one eigenvector at a time: a trusted zero
     eigenspace can hold a spurious kernel vector of the reduction (the
-    free-free string has one), which the cluster residual would report as
-    an invisible mode.  A residual ~ 0 exposes an undamped imaginary mode
+    free-free string has one), which the cluster residual would report as an
+    invisible mode.  A residual ~ 0 exposes an undamped imaginary mode
     invisible to R (an ASP violation).  Returns a list of (eigenvalue,
     residual) in descending real part.
     """
-    vals, xi = np.linalg.eig(gen.sim_operator())
-    comp_vals = np.linalg.eigvals(gen.companion.sim_operator())
+    vals, v = np.linalg.eig(gen.s_red)
+    comp_vals = np.linalg.eigvals(gen.companion.s_red)
     scale = float(np.abs(vals).max(initial=1e-300))
     near = np.flatnonzero(_matches(vals, comp_vals).any(axis=1)
                           & (np.abs(vals.real) < ZERO_MODE_REL_TOL * scale * 10))
     near = near[np.argsort(-vals[near].real)]
-    lams, xi = vals[near], xi[:, near]
-    # v = L^{-H} xi on real and imaginary parts: a real L is not copied to complex
-    k = len(lams)
-    v = np.linalg.solve(gen.chol.conj().T, np.hstack([xi.real, xi.imag]))
-    taus = gen.split_traces((gen.trace_map @ (v[:, :k] + 1j * v[:, k:])).T)
+    lams, v = vals[near], v[:, near]
+    taus = gen.split_traces((gen.trace_map @ v).T)
     r_v = np.array([taus[j][:, comp] for j, comp in r_selector])
     r_v = r_v.reshape(len(r_selector), len(lams))
     nonzero = np.abs(lams) >= ZERO_MODE_REL_TOL * scale
@@ -274,8 +268,8 @@ def asp_diagnostic(gen, r_selector):
     out = []
     for lam, label in zip(lams, labels):
         members = labels == label
-        # xi tri^{-1} is orthonormal, so V tri^{-1} = L^{-H} xi tri^{-1} is energy-orthonormal
-        tri = np.linalg.qr(xi[:, members], mode="r")
+        # V tri^{-1} is orthonormal, in the energy norm too
+        tri = np.linalg.qr(v[:, members], mode="r")
         sv = np.linalg.svd(np.linalg.solve(tri.T, r_v[:, members].T), compute_uv=False)
         # fewer rows of R than eigenvectors leave a combination with R V x = 0
         out.append((complex(lam), float(sv.min()) if len(sv) == members.sum() else 0.0))

@@ -7,9 +7,9 @@ pair satisfies summation by parts exactly and the discrete energy rate
     Re x* M L x = 1/2 tau* Q tau + sum_i w_i Re <P_0(z_i) y_i, y_i>
 
 is a matrix identity up to rounding.  The closed-loop generator is reduced
-by projecting onto the constraint null space in the energy inner product,
-so certified-dissipative networks keep a nonpositive discrete field of
-values (recorded per run as sym_drift).
+onto an energy-orthonormal constraint null space basis, so certified-
+dissipative networks keep a nonpositive discrete field of values in the
+energy frame (recorded per run as sym_drift).
 """
 
 import numpy as np
@@ -132,24 +132,19 @@ def discretize_subsystem(subsystem, n):
 
 @dataclass
 class DiscreteGenerator:
-    """Reduced pencil (m_red, s_red) of the constrained network generator.
+    """The constrained network generator dv/dt = s_red v in the energy frame.
 
-    The generator is m_red dv/dt = s_red v, m_red = Z* M Z, s_red = Z* M L Z
-    (Z = lift, an orthonormal basis of the discrete constraint null space
-    over sample + controller coordinates, M = m_full, L the closed loop,
-    never formed); trace_map @ v stacks the boundary traces of every
-    subsystem.  meta holds the constraint rows, constraint_residual =
-    max |G Z|, and the measured dissipativity defect sym_drift = max eig of
-    Sym of the energy-frame operator.  The energy frame is the Cholesky
-    factor m_red = L L^H (chol): sim_operator() = L^{-1} s_red L^{-H} has
-    the generator's eigenvalues, and its Euclidean norm is the energy
-    norm.  chol, the frame operator and the companion (the same network at
-    a coarser resolution, for the two-grid eigenvalue filter) are derived
-    on first use; chol raises PHStructuralError when m_red is not positive
-    definite.
+    lift spans the constraint null space over sample + controller
+    coordinates and is energy-orthonormal, lift* M lift = I (M = m_full):
+    x = lift v has energy 1/2 |v|^2, and s_red = lift* M L lift (L the
+    closed loop, never formed) has the energy norm as its Euclidean norm.
+    trace_map @ v stacks every subsystem's traces.  meta holds the
+    constraint rows, constraint_residual = max |G lift| and sym_drift = max
+    eig of Sym s_red.  The companion (a coarser resolution, for the
+    two-grid eigenvalue filter) is built on first use.  m_red (= I) and
+    sim_operator() (= s_red) serve the benchmark oracles only.
     """
 
-    m_red: np.ndarray
     s_red: np.ndarray
     lift: np.ndarray
     m_full: np.ndarray
@@ -162,48 +157,34 @@ class DiscreteGenerator:
 
     @property
     def n_red(self):
-        return self.m_red.shape[0]
+        return self.s_red.shape[0]
 
     @property
     def n_full(self):
         return self.lift.shape[0]
 
-    @cached_property
-    def chol(self):
-        """Lower Cholesky factor L of m_red = L L^H: the energy frame."""
-        try:
-            return np.linalg.cholesky(self.m_red)
-        except np.linalg.LinAlgError:
-            raise PHStructuralError("m_red not positive definite (min eig %.3e)"
-                                    % np.linalg.eigvalsh(self.m_red).min()) from None
-
-    @cached_property
-    def _sim(self):
-        half = np.linalg.solve(self.chol, self.s_red)
-        return np.linalg.solve(self.chol, half.conj().T).conj().T
+    @property
+    def m_red(self):
+        return np.eye(self.n_red, dtype=self.s_red.dtype)
 
     def sim_operator(self):
-        """L^{-1} s_red L^{-H}: the generator in the energy frame, where the
-        Euclidean norm is the energy norm (xi = L^H v)."""
-        return self._sim
+        return self.s_red
 
     @cached_property
     def companion(self):
         """The same network reduced at about 0.8 n per subsystem (at least
-        4N + 6 points; n + 4 where that floor is n itself)."""
+        4N + 6 points; n + 4 where that floor is n itself), no sym_drift."""
         n_comp = []
         for s, grid in zip(self.net.subsystems, self.grids):
             nc = max(4 * s.order + 6, int(round(0.8 * grid.n)))
             n_comp.append(grid.n + 4 if nc == grid.n else nc)
-        return assemble_generator(self.net, n_comp)
+        return _reduce(self.net, n_comp)
 
     def project(self, x_full):
         """M-orthogonal projection of a full sample vector; returns (v, rel residual)."""
         x_full = np.asarray(x_full)
-        rhs = self.lift.conj().T @ (self.m_full @ x_full)
-        v = np.linalg.solve(self.m_red, rhs)
-        back = self.lift @ v
-        diff = x_full - back
+        v = self.lift.conj().T @ (self.m_full @ x_full)
+        diff = x_full - self.lift @ v
         num = float(np.real(diff.conj() @ self.m_full @ diff))
         den = max(float(np.real(x_full.conj() @ self.m_full @ x_full)), 1e-300)
         return v, np.sqrt(max(num, 0.0) / den)
@@ -218,20 +199,34 @@ class DiscreteGenerator:
         return np.split(tau, ends[:-1], axis=-1)
 
 
-def assemble_generator(net, n_per_subsystem):
-    """Reduce the closed-loop network to a DiscreteGenerator.
+def _by_nodes(blocks, x):
+    """x <- blkdiag(blocks) x in place, blocks a list of (row slice, (k, b, b) stack)."""
+    for sl, b in blocks:
+        x[sl] = (b @ x[sl].reshape(len(b), -1, x.shape[1])).reshape(-1, x.shape[1])
+    return x
 
-    n_per_subsystem is an int (applied to every subsystem) or a list.
-    The loop law comes from assemble(net) alone.  L Z is formed by blocks,
-    L_j Z_j per subsystem over the controller law A_c Z_c + B_c trace_map,
-    and Z* M once.  Raises PHStructuralError naming the subsystem when one
-    cannot be collocated, and naming the offending block when the
-    constraint matrix is rank deficient under null_basis's rank rule.
+
+def assemble_generator(net, n_per_subsystem):
+    """The DiscreteGenerator of the closed-loop network (_reduce) with its sym_drift;
+    n_per_subsystem is an int (applied to every subsystem) or a list."""
+    gen = _reduce(net, n_per_subsystem)
+    gen.meta["sym_drift"] = float(np.linalg.eigvalsh(0.5 * (gen.s_red + gen.s_red.conj().T)).max())
+    return gen
+
+
+def _reduce(net, n_per_subsystem):
+    """Energy-orthonormal reduction of the loop law of assemble(net).
+
+    M is block diagonal (quad_i H(z_i) per node, the controller weight): M =
+    W* W by Cholesky factors of its blocks' Hermitian parts.  G W^{-1}, G =
+    [W_B T, C_c] the constraint rows, touches only trace nodes and controller
+    states; z_y is null_basis of those columns and the identity elsewhere,
+    lift = W^{-1} z_y and s_red = z_y* W L lift, L lift stacking L_j lift_j
+    over A_c lift_c + B_c trace_map.  Raises PHStructuralError naming a
+    subsystem that cannot be collocated, or the block of dependent rows.
     """
-    if np.isscalar(n_per_subsystem):
-        n_list = [int(n_per_subsystem)] * len(net.subsystems)
-    else:
-        n_list = [int(n) for n in n_per_subsystem]
+    n_list = ([int(n_per_subsystem)] * len(net.subsystems) if np.isscalar(n_per_subsystem)
+              else [int(n) for n in n_per_subsystem])
     if len(n_list) != len(net.subsystems):
         raise PHStructuralError("need one resolution per subsystem")
 
@@ -253,44 +248,57 @@ def assemble_generator(net, n_per_subsystem):
     dtype = np.result_type(closed.w_b_net, *(o.l for o in ops))
     m_full = np.zeros((n_full, n_full), dtype=dtype)
     t_stack = np.zeros((sum(o.t.shape[0] for o in ops), n_pde), dtype=dtype)
-    r = 0
-    for o, sl in zip(ops, sample_slices):
+    r, blocks = 0, []
+    for s, o, sl in zip(net.subsystems, ops, sample_slices):
         m_full[sl, sl] = o.m
         t_stack[r:r + o.t.shape[0], sl] = o.t
         r += o.t.shape[0]
+        blocks.append((sl, np.einsum("iaib->iab", o.m.reshape(o.grid.n, s.dim, o.grid.n, s.dim))))
     m_full[controller_slice, controller_slice] = closed.controller_weight
+    blocks.append((controller_slice, closed.controller_weight[None]))
+    try:
+        w = [(sl, np.linalg.cholesky(0.5 * (b + b.conj().swapaxes(1, 2)), upper=True))
+             for sl, b in blocks]
+    except np.linalg.LinAlgError:
+        raise PHStructuralError("energy weight M not positive definite") from None
+    w_inv = [(sl, np.linalg.inv(b)) for sl, b in w]
 
-    # constraint rows on (samples, x_c); z spans their null space
+    # constraint rows on (samples, x_c); z_y spans the null space of G W^{-1}
     g = np.hstack([closed.w_b_net @ t_stack, closed.c_c_net])
-    z = null_basis(g)
-    if z.shape[1] != n_full - g.shape[0]:
+    g_w = _by_nodes([(sl, b.swapaxes(1, 2)) for sl, b in w_inv], g.T.copy()).T
+    touched, free = np.flatnonzero(g_w.any(axis=0)), np.flatnonzero(~g_w.any(axis=0))
+    kernel = null_basis(g_w[:, touched])
+    if kernel.shape[1] != len(touched) - g.shape[0]:
         # the smallest left singular vector names the dependent rows
-        u, sv, _ = np.linalg.svd(g)
+        u, sv, _ = np.linalg.svd(g_w[:, touched])
         row = int(closed.kept_rows[np.argmax(np.abs(u[:, -1]))])
         j = int(np.searchsorted(net.port_offsets, row, side="right")) - 1
         raise PHStructuralError("constraint matrix rank deficient (smallest singular value "
                                 "%.2e); offending block: subsystem %d (port row %d)"
-                                % (sv.min(), j, row))
+                                % (sv[-1] if len(sv) == g.shape[0] else 0.0, j, row))
 
-    trace_map = t_stack @ z[:n_pde]
-    lz = np.vstack([o.l @ z[sl] for o, sl in zip(ops, sample_slices)]
-                   + [closed.a_c_net @ z[controller_slice] + closed.b_c_net @ trace_map])
-    zm = z.conj().T @ m_full
-    m_red, s_red = zm @ z, zm @ lz
-    del zm, lz      # two n_full x n_red temporaries, freed before the energy frame is built
-    gen = DiscreteGenerator(
-        m_red=m_red, s_red=s_red, lift=z, m_full=m_full, trace_map=trace_map,
-        sample_slices=sample_slices, controller_slice=controller_slice,
-        grids=[o.grid for o in ops], net=net,
+    # kernel columns first: last, they grow the pivots of a dense LU of I - dt/2 s_red
+    lift = np.zeros((n_full, kernel.shape[1] + len(free)), dtype=dtype)
+    lift[touched, :kernel.shape[1]] = kernel
+    lift[free, kernel.shape[1] + np.arange(len(free))] = 1.0
+    _by_nodes(w_inv, lift)
+    trace_map = t_stack @ lift[:n_pde]
+    lz = np.zeros(lift.shape, dtype=dtype)
+    for o, sl in zip(ops, sample_slices):
+        cols = np.flatnonzero(lift[sl].any(axis=0))       # the columns lift_j touches
+        lz[sl, cols] = o.l @ lift[sl, cols]
+    lz[controller_slice] = closed.a_c_net @ lift[controller_slice] + closed.b_c_net @ trace_map
+    w_lz = _by_nodes(w, lz)
+    return DiscreteGenerator(
+        s_red=np.vstack([kernel.conj().T @ w_lz[touched], w_lz[free]]), lift=lift,
+        m_full=m_full, trace_map=trace_map, sample_slices=sample_slices,
+        controller_slice=controller_slice, grids=[o.grid for o in ops], net=net,
         meta={"constraint": g,
-              "constraint_residual": float(np.abs(g @ z).max()) if g.size else 0.0})
-    sim = gen.sim_operator()
-    gen.meta["sym_drift"] = float(np.linalg.eigvalsh(0.5 * (sim + sim.conj().T)).max())
-    return gen
+              "constraint_residual": float(np.abs(g @ lift).max()) if g.size else 0.0})
 
 
 def discrete_energy_rate(gen, v):
-    """Re v* s_red v = dH/dt along m_red dv/dt = s_red v: the energy balance's left side."""
+    """Re v* s_red v = dH/dt along dv/dt = s_red v: the energy balance's left side."""
     v = np.asarray(v)
     return float(np.real(v.conj() @ gen.s_red @ v))
 

@@ -35,17 +35,16 @@ _PROFILE_Z = np.linspace(0.0, 1.0, 513)
 
 
 def scalar_profile(value):
-    """1 x 1 MatrixFunction from a number, a 1 x 1 MatrixFunction, or a dict
-    {"kind": "constant" | "polynomial" | "samples", "data": [...]}."""
+    """1 x 1 MatrixFunction from a number, a 1 x 1 MatrixFunction, or a dict {"kind":
+    "constant", "data": number} or {"kind": "polynomial" | "samples", "data": [numbers]}."""
     if isinstance(value, MatrixFunction) and value.dim == 1:
         return value
     if isinstance(value, dict):
-        data = np.atleast_1d(np.asarray(value["data"], dtype=float))
-        if not data.size:
-            raise ScenarioError("profile %r has no data" % (value,))
-        if value["kind"] == "constant":
-            return MatrixFunction.constant(data[0])
-        return MatrixFunction(value["kind"], data.reshape(-1, 1, 1))
+        data = np.asarray(value["data"], dtype=float)
+        if not data.size or data.ndim != (0 if value["kind"] == "constant" else 1):
+            raise ScenarioError("profile %r has no data or data of the wrong shape: a constant "
+                                "takes one number, the other kinds a flat list" % (value,))
+        return MatrixFunction(value["kind"], data.reshape(data.shape + (1, 1)))
     if np.isscalar(value):
         return MatrixFunction.constant(float(value))
     raise ScenarioError("cannot interpret %r as a coefficient profile" % (value,))
@@ -453,6 +452,6 @@ def build_scenario(name, params=None):
         return entry["build"](**merged)
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
-        # an unknown keyword, or a value of the wrong type or shape
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # an unknown keyword, a value of the wrong type or shape, an int beyond float range
         raise ScenarioError("bad parameters for scenario %r: %s" % (name, exc)) from exc

@@ -1,20 +1,20 @@
 """Contractive time integration of the reduced generator.
 
-One step of the implicit midpoint rule is the Cayley transform
+In the energy frame of DiscreteGenerator, the energy is 1/2 |v|^2 and one
+step of the implicit midpoint rule is the Cayley transform
 
-    (m_red - dt/2 s_red) v' = (m_red + dt/2 s_red) v,
+    (I - dt/2 s_red) v' = (I + dt/2 s_red) v,
 
-which maps an m_red-dissipative generator to a discrete contraction for
+which maps a dissipative generator (Sym s_red <= 0) to a contraction for
 every dt > 0 and is energy-preserving for conservative networks.  The
-per-step energy balance (H_{k+1} - H_k)/dt = Re<A v_mid, v_mid> holds
+per-step energy balance (H_{k+1} - H_k)/dt = Re<s_red v_mid, v_mid> holds
 exactly for the midpoint state v_mid = (v + v')/2.
 
-Since m + dt/2 s = 2m - (m - dt/2 s), the step is taken in midpoint form:
-solve (m_red - dt/2 s_red) w = m_red v, then v' = 2w - v, where w is the
-midpoint state.  The pencil of the Gauss-Lobatto reduction is block sparse
-(at n_red 940, m_red is 0.12 % and s_red 7 % nonzero), so the Cayley
-matrix is factored once by SuperLU and each step costs one sparse product
-and two sparse triangular solves.
+Since I + dt/2 s = 2I - (I - dt/2 s), the step is taken in midpoint form:
+solve (I - dt/2 s_red) w = v, then v' = 2w - v, where w is the midpoint
+state.  s_red is block sparse (about 7 % nonzero at n_red 940), so the
+Cayley matrix is factored once by SuperLU and each step costs two sparse
+triangular solves.
 """
 
 import numpy as np
@@ -22,13 +22,14 @@ from dataclasses import dataclass, field
 
 INCOMPATIBLE_TOL = 1e-6
 
-# SuperLU column ordering for the Cayley matrix.  Its pattern, that of
-# m_red + s_red, is structurally symmetric, so minimum degree on A^T + A
-# suits it.  SuperLU's default COLAMD fills it far more once joint dampers
-# couple neighbouring strings: on a ten-string chain at n_red 940, L + U
-# hold 795 570 nonzeros (90 % of dense) against 82 097 here, and a
-# sparse solve then costs more than a dense one.
+# SuperLU settings for the Cayley matrix I - dt/2 s_red.  Its pattern is
+# structurally symmetric, so minimum degree on A^T + A suits it, and its
+# Hermitian part is >= I when Sym s_red <= 0, so diagonal pivots are safe
+# and keep that ordering's fill.  On the trajectory chain (ten strings,
+# damped joints, n_red 940) L + U hold 89 262 nonzeros (10 % of dense),
+# against 139 860 under COLAMD and 299 221 under partial pivoting.
 PERMC_SPEC = "MMD_AT_PLUS_A"
+DIAG_PIVOT_THRESH = 0.1
 
 
 @dataclass
@@ -64,14 +65,13 @@ def write_csv(path, header, columns):
 
 
 class CayleyStepper:
-    """Sparse LU of (m_red - dt/2 s_red) for fixed dt, used in midpoint form.
+    """Sparse LU of (I - dt/2 s_red) for fixed dt, used in midpoint form.
 
-    step(v) solves (m_red - dt/2 s_red) w = m_red v for the midpoint state w
-    and returns v' = 2w - v, the Cayley step.  SuperLU factors the matrix
-    once with the minimum-degree ordering PERMC_SPEC, which keeps L + U near
-    9 % of dense at n_red 940 where the default COLAMD fills 90 %.  m is
-    m_red in CSC form, so energy(v) costs O(nnz) too.  scipy.sparse is
-    imported here, not with phnet: only stepping needs it.
+    step(v) solves (I - dt/2 s_red) w = v for the midpoint state w and
+    returns v' = 2w - v, the Cayley step.  SuperLU factors the matrix once,
+    with PERMC_SPEC and DIAG_PIVOT_THRESH.  The energy of a reduced state
+    is 1/2 |v|^2.  scipy.sparse is imported here, not with phnet: only
+    stepping needs it.
     """
 
     def __init__(self, gen, dt):
@@ -81,10 +81,10 @@ class CayleyStepper:
             raise ValueError("dt must be positive")
         self.gen = gen
         self.dt = float(dt)
-        self.m = csc_matrix(gen.m_red)
-        a = self.m - 0.5 * self.dt * csc_matrix(gen.s_red)
+        a = csc_matrix(np.eye(len(gen.s_red)) - 0.5 * self.dt * gen.s_red)
+        self.real = not np.iscomplexobj(a)
         try:
-            self.lu = splu(a, permc_spec=PERMC_SPEC)
+            self.lu = splu(a, permc_spec=PERMC_SPEC, diag_pivot_thresh=DIAG_PIVOT_THRESH)
         except RuntimeError as exc:      # SuperLU: "Factor is exactly singular"
             raise RuntimeError(
                 "Cayley solver failed at dt=%.3e (cond ~ %.2e): %s"
@@ -92,16 +92,15 @@ class CayleyStepper:
 
     def step(self, v):
         v = np.asarray(v)
-        rhs = self.m @ v
-        if np.iscomplexobj(rhs) and not np.iscomplexobj(self.m):   # real factor
-            w = self.lu.solve(rhs.real) + 1j * self.lu.solve(rhs.imag)
+        if np.iscomplexobj(v) and self.real:
+            w = self.lu.solve(v.real) + 1j * self.lu.solve(v.imag)
         else:
-            w = self.lu.solve(rhs)
+            w = self.lu.solve(v)
         return 2.0 * w - v
 
     def energy(self, v):
-        """H = 1/2 <v, v>_{m_red} of a reduced state, from the sparse m_red."""
-        return 0.5 * float(np.real(np.vdot(v, self.m @ v)))
+        """H = 1/2 |v|^2 of a reduced state."""
+        return 0.5 * float(np.real(np.vdot(v, v)))
 
 
 def default_dt(gen, spectrum_report=None):
@@ -122,7 +121,7 @@ def _step_count(t_end, dt):
 
 
 def simulate(gen, x0, dt=None, t_end=10.0, record_every=1):
-    """Integrate dv/dt = m_red^{-1} s_red v from a full sample-coordinate initial state.
+    """Integrate dv/dt = s_red v from a full sample-coordinate initial state.
 
     x0 may omit the controller tail (zeros appended).  The initial state is
     projected M-orthogonally onto the constraint null space; a projection

@@ -13,7 +13,6 @@ from numpy.polynomial import polynomial as npoly
 from phnet import MatrixFunction, Network, PHSubsystem, discretize_subsystem, make_grid
 from phnet.model import flux_matrix
 from phnet.network import assemble
-from phnet.passivity import null_basis
 
 GAUSS_N = 64
 _gx, _gw = np.polynomial.legendre.leggauss(GAUSS_N)
@@ -155,11 +154,20 @@ def random_passive_network(rng, n_subsystems, complex_ok=False, with_controller=
 
 def slowest_mode(gen, rep):
     """Real full-sample state of the slowest trusted mode rep.eigenvalues[0]:
-    the nearest eig column xi of gen.sim_operator(), mapped back by L^{-H}
-    and lift."""
-    vals, xi = np.linalg.eig(gen.sim_operator())
-    col = xi[:, np.argmin(np.abs(vals - rep.eigenvalues[0]))]
-    return np.real(gen.lift @ np.linalg.solve(gen.chol.conj().T, col))
+    the nearest eig column v of gen.s_red, mapped back by the lift."""
+    vals, v = np.linalg.eig(gen.s_red)
+    return np.real(gen.lift @ v[:, np.argmin(np.abs(vals - rep.eigenvalues[0]))])
+
+
+def random_constrained_state(gen, rng):
+    """Reduced coordinates v of a random constrained state x = lift v: white
+    noise in sample coordinates, projected orthogonally onto ker G.  The
+    distribution of x is that of Z w, w white, for any Euclidean-orthonormal
+    basis Z of ker G, so it does not depend on the reduction's basis."""
+    g = gen.meta["constraint"]
+    w = rng.standard_normal(gen.n_full)
+    v, _ = gen.project(w - np.linalg.pinv(g) @ (g @ w))
+    return v
 
 
 def kron_collocation(subsystem, n):
@@ -197,10 +205,10 @@ def kron_collocation(subsystem, n):
 
 
 def full_space_pencil(net, n):
-    """Reference (m_red, s_red, lift, trace_map) of assemble_generator from
-    the full-space closed loop: L = blkdiag(L_j) with the controller rows
-    [B_c T, A_c] appended, M = blkdiag(M_j, controller weight), and the
-    triple products Z* M Z and Z* M L Z on Z = null_basis([W_B T, C_c])."""
+    """The full-space closed loop (L, M, G, T) that assemble_generator
+    reduces: L = blkdiag(L_j) with the controller rows [B_c T, A_c]
+    appended, M = blkdiag(M_j, controller weight), the constraint rows
+    G = [W_B T, C_c] and the stacked trace rows T = blkdiag(T_j)."""
     closed = assemble(net)
     ops = [discretize_subsystem(s, n) for s in net.subsystems]
     n_pde = sum(o.l.shape[0] for o in ops)
@@ -219,9 +227,7 @@ def full_space_pencil(net, n):
     m_full[n_pde:, n_pde:] = closed.controller_weight
     l_full[n_pde:, n_pde:] = closed.a_c_net
     l_full[n_pde:, :n_pde] = closed.b_c_net @ t_stack
-    z = null_basis(np.hstack([closed.w_b_net @ t_stack, closed.c_c_net]))
-    return (z.conj().T @ m_full @ z, z.conj().T @ m_full @ l_full @ z, z,
-            t_stack @ z[:n_pde])
+    return l_full, m_full, np.hstack([closed.w_b_net @ t_stack, closed.c_c_net]), t_stack
 
 
 def random_nsd_k(rng, size, strict=0.0):

@@ -28,7 +28,7 @@ def svd_oracle_deviation(gen, scan):
     itself carries an absolute error of eps * sigma_max, which is eps * cond
     relative at a sharp resolvent peak.
     """
-    sim = gen.sim_operator()
+    sim = gen.s_red
     eye = np.eye(gen.n_red)
     keep = ~scan.diverged
     worst = 0.0
@@ -98,7 +98,7 @@ class TestSpectrum:
         gen = assemble_generator(net, [4 * s.order + 6 for s in net.subsystems])
         rep = spectrum(gen)
         assert len(rep.eigenvalues) == 0 or rep.abscissa <= 1e-7
-        assert gen.meta["sym_drift"] <= 1e-10 * np.abs(gen.sim_operator()).max()
+        assert gen.meta["sym_drift"] <= 1e-10 * np.abs(gen.s_red).max()
 
 
 class TestNetworkFileRoundTrip:

@@ -301,11 +301,20 @@ class TestExitCodes:
         ("chain_of_strings", {"m": 2, "lengths": [1, float("inf")]}),
         ("chain_of_strings", {"m": 1, "rho": [{"kind": "samples",
                                                "data": [1, -0.001, 1, 1, 1, 1, 1]}]}),
-        ("chain_of_strings", {"m": 1, "rho": [{"kind": "constant", "data": []}]})],
-        ids=["nan_kappa", "infinite_kappa", "infinite_length", "negative_knot", "empty"])
+        ("chain_of_strings", {"m": 1, "rho": [{"kind": "constant", "data": []}]}),
+        ("chain_of_strings", {"m": 2, "kappa": [10 ** 400, 0]}),
+        ("mass_damped_string", {"mass": 10 ** 400}),
+        ("chain_of_strings", {"m": 1, "rho": [{"kind": "constant", "data": [1, -5, 7]}]}),
+        ("chain_of_strings", {"m": 1, "rho": [{"kind": "samples",
+                                               "data": [[1, 1], [1, 1]]}]})],
+        ids=["nan_kappa", "infinite_kappa", "infinite_length", "negative_knot", "empty",
+             "huge_kappa", "huge_mass", "constant_list", "nested_samples"])
     def test_scenario_parameter_out_of_range(self, tmp_path, capsys, command, name, params):
         # NaN and Infinity used to exit 1 (an SVD traceback, or "pass": false),
-        # an empty profile with an IndexError; the negative knot exited 0
+        # an empty profile with an IndexError, an integer beyond float range
+        # with an OverflowError traceback; the negative knot exited 0, and so
+        # did a constant profile given a list (read as its first entry) and
+        # nested samples (flattened into knots)
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"schema": 1, "scenario": {"name": name, "params": params}}))
         out = ["--out", str(tmp_path / "s.csv")] if command == "spectrum" else []

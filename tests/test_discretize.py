@@ -11,7 +11,8 @@ from phnet.discretize import boundary_flux, discrete_energy_rate
 from phnet.scenarios import _wave_subsystem
 
 from helpers import (chain_transfer_characteristic, full_space_pencil, kron_collocation,
-                     random_passive_network, random_passive_subsystem, secant_root)
+                     random_constrained_state, random_passive_network,
+                     random_passive_subsystem, secant_root)
 
 P1_WAVE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -262,7 +263,7 @@ class TestAssembleGenerator:
             return assemble_generator(Network(subsystems=(sub,), k_mat=np.zeros((2, 2))), 16)
 
         scalar, matrix = gen_with(2.0), gen_with(2.0 * np.eye(2))
-        assert scalar.m_red.dtype == scalar.s_red.dtype == np.float64
+        assert scalar.lift.dtype == scalar.s_red.dtype == np.float64
         got, want = spectrum(scalar).eigenvalues, spectrum(matrix).eigenvalues
         assert len(got) == len(want) > 0
         assert np.abs(got - want).max() <= 1e-12
@@ -272,17 +273,26 @@ class TestAssembleGenerator:
            complex_ok=st.booleans(), with_controller=st.booleans(), extra=st.integers(0, 8))
     def test_matches_full_space_reference(self, seed, n_subsystems, complex_ok,
                                           with_controller, extra):
-        # the block-wise L Z against the full-space closed-loop oracle
+        # the per-node factors and the block-wise L lift against the
+        # full-space closed loop: an energy-orthonormal constraint null space
         net = random_passive_network(np.random.default_rng(seed), n_subsystems,
                                      complex_ok, with_controller)
         n = 12 + extra
         gen = assemble_generator(net, n)
-        m_red, s_red, lift, trace_map = full_space_pencil(net, n)
-        for got, want in ((gen.m_red, m_red), (gen.lift, lift), (gen.trace_map, trace_map)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-        assert gen.s_red.dtype == s_red.dtype and gen.s_red.shape == s_red.shape
+        l_full, m_full, g, t = full_space_pencil(net, n)
+        lift = gen.lift
+        assert lift.dtype == gen.s_red.dtype == l_full.dtype
+        assert np.abs(g @ lift).max() <= 1e-10 * max(1.0, np.abs(g).max())
+        rank = np.linalg.matrix_rank
+        assert lift.shape[1] == rank(lift) == len(m_full) - rank(g)
+        gram = lift.conj().T @ m_full @ lift
+        assert np.abs(gram - np.eye(gen.n_red)).max() <= 1e-12
+        # the aliases the benchmark oracles read
+        assert np.array_equal(gen.m_red, np.eye(gen.n_red)) and gen.sim_operator() is gen.s_red
+        s_red = lift.conj().T @ m_full @ l_full @ lift
         assert np.abs(gen.s_red - s_red).max() <= 1e-13 * np.abs(s_red).max()
+        trace_map = t @ lift[:t.shape[1]]
+        assert np.abs(gen.trace_map - trace_map).max() <= 1e-13 * np.abs(trace_map).max()
 
 
 class TestDiscreteEnergyBalance:
@@ -293,7 +303,7 @@ class TestDiscreteEnergyBalance:
         net = damped_wave_network(0.7)
         gen = assemble_generator(net, 32)
         for _ in range(10):
-            v = rng.standard_normal(gen.n_red)
+            v = random_constrained_state(gen, rng)
             lhs = discrete_energy_rate(gen, v)
             rhs = boundary_flux(gen, v)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))

@@ -16,7 +16,7 @@ from phnet.discretize import discrete_energy_rate
 from phnet.model import flux_form
 from phnet.scenarios import _wave_subsystem
 
-from helpers import slowest_mode
+from helpers import random_constrained_state, slowest_mode
 
 
 def constraint_projector(net):
@@ -214,7 +214,7 @@ class TestCoupled:
         gen = assemble_generator(net, 32)
         rng = np.random.default_rng(9)
         for _ in range(100):
-            v = rng.standard_normal(gen.n_red)
+            v = random_constrained_state(gen, rng)
             x = gen.lift @ v
             rate = discrete_energy_rate(gen, v)
             xc2 = x[gen.controller_slice][1]

@@ -16,7 +16,7 @@ from phnet.discretize import boundary_flux, discrete_energy_rate
 from phnet.scenarios import _wave_subsystem
 from phnet.simulate import CayleyStepper
 
-from helpers import random_passive_network
+from helpers import random_constrained_state, random_passive_network
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +35,6 @@ def damped():
 class TestStepMidpoint:
     def test_zero_dynamics_identity(self):
         class Dummy:
-            m_red = np.eye(3)
             s_red = np.zeros((3, 3))
         v = np.array([1.0, -2.0, 0.5])
         assert np.allclose(CayleyStepper(Dummy(), 0.1).step(v), v)
@@ -43,7 +42,6 @@ class TestStepMidpoint:
     def test_scalar_cayley_at_minus_one(self):
         # a = -1, dt = 2: (1 + dt/2 a) / (1 - dt/2 a) = 0
         class Dummy:
-            m_red = np.eye(1)
             s_red = -np.eye(1)
         assert np.allclose(CayleyStepper(Dummy(), 2.0).step(np.array([3.0])), [0.0])
 
@@ -61,9 +59,8 @@ class TestStepMidpoint:
             CayleyStepper(gen, 0.0)
 
     def test_singular_cayley_matrix_names_dt_and_condition(self):
-        # m - dt/2 s = 1 - 1/2 * 2 = 0
+        # 1 - dt/2 s = 1 - 1/2 * 2 = 0
         class Dummy:
-            m_red = np.eye(1)
             s_red = 2.0 * np.eye(1)
         with pytest.raises(RuntimeError, match=r"dt=1\.000e\+00 \(cond ~ inf\)"):
             CayleyStepper(Dummy(), 1.0)
@@ -81,7 +78,7 @@ class TestSparseStepper:
         rng = np.random.default_rng(seed)
         net = random_passive_network(rng, n_subsystems, complex_ok, with_controller)
         gen = assemble_generator(net, 16)
-        m, s, h = gen.m_red, gen.s_red, 0.5 * dt
+        m, s, h = np.eye(gen.n_red), gen.s_red, 0.5 * dt
         v = rng.standard_normal(gen.n_red)
         if np.iscomplexobj(m):
             v = v + 1j * rng.standard_normal(gen.n_red)
@@ -98,7 +95,7 @@ class TestSparseStepper:
         net, gen = damped
         rng = np.random.default_rng(5)
         v = rng.standard_normal(gen.n_red) + 1j * rng.standard_normal(gen.n_red)
-        m, s, h = gen.m_red, gen.s_red, 5e-3
+        m, s, h = np.eye(gen.n_red), gen.s_red, 5e-3
         want = np.linalg.solve(m - h * s, (m + h * s) @ v)
         got = CayleyStepper(gen, 1e-2).step(v)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -109,6 +106,16 @@ class TestSparseStepper:
         gen = assemble_generator(build_chain(m=10, kappa=[0.5] + [0.02] * 9), 48)
         lu = CayleyStepper(gen, 2.5e-3).lu
         assert lu.L.nnz + lu.U.nnz < 0.2 * gen.n_red ** 2
+
+    def test_dense_cayley_solve_is_backward_stable(self):
+        # a dense LU of I - dt/2 s_red, as the benchmark's trajectory oracle
+        # takes it: with the constraint-kernel coordinates after the free
+        # ones, its pivot growth left backward errors of 1.5e-10
+        gen = assemble_generator(build_chain(m=10, kappa=[0.5] + [0.02] * 9), 48)
+        a = np.eye(gen.n_red) - 5e-3 * gen.s_red           # dt = 1e-2
+        b = np.random.default_rng(0).standard_normal(gen.n_red)
+        x = np.linalg.solve(a, b)
+        assert np.linalg.norm(b - a @ x) <= 1e-14 * np.linalg.norm(a, 2) * np.linalg.norm(x)
 
     def test_import_phnet_leaves_scipy_sparse_out(self):
         # only stepping needs scipy.sparse (20 ms and 2.3 MB to import)
@@ -199,8 +206,8 @@ class TestInvariants:
             v = fwd.step(v)
         for _ in range(50):
             # stepping with -dt is the inverse Cayley map
-            v = np.linalg.solve(gen.m_red + 5e-3 * gen.s_red,
-                                (gen.m_red - 5e-3 * gen.s_red) @ v)
+            v = np.linalg.solve(np.eye(gen.n_red) + 5e-3 * gen.s_red,
+                                v - 5e-3 * gen.s_red @ v)
         assert np.abs(v - v0).max() <= 1e-9 * max(1.0, np.abs(v0).max())
 
     def test_energy_balance_is_exact_midpoint_identity(self, damped):
@@ -229,6 +236,6 @@ class TestInvariants:
         net, gen = damped
         rng = np.random.default_rng(4)
         for _ in range(5):
-            v = rng.standard_normal(gen.n_red)
+            v = random_constrained_state(gen, rng)
             assert abs(discrete_energy_rate(gen, v)
                        - boundary_flux(gen, v)) <= 1e-10
