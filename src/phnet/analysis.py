@@ -12,8 +12,6 @@ Exponential stability verdicts are surrogates, not proofs: abscissa <
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.linalg import rsf2csf, schur
-from scipy.linalg.lapack import ztrtrs
 
 ZERO_MODE_REL_TOL = 1e-8
 TRUST_MATCH_RTOL = 1e-6
@@ -65,15 +63,16 @@ def _matches(vals, ref):
 def spectrum(gen):
     """Eigenvalues of the reduced generator in the energy inner product.
 
-    One eigvals of the energy-frame generator s_red and one of its
-    companion resolution (built on first use); no eigenvector is formed
+    The eigvals of the energy-frame generator s_red and of its companion
+    resolution, each computed once per generator (gen.eigenvalues, which
+    asp_diagnostic reads for the companion too); no eigenvector is formed
     (asp_diagnostic computes its own).
     An eigenvalue is trusted when the companion has one within
     TRUST_MATCH_RTOL * (1 + |lambda|).  Zero modes are |lambda| <
     ZERO_MODE_REL_TOL * max|raw lambda|, a scale free of the reduction's basis.
     """
-    vals = np.linalg.eigvals(gen.s_red)
-    comp_vals = np.linalg.eigvals(gen.companion.s_red)
+    vals = gen.eigenvalues
+    comp_vals = gen.companion.eigenvalues
     trusted = vals[_matches(vals, comp_vals).any(axis=1)]
     trusted = trusted[np.argsort(-trusted.real)]
     scale = float(np.abs(vals).max(initial=1e-300))
@@ -105,7 +104,7 @@ class ResolventScan:
                 "diverged": int(self.diverged.sum())}
 
 
-def _inverse_lanczos(b, start):
+def _inverse_lanczos(b, start, ztrtrs):
     """Largest eigenvalue of (B B^H)^{-1} and its Ritz vector, B upper triangular.
 
     Each step applies B^{-H} B^{-1} by two triangular solves and fully
@@ -113,7 +112,8 @@ def _inverse_lanczos(b, start):
     stops once the Ritz residual |beta_k s_k| is at most LANCZOS_RTOL *
     theta, which by Weyl's bound puts theta within LANCZOS_RTOL relative
     of an eigenvalue; at step n the basis spans the space and theta is
-    exact.  Returns (inf, None) on an exactly zero pivot.
+    exact.  Returns (inf, None) on an exactly zero pivot.  ztrtrs is
+    LAPACK's complex triangular solve, which the caller imports.
     """
     n = b.shape[0]
     basis = [start / np.linalg.norm(start)]
@@ -160,7 +160,12 @@ def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None):
     from the previous one's Ritz vector blended with a fixed seeded
     vector, and from the seeded vector alone after a diverged sample.  The
     dense SVD of i beta I - s_red is the tests' oracle, not a code path.
+    scipy.linalg (schur, rsf2csf, ztrtrs) is imported here, once per scan,
+    so that importing phnet, check and spectrum load no scipy.
     """
+    from scipy.linalg import rsf2csf, schur
+    from scipy.linalg.lapack import ztrtrs
+
     rep = spectrum_report if spectrum_report is not None else spectrum(gen)
     ev = rep.eigenvalues
     trust_band = 0.7 * float(np.abs(ev.imag).max()) if len(ev) else 1.0
@@ -198,7 +203,7 @@ def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None):
     norms = np.empty(len(betas))
     for i, beta in enumerate(betas):
         np.fill_diagonal(b, 1j * beta - t_diag)
-        theta, ritz = _inverse_lanczos(b, start)
+        theta, ritz = _inverse_lanczos(b, start, ztrtrs)
         norms[i] = np.sqrt(theta)
         start = seed if diverged[i] or ritz is None else ritz + LANCZOS_BLEND * seed
 
@@ -251,7 +256,7 @@ def asp_diagnostic(gen, r_selector):
     residual) in descending real part.
     """
     vals, v = np.linalg.eig(gen.s_red)
-    comp_vals = np.linalg.eigvals(gen.companion.s_red)
+    comp_vals = gen.companion.eigenvalues
     scale = float(np.abs(vals).max(initial=1e-300))
     near = np.flatnonzero(_matches(vals, comp_vals).any(axis=1)
                           & (np.abs(vals.real) < ZERO_MODE_REL_TOL * scale * 10))

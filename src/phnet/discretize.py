@@ -14,12 +14,14 @@ energy frame (recorded per run as sym_drift).
 
 import numpy as np
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from numpy.polynomial import legendre as npleg
 
 from .model import PHStructuralError, coercivity, flux_form
 from .network import assemble
 from .passivity import null_basis
+
+GRID_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,13 @@ def _barycentric_diffmat(x):
     return d
 
 
+@lru_cache(maxsize=GRID_CACHE_SIZE)
 def make_grid(n):
-    """SubsystemGrid of n Gauss-Lobatto points mapped to (0, 1)."""
+    """SubsystemGrid of n Gauss-Lobatto points mapped to (0, 1).
+
+    Memoised (the last GRID_CACHE_SIZE resolutions): every subsystem of a
+    reduction and of its companion shares the one read-only grid per n.
+    """
     x, w = _lgl_nodes_weights(n)
     pts = 0.5 * (x + 1.0)
     d = 2.0 * _barycentric_diffmat(x)   # chain rule for the map to (0, 1)
@@ -141,8 +148,9 @@ class DiscreteGenerator:
     trace_map @ v stacks every subsystem's traces.  meta holds the
     constraint rows, constraint_residual = max |G lift| and sym_drift = max
     eig of Sym s_red.  The companion (a coarser resolution, for the
-    two-grid eigenvalue filter) is built on first use.  m_red (= I) and
-    sim_operator() (= s_red) serve the benchmark oracles only.
+    two-grid eigenvalue filter) and the eigenvalues of s_red (read-only)
+    are computed on first use.  m_red (= I) and sim_operator() (= s_red)
+    serve the benchmark oracles only.
     """
 
     s_red: np.ndarray
@@ -179,6 +187,14 @@ class DiscreteGenerator:
             nc = max(4 * s.order + 6, int(round(0.8 * grid.n)))
             n_comp.append(grid.n + 4 if nc == grid.n else nc)
         return _reduce(self.net, n_comp)
+
+    @cached_property
+    def eigenvalues(self):
+        """eigvals of s_red, computed once: spectrum reads them for the
+        generator and its companion, asp_diagnostic for the companion."""
+        vals = np.linalg.eigvals(self.s_red)
+        vals.setflags(write=False)
+        return vals
 
     def project(self, x_full):
         """M-orthogonal projection of a full sample vector; returns (v, rel residual)."""

@@ -17,7 +17,6 @@ import graphlib
 import heapq
 
 import numpy as np
-import scipy.linalg as sla
 from dataclasses import dataclass
 
 from .model import PHStructuralError, _as_matrix, flux_form
@@ -161,6 +160,16 @@ class ClosedLoopDescription:
         return np.vstack([top, bot])
 
 
+def _block_diag(blocks):
+    """Block-diagonal matrix of 2-D blocks in their result dtype, as
+    scipy.linalg.block_diag builds it."""
+    rows, cols = np.cumsum([(0, 0)] + [b.shape for b in blocks], axis=0).T
+    out = np.zeros((rows[-1], cols[-1]), dtype=np.result_type(*blocks))
+    for b, r, c in zip(blocks, rows, cols):
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+    return out
+
+
 def assemble(net):
     """Build the ClosedLoopDescription of a Network.
 
@@ -179,9 +188,9 @@ def assemble(net):
     if k.shape != (p, p):
         raise PHStructuralError("k_mat has shape %s, expected (%d, %d)" % (k.shape, p, p))
 
-    w_b_blk = sla.block_diag(*[s.w_b for s in net.subsystems])
-    w_c_blk = sla.block_diag(*[s.w_c for s in net.subsystems])
-    q_blk = sla.block_diag(*[flux_form(s) for s in net.subsystems])
+    w_b_blk = _block_diag([s.w_b for s in net.subsystems])
+    w_c_blk = _block_diag([s.w_c for s in net.subsystems])
+    q_blk = _block_diag([flux_form(s) for s in net.subsystems])
 
     dtype = np.result_type(float, w_b_blk, w_c_blk, k, *(
         m for c in net.controllers for m in (c.a_c, c.b_c, c.c_c, c.d_c, c.state_weight)))

@@ -216,6 +216,33 @@ class TestAspDiagnostic:
             assert max(residuals) > 1e-3
 
 
+    def test_one_companion_eigensolve(self, monkeypatch):
+        # spectrum and asp_diagnostic share the companion's eigenvalues
+        selector = [(0, 2), (0, 3)]
+        s = _wave_subsystem(1.0, 1.0, kind="last")
+        net = Network(subsystems=(s,), k_mat=np.zeros((2, 2)))
+        ref = assemble_generator(net, 32)
+        want_asp = asp_diagnostic(ref, selector)     # the other order
+        want_rep = spectrum(ref)
+
+        gen = assemble_generator(net, 32)
+        eigvals, solved = np.linalg.eigvals, []
+
+        def counting(a):
+            solved.append(a is gen.companion.s_red)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        rep = spectrum(gen)
+        out = asp_diagnostic(gen, selector)
+        monkeypatch.undo()
+        assert sum(solved) == 1
+        assert np.array_equal(gen.companion.eigenvalues, np.linalg.eigvals(gen.companion.s_red))
+        assert np.array_equal(rep.raw_eigenvalues, np.linalg.eigvals(gen.s_red))
+        assert np.array_equal(rep.eigenvalues, want_rep.eigenvalues)
+        assert out == want_asp and len(out) > 0
+
+
 class TestDecayFit:
     def test_conservative_eta_zero(self, free_free_gen):
         net, gen = free_free_gen

@@ -37,6 +37,15 @@ class TestGrid:
             exact = 1.0 / (deg + 1)
             assert abs(grid.quad @ grid.points ** deg - exact) <= 1e-14
 
+    def test_grid_is_memoised_and_read_only(self):
+        # every subsystem of a reduction and its companion shares one grid per n
+        grid = make_grid(12)
+        assert make_grid(12) is grid
+        for arr in (grid.points, grid.diff, grid.quad):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_summation_by_parts_identity(self):
         for n in (8, 32, 64):
             grid = make_grid(n)

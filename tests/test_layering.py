@@ -1,8 +1,13 @@
 """Module layering: passivity alone decides certificates, network, which
-builds the closed loop, does not depend on it, and the library reads the
-energy-frame generator s_red, never the aliases kept for the benchmark."""
+builds the closed loop, does not depend on it, the library reads the
+energy-frame generator s_red, never the aliases kept for the benchmark, and
+only the resolvent scan and the Cayley stepper load scipy."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "phnet"
@@ -10,6 +15,28 @@ CERTIFICATE_INTERNALS = {"_certificate", "_psd_verdict", "_tol_for"}
 # DiscreteGenerator.m_red (the identity) and sim_operator() (s_red) serve the
 # benchmark oracles only; chol, the old energy frame, is gone
 HARNESS_ALIASES = {"m_red", "chol", "sim_operator"}
+# (module, function) of every scipy import: the scan's Schur form and
+# triangular solves, the stepper's SuperLU
+SCIPY_IMPORTERS = {("analysis.py", "resolvent_scan"), ("simulate.py", "__init__")}
+COLD_PATH = """
+import contextlib, json, os, sys
+import phnet
+from phnet import cli
+tmp = sys.argv[1]
+path = os.path.join(tmp, "chain.json")
+with open(path, "w") as f, contextlib.redirect_stdout(f):
+    cli.main(["scenario", "dump", "chain_of_strings"])
+with open(os.devnull, "w") as f, contextlib.redirect_stdout(f):
+    assert cli.main(["check", path]) == 0
+    assert cli.main(["spectrum", path, "--n", "24", "--out", os.path.join(tmp, "s.csv")]) == 0
+net = phnet.build_coupled(variant="spring_mass_damper_string_beam")
+assert net.controllers
+gen = phnet.assemble_generator(net, 24)
+rep = phnet.spectrum(gen)
+cold = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+phnet.resolvent_scan(gen, samples=5, spectrum_report=rep)
+print(json.dumps({"cold": cold, "scan": sorted(sys.modules)}))
+"""
 
 
 def _names(tree):
@@ -50,3 +77,40 @@ def test_library_reads_no_harness_alias():
                                 and node.attr in HARNESS_ALIASES})
              for path in SRC.glob("*.py")}
     assert {name: used for name, used in reads.items() if used} == {}
+
+
+def _scipy_imports(tree, scope=None):
+    """(enclosing function, None at module level; module) of every scipy import."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scipy_imports(node, node.name)
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        for name in names:
+            if name.split(".")[0] == "scipy":
+                yield scope, name
+        yield from _scipy_imports(node, scope)
+
+
+def test_scipy_imported_only_inside_scan_and_stepper():
+    found = {(path.name, scope) for path in SRC.glob("*.py")
+             for scope, _ in _scipy_imports(ast.parse(path.read_text()))}
+    assert found == SCIPY_IMPORTERS
+
+
+def test_cold_path_loads_no_scipy(tmp_path):
+    # import phnet, check and spectrum (a controller network too) run on
+    # numpy alone; the resolvent scan loads scipy.linalg, not scipy.sparse
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", COLD_PATH, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout)
+    assert loaded["cold"] == []
+    assert "scipy.linalg" in loaded["scan"]
+    assert "scipy.sparse" not in loaded["scan"]

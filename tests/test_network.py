@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phnet import (Controller, Network, NotSerial, PHStructuralError,
                    SerialStructure, assemble, build_chain,
                    certify_network_dissipative, check_controller_passive,
                    detect_serial_structure, detect_serial_structure_blocks,
                    null_basis)
+from phnet.network import _block_diag
 from phnet.scenarios import _wave_subsystem
 
 from helpers import (random_nsd_k, random_passive_controller,
@@ -25,7 +28,28 @@ def gyrator_network():
     return Network(subsystems=(s1, s2), k_mat=k)
 
 
+BLOCK_ELEMENTS = {
+    np.dtype(np.int8): st.integers(-9, 9),
+    np.dtype(np.int64): st.integers(-9, 9),
+    np.dtype(np.float32): st.floats(-9, 9, width=32),
+    np.dtype(np.float64): st.floats(-9, 9),
+    np.dtype(np.complex128): st.complex_numbers(max_magnitude=9, allow_nan=False),
+}
+blocks = st.lists(
+    st.tuples(st.sampled_from(sorted(BLOCK_ELEMENTS, key=str)),
+              st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda t: hnp.arrays(t[0], t[1:], elements=BLOCK_ELEMENTS[t[0]])),
+    min_size=1, max_size=5)
+
+
 class TestAssemble:
+    @settings(max_examples=200, deadline=None)
+    @given(blocks=blocks)
+    def test_block_diag_matches_scipy(self, blocks):
+        got, want = _block_diag(blocks), sla.block_diag(*blocks)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert np.array_equal(got, want)
+
     def test_single_subsystem_constraint_rows(self):
         s = _wave_subsystem(1.0, 1.0, kind="last")
         k = np.array([[-0.5, 0.0], [0.0, 0.0]])

@@ -1,15 +1,9 @@
 """Cayley stepping: contraction, reversibility, exact energy balance."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import phnet
 from phnet import (Network, assemble_generator, build_chain,
                    make_initial_state, simulate, spectrum)
 from phnet.discretize import boundary_flux, discrete_energy_rate
@@ -116,16 +110,6 @@ class TestSparseStepper:
         b = np.random.default_rng(0).standard_normal(gen.n_red)
         x = np.linalg.solve(a, b)
         assert np.linalg.norm(b - a @ x) <= 1e-14 * np.linalg.norm(a, 2) * np.linalg.norm(x)
-
-    def test_import_phnet_leaves_scipy_sparse_out(self):
-        # only stepping needs scipy.sparse (20 ms and 2.3 MB to import)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-            str(Path(phnet.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
-        code = "import sys, phnet; print('scipy.sparse' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
 
 
 class TestSimulate:
