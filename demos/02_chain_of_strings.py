@@ -1,7 +1,8 @@
 # A chain of three serially connected strings with one end damper:
 # the interconnection matrix has negative semi-definite symmetric part,
-# the reformulated closure is strictly lower-block triangular, and the
-# energy decays uniformly exponentially.
+# each joint couples one string's right end to the next string's left end,
+# so the closure is serial in the natural order, and the energy decays
+# uniformly exponentially.
 
 import numpy as np
 

@@ -9,8 +9,7 @@ resolvent scans, and contractive time integration.
 from .model import (MatrixFunction, PHStructuralError, PHSubsystem,
                     ValidationReport, flux_form, flux_matrix, validate_subsystem)
 from .network import (ClosedLoopDescription, Controller, Network, NotSerial,
-                      SerialStructure, assemble, detect_serial_structure,
-                      detect_serial_structure_blocks)
+                      SerialStructure, assemble, detect_serial_structure)
 from .passivity import (PassivityCertificate, certify_network_dissipative,
                         check_controller_passive, check_impedance,
                         check_scattering, check_sym_p0, null_basis)
@@ -22,8 +21,7 @@ from .analysis import (ResolventScan, SpectrumReport, asp_diagnostic,
 from .simulate import CayleyStepper, EnergyTrace, simulate
 from .scenarios import (SCENARIOS, ScenarioError, build_beam, build_chain,
                         build_coupled, build_mass_damped_string,
-                        build_scenario, chain_serial_blocks,
-                        make_initial_state, scalar_profile)
+                        build_scenario, make_initial_state, scalar_profile)
 from .netfile import (NetworkFileError, load_network, network_from_dict,
                       network_to_dict, save_network)
 

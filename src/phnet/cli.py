@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import (decay_fit, exponential_verdict, resolvent_scan, spectrum)
 from .discretize import assemble_generator
 from .model import PHStructuralError, validate_subsystem
-from .netfile import NetworkFileError, load_network, network_to_dict
+from .netfile import NetworkFileError, load_network, network_to_dict, parse_json
 from .network import NotSerial, detect_serial_structure
 from .passivity import (certify_network_dissipative, check_controller_passive,
                         check_impedance, check_scattering, check_sym_p0)
@@ -157,7 +157,7 @@ def cmd_scenario(args):
                "scenarios": [{"name": k, "doc": v["doc"], "defaults": v["defaults"]}
                              for k, v in sorted(SCENARIOS.items())]})
         return 0
-    params = json.loads(args.params) if args.params else {}
+    params = parse_json(args.params, "--params") if args.params else {}
     net = build_scenario(args.name, params)
     merged = dict(SCENARIOS[args.name]["defaults"])
     merged.update(params or {})
@@ -214,8 +214,8 @@ def main(argv=None):
         if args.command == "scenario" and args.action == "dump" and not args.name:
             parser.error("scenario dump needs a name")
         return args.func(args)
-    except (argparse.ArgumentError, NetworkFileError, ScenarioError, PHStructuralError,
-            json.JSONDecodeError) as exc:
+    except (argparse.ArgumentError, NetworkFileError, ScenarioError,
+            PHStructuralError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -150,11 +150,18 @@ def _decode_array(data, depth):
 
 
 def _has_leaf(data, test):
-    """Whether test holds for some leaf of nested lists, tuples and dicts."""
-    if isinstance(data, (list, tuple, dict)):
-        return any(_has_leaf(x, test)
-                   for x in (data.values() if isinstance(data, dict) else data))
-    return test(data)
+    """Whether test holds for some leaf of nested lists, tuples and dicts,
+    however deep they nest."""
+    stack = [data]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, dict):
+            stack.extend(x.values())
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+        elif test(x):
+            return True
+    return False
 
 
 def _is_bool(x):

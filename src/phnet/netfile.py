@@ -11,14 +11,14 @@ top-level keys are
      "controllers": [{"a_c", "b_c", "c_c", "d_c", "state_weight"}, ...],
      "coupling": [[port rows], ...],
      "k_mat": [[...]] | null,
-     "external_ports": [...],
-     "serial_blocks": [[null | [[...]], ...], ...]}      # optional
+     "external_ports": [...]}
+
+Unknown keys are ignored; older files that declare "serial_blocks" still
+load, and the serial structure is derived from the closed loop.
 """
 
 import json
 import numbers
-
-import numpy as np
 
 from .model import MatrixFunction, PHSubsystem, _decode_array, _encode_array
 from .network import Controller, Network
@@ -107,9 +107,6 @@ def network_to_dict(net, scenario=None):
     doc["coupling"] = [list(c) for c in net.coupling]
     doc["k_mat"] = None if net.k_mat is None else _encode_array(net.k_mat)
     doc["external_ports"] = list(net.external_ports)
-    if net.serial_blocks is not None:
-        doc["serial_blocks"] = [[None if b is None else _encode_array(np.asarray(b))
-                                 for b in row] for row in net.serial_blocks]
     if net.label:
         doc["label"] = net.label
     return doc
@@ -153,26 +150,31 @@ def _network_from_dict(doc):
     k_mat = doc.get("k_mat")
     if k_mat is not None:
         k_mat = _matrix(k_mat, "k_mat")
-    serial = doc.get("serial_blocks")
-    if serial is not None:
-        serial = [[None if b is None else _decode_array(b, 2) for b in row]
-                  for row in serial]
     return Network(subsystems=subsystems, controllers=controllers,
                    k_mat=k_mat, coupling=coupling,
                    external_ports=tuple(_integer(i, "external port")
                                         for i in doc.get("external_ports") or ()),
-                   serial_blocks=serial, label=doc.get("label", ""))
+                   label=doc.get("label", ""))
+
+
+def parse_json(text, where):
+    """JSON document of text; malformed JSON, or JSON nested beyond the
+    decoder's recursion limit, raises NetworkFileError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise NetworkFileError("malformed JSON in %s: %s" % (where, exc)) from exc
 
 
 def load_network(path):
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise NetworkFileError("malformed JSON in %s: %s" % (path, exc)) from exc
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise NetworkFileError("%s is not UTF-8 text: %s" % (path, exc)) from exc
     except OSError as exc:
         raise NetworkFileError(str(exc)) from exc
-    return network_from_dict(doc)
+    return network_from_dict(parse_json(text, path))
 
 
 def save_network(net, path, scenario=None):

@@ -9,12 +9,9 @@ where K is the global interconnection matrix on stacked outputs and S_c
 embeds controller c's ports into the stacked port space.  This module
 builds the closed loop: assembly produces constraint rows on (tau, x_c)
 and the aggregate flux + controller supply form, and serial detection
-orders the subsystems.  It decides no certificate: passivity certifies
-the closed loop from these blocks.
+orders the subsystems from those rows.  It decides no certificate:
+passivity certifies the closed loop from these blocks.
 """
-
-import graphlib
-import heapq
 
 import numpy as np
 from dataclasses import dataclass
@@ -80,8 +77,8 @@ class Network:
     coupling[c] lists the global port rows controller c attaches to (each
     row mapped at most once across controllers).  k_mat acts on stacked
     outputs C x; rows listed in external_ports are left unconstrained
-    (external inputs u-hat, recorded but not driven).  serial_blocks may
-    carry a user-declared block reformulation for serial detection.
+    (external inputs u-hat, recorded but not driven).  The serial structure
+    is derived from the closed loop (detect_serial_structure).
     """
 
     subsystems: tuple
@@ -89,7 +86,6 @@ class Network:
     k_mat: np.ndarray = None
     coupling: tuple = ()
     external_ports: tuple = ()
-    serial_blocks: object = None
     label: str = ""
 
     def __post_init__(self):
@@ -235,79 +231,64 @@ def assemble(net):
 
 @dataclass(frozen=True)
 class SerialStructure:
-    """Block ordering under which the interconnection is strictly lower triangular."""
+    """Subsystem ordering under which each subsystem takes its coupling rows
+    with earlier subsystems at one end of its interval."""
 
     ordering: tuple
-    k_blocks: tuple
-
-    def permuted_blocks(self):
-        m = len(self.ordering)
-        return [[self.k_blocks[self.ordering[i]][self.ordering[j]] for j in range(m)]
-                for i in range(m)]
 
 
 @dataclass(frozen=True)
 class NotSerial:
-    """Witness that no serial ordering exists: a dependency cycle of block indices."""
+    """Witness that no serial ordering exists: the sorted subsystems left
+    when none of them can go last among them."""
 
     cycle: tuple
 
 
-def _block_nonzero(blk, tol):
-    return blk is not None and np.asarray(blk).size > 0 and np.abs(blk).max() > tol
-
-
-def detect_serial_structure_blocks(blocks):
-    """Serial detection on an m x m nested list of (possibly rectangular) blocks.
-
-    blocks[j][i] maps cluster i's outputs into cluster j's input rows; a
-    block is zero when no entry exceeds 1e-12 * max(1, largest entry).
-    Returns SerialStructure with an ordering under which the permuted block
-    matrix is strictly lower triangular, or NotSerial with a cycle witness.
-    Ties in the topological order break by ascending block index.
-    """
-    m = len(blocks)
-    mx = max([np.abs(b).max() for row in blocks for b in row
-              if b is not None and np.asarray(b).size], default=0.0)
-    tol = 1e-12 * max(1.0, mx)
-    for i in range(m):
-        if _block_nonzero(blocks[i][i], tol):
-            return NotSerial(cycle=(i,))
-    # j depends on i's output iff block (j, i) is nonzero
-    sorter = graphlib.TopologicalSorter(
-        {j: [i for i in range(m) if i != j and _block_nonzero(blocks[j][i], tol)]
-         for j in range(m)})
-    try:
-        sorter.prepare()
-    except graphlib.CycleError as exc:       # args[1] is a closed path [a, ..., a]
-        return NotSerial(cycle=tuple(exc.args[1][:-1]))
-    ready = list(sorter.get_ready())
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        sorter.done(i)
-        for j in sorter.get_ready():
-            heapq.heappush(ready, j)
-    # every nonzero block is an edge, so the topological order leaves the
-    # permuted block matrix strictly lower triangular
-    return SerialStructure(ordering=tuple(order),
-                           k_blocks=tuple(tuple(row) for row in blocks))
+def _nonzero(a):
+    """Mask of the entries above 1e-12 * max(1, largest entry)."""
+    mag = np.abs(a)
+    return mag > 1e-12 * max(1.0, mag.max(initial=0.0))
 
 
 def detect_serial_structure(net):
-    """Serial detection for a Network.
+    """Serial structure of the closed loop assemble(net).
 
-    Uses the network's user-declared serial_blocks reformulation when
-    present; otherwise partitions k_mat into per-subsystem port blocks.
+    A constraint row touches the trace components where w_b_net is
+    nonzero, and through a controller's states (c_c_net) every trace that
+    controller reads (b_c_net).  A row touching two or more subsystems is a
+    coupling row; one touching a single subsystem is its own closure.  The
+    first N_j d_j trace components of subsystem j are its z = 1 end, the
+    last N_j d_j its z = 0 end.  An ordering is serial when the coupling
+    rows for which a subsystem comes last touch it only at its z = 1 end or
+    only at its z = 0 end.  Peeling from the back, the highest-index
+    subsystem that can go last goes last; one that can go last in a set can
+    in every subset, so the peel finds an ordering whenever one exists.
+    Returns SerialStructure, or NotSerial with the subsystems left.
     """
-    if net.serial_blocks is not None:
-        return detect_serial_structure_blocks(net.serial_blocks)
-    p = net.total_ports
-    k = net.k_mat if net.k_mat is not None else np.zeros((p, p))
-    offs = list(net.port_offsets) + [p]
-    m = len(net.subsystems)
-    blocks = [[k[offs[j]:offs[j + 1], offs[i]:offs[i + 1]] for i in range(m)]
-              for j in range(m)]
-    return detect_serial_structure_blocks(blocks)
+    loop = assemble(net)
+    touched = _nonzero(loop.w_b_net)
+    drives, reads = _nonzero(loop.c_c_net), _nonzero(loop.b_c_net)
+    col = 0
+    for c in net.controllers:
+        sl = slice(col, col + c.n_state)
+        touched[drives[:, sl].any(axis=1)] |= reads[sl].any(axis=0)
+        col += c.n_state
+    # ends[r, j]: 1 if row r touches subsystem j's z = 1 half, + 2 its z = 0 half
+    bounds = np.cumsum([0] + [s.trace_dim for s in net.subsystems])
+    halves = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        mid = (lo + hi) // 2
+        halves.append(touched[:, lo:mid].any(axis=1) + 2 * touched[:, mid:hi].any(axis=1))
+    ends = np.stack(halves, axis=1)
+    ends = ends[(ends > 0).sum(axis=1) > 1]
+    alive = np.ones(len(net.subsystems), dtype=bool)
+    order = []
+    while alive.any():
+        inside = ends[~ends[:, ~alive].any(axis=1)]     # rows among the subsystems left
+        last = [j for j in np.flatnonzero(alive) if np.bitwise_or.reduce(inside[:, j]) != 3]
+        if not last:
+            return NotSerial(cycle=tuple(np.flatnonzero(alive).tolist()))
+        alive[last[-1]] = False
+        order.append(int(last[-1]))
+    return SerialStructure(ordering=tuple(order[::-1]))

@@ -189,29 +189,6 @@ def _validate_k0(k0):
     return k0
 
 
-def chain_serial_blocks(kappa):
-    """The reformulated strictly lower-triangular block closure of the chain.
-
-    kappa = (kappa0, ..., kappa_{m-1}), one damper per segment.  Cluster 1
-    owns the damped-port row, clusters 2..m-1 the full left traces,
-    cluster m additionally the free-end row; block (j+1, j) maps
-    (y1(1), y2(1)) of segment j into segment j+1's left trace with the
-    joint damper kappa_{j+1} on the force row.
-    """
-    m = len(kappa)
-    blocks = [[None] * m for _ in range(m)]
-    for j in range(1, m):
-        if j == 1:
-            # C-hat of cluster 1 is (y1(0), y1(1), y2(1))
-            blk = np.array([[0.0, 1.0, 0.0], [0.0, kappa[1], 1.0]])
-        else:
-            blk = np.array([[1.0, 0.0], [kappa[j], 1.0]])
-        if j == m - 1:
-            blk = np.vstack([blk, np.zeros((1, blk.shape[1]))])  # free-end row
-        blocks[j][j - 1] = blk
-    return blocks
-
-
 def build_chain(*, m=3, rho=None, tension=None, kappa=None, lengths=None,
                 literal_bc_sign=False):
     """Chain of m serially connected strings, damped at the left end.
@@ -221,8 +198,9 @@ def build_chain(*, m=3, rho=None, tension=None, kappa=None, lengths=None,
     rho and tension hold one profile per segment (default 1).  lengths are
     physical segment lengths (joints zeta^j = cumulative sums), folded
     into the unit-interval Hamiltonians.  literal_bc_sign flips the end
-    damper to (T w_z)(0) = -kappa0 w_t(0), which pumps energy.  The
-    network carries its serial_blocks.
+    damper to (T w_z)(0) = -kappa0 w_t(0), which pumps energy.  Each
+    joint couples segment j's z = 1 end to segment j + 1's z = 0 end, so
+    the chain is serial in its natural order.
     """
     if m < 1:
         raise ScenarioError("need at least one segment")
@@ -255,9 +233,7 @@ def build_chain(*, m=3, rho=None, tension=None, kappa=None, lengths=None,
         k[2 * (j + 1), 2 * j + 1] = -1.0
         k[2 * (j + 1), 2 * (j + 1)] = -kappa[j + 1]
     # free right end: row 2m-1 stays zero
-    return Network(subsystems=subsystems, k_mat=k,
-                   serial_blocks=chain_serial_blocks(kappa),
-                   label="chain_of_strings")
+    return Network(subsystems=subsystems, k_mat=k, label="chain_of_strings")
 
 
 def build_beam(*, rho=1.0, ei=1.0, left_bc=None, right_bc="pinned"):

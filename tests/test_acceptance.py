@@ -229,8 +229,9 @@ def test_criterion_7_contraction_invariant():
 
 
 def test_criterion_8_serial_structure():
-    """Chain reformulation returns the identity ordering; the gyrator
-    two-cycle returns NotSerial with the 2-cycle witness."""
+    """The chain is serial in the identity ordering; the gyrator, whose
+    coupling rows touch each string at both ends, returns NotSerial with
+    both strings as the witness."""
     start = time.perf_counter()
     net = build_chain(m=3, kappa=[0.5, 0.0, 0.0])
     result = detect_serial_structure(net)

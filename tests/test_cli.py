@@ -61,6 +61,31 @@ class TestCheck:
         assert report["subsystems_valid"] is False
         assert report["pass"] is False
 
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_fully_coupled_chain_is_not_serial(self, tmp_path, capsys, declared):
+        # K couples every port, diagonals included; a serial_blocks key, which
+        # files no longer carry, is ignored like any other unknown key
+        doc = network_to_dict(build_chain(m=3))
+        doc["k_mat"] = np.full((6, 6), -0.1).tolist()
+        if declared:
+            doc["serial_blocks"] = [[None] * 3 for _ in range(3)]
+        path = tmp_path / "coupled.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) in (0, 1)
+        report = json.loads(capsys.readouterr().out)
+        assert report["serial"] is False
+        assert report["serial_cycle"] == [0, 1, 2]
+        assert "serial_ordering" not in report
+
+    def test_string_beam_is_serial(self, tmp_path, capsys):
+        # the boundary damper on the diagonal of K is the string's own closure
+        path = tmp_path / "string_beam.json"
+        path.write_text(json.dumps({"schema": 1, "scenario": {"name": "damper_string_beam"}}))
+        assert main(["check", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["serial"] is True
+        assert report["serial_ordering"] == [0, 1]
+
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -249,6 +274,28 @@ class TestExitCodes:
 
     def test_params_not_json(self, capsys):
         rc = main(["scenario", "dump", "chain_of_strings", "--params", "{m: 2}"])
+        self.assert_usage_error(rc, capsys)
+
+    def test_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps({"schema": 1, "label": "\u00e9"},
+                                    ensure_ascii=False).encode("latin-1"))
+        self.assert_usage_error(main(["check", str(path)]), capsys)
+
+    @pytest.mark.parametrize("where", ["file", "params"])
+    @pytest.mark.parametrize("key, depth", [("m", 100000), ("kappa", 500)],
+                             ids=["beyond_decoder_limit", "500_deep"])
+    def test_deeply_nested_parameter(self, tmp_path, capsys, where, key, depth):
+        # beyond the decoder's limit the JSON read overflowed; 500 deep it
+        # decoded, then overflowed the recursion of the boolean check
+        params = '{"%s": %s}' % (key, "[" * depth + "]" * depth)
+        if where == "params":
+            rc = main(["scenario", "dump", "chain_of_strings", "--params", params])
+        else:
+            path = tmp_path / "deep.json"
+            path.write_text('{"schema": 1, "scenario": {"name": "chain_of_strings", '
+                            '"params": %s}}' % params)
+            rc = main(["check", str(path)])
         self.assert_usage_error(rc, capsys)
 
     def test_unknown_scenario_param_in_file(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Module layering: passivity alone decides certificates, network, which
-builds the closed loop, does not depend on it, the library reads the
+builds the closed loop, does not depend on it, serial detection reads the
+loop only through assemble, the library reads the
 energy-frame generator s_red, never the aliases kept for the benchmark, and
 only the resolvent scan and the Cayley stepper load scipy."""
 
@@ -15,6 +16,8 @@ CERTIFICATE_INTERNALS = {"_certificate", "_psd_verdict", "_tol_for"}
 # DiscreteGenerator.m_red (the identity) and sim_operator() (s_red) serve the
 # benchmark oracles only; chol, the old energy frame, is gone
 HARNESS_ALIASES = {"m_red", "chol", "sim_operator"}
+# the Network fields assemble closes the loop from, and the retired declaration
+LOOP_FIELDS = {"k_mat", "coupling", "serial_blocks"}
 # (module, function) of every scipy import: the scan's Schur form and
 # triangular solves, the stepper's SuperLU
 SCIPY_IMPORTERS = {("analysis.py", "resolvent_scan"), ("simulate.py", "__init__")}
@@ -69,6 +72,22 @@ def test_network_does_not_import_passivity():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):     # from . import passivity
             imported += [alias.name for alias in node.names]
     assert not [m for m in imported if m.split(".")[-1] == "passivity"]
+
+
+def test_serial_detection_reads_the_loop_through_assemble():
+    defs = {node.name: node for node in ast.walk(ast.parse((SRC / "network.py").read_text()))
+            if isinstance(node, ast.FunctionDef)}
+    # detect_serial_structure and the module functions it calls, assemble aside
+    seen, todo = set(), ["detect_serial_structure"]
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        todo += [node.func.id for node in ast.walk(defs[name])
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id in defs and node.func.id not in seen | {"assemble"}]
+    assert "assemble" in set(_names(defs["detect_serial_structure"]))
+    assert {name: sorted(LOOP_FIELDS.intersection(_names(defs[name])))
+            for name in seen} == {name: [] for name in seen}
 
 
 def test_library_reads_no_harness_alias():

@@ -1,5 +1,7 @@
 """Network assembly, closed-loop certification, serial-structure detection."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -7,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from phnet import (Controller, Network, NotSerial, PHStructuralError,
-                   SerialStructure, assemble, build_chain,
+                   SerialStructure, assemble, build_chain, build_scenario,
                    certify_network_dissipative, check_controller_passive,
-                   detect_serial_structure, detect_serial_structure_blocks,
-                   null_basis)
+                   detect_serial_structure, null_basis)
 from phnet.network import _block_diag
 from phnet.scenarios import _wave_subsystem
 
@@ -238,24 +239,66 @@ class TestCertification:
         assert cert.passed
 
 
+def row_ends(net):
+    """Per constraint row of a controller-free network, {subsystem: ends it
+    touches}, "z1" for the first half of its trace and "z0" for the second."""
+    rows = (sla.block_diag(*[s.w_b for s in net.subsystems])
+            - net.k_mat @ sla.block_diag(*[s.w_c for s in net.subsystems]))
+    tol = 1e-12 * max(1.0, np.abs(rows).max())
+    out = []
+    for row in rows:
+        ends, col = {}, 0
+        for j, s in enumerate(net.subsystems):
+            half = s.trace_dim // 2
+            for end, part in (("z1", row[col:col + half]), ("z0", row[col + half:col + 2 * half])):
+                if np.abs(part).max() > tol:
+                    ends.setdefault(j, set()).add(end)
+            col += 2 * half
+        out.append(ends)
+    return out
+
+
+def serial_under(net, ordering):
+    """Whether every subsystem takes the coupling rows it comes last in at one end."""
+    rank = {j: i for i, j in enumerate(ordering)}
+    taken = {}
+    for ends in row_ends(net):
+        if len(ends) > 1:
+            last = max(ends, key=rank.get)
+            taken.setdefault(last, set()).update(ends[last])
+    return all(len(v) == 1 for v in taken.values())
+
+
+@st.composite
+def string_networks(draw):
+    """1-5 strings of random port splittings, K a random sparsity pattern."""
+    m = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from(["interior", "last", "mass_interior", "mass_free"]),
+                          min_size=m, max_size=m))
+    k = np.zeros((2 * m, 2 * m))
+    for r, c in draw(st.lists(st.tuples(st.integers(0, 2 * m - 1), st.integers(0, 2 * m - 1)),
+                              min_size=m, max_size=4 * m)):
+        k[r, c] = 1.0
+    return Network(subsystems=[_wave_subsystem(1.0, 1.0, kind=kind) for kind in kinds], k_mat=k)
+
+
 class TestSerial:
-    def test_chain_reformulation_identity_ordering(self):
-        net = build_chain(m=4, kappa=[0.5, 0.1, 0.0, 0.2])
+    @settings(max_examples=40, deadline=None)
+    @given(kappa=st.integers(1, 8).flatmap(lambda m: st.lists(
+        st.sampled_from([0.0, 0.1, 0.7]), min_size=m - 1, max_size=m - 1)))
+    def test_chain_identity_ordering_meets_rule(self, kappa):
+        net = build_chain(m=len(kappa) + 1, kappa=[0.5] + kappa)
         result = detect_serial_structure(net)
         assert isinstance(result, SerialStructure)
-        assert result.ordering == (0, 1, 2, 3)
-        # permuted blocks are strictly lower triangular
-        perm = result.permuted_blocks()
-        for i in range(4):
-            for j in range(i, 4):
-                blk = perm[i][j]
-                assert blk is None or np.abs(blk).max() == 0
+        assert result.ordering == tuple(range(len(kappa) + 1))
+        assert serial_under(net, result.ordering)
 
-    def test_raw_chain_kmat_is_not_serial(self):
-        net = build_chain(m=3, kappa=[0.5, 0.0, 0.0])
-        raw = Network(subsystems=net.subsystems, k_mat=net.k_mat)
-        result = detect_serial_structure(raw)
+    def test_fully_coupled_is_not_serial(self):
+        net = build_chain(m=3)
+        coupled = Network(subsystems=net.subsystems, k_mat=np.full((6, 6), -0.1))
+        result = detect_serial_structure(coupled)
         assert isinstance(result, NotSerial)
+        assert result.cycle == (0, 1, 2)
 
     def test_gyrator_two_cycle(self):
         result = detect_serial_structure(gyrator_network())
@@ -269,36 +312,63 @@ class TestSerial:
         assert isinstance(result, SerialStructure)
         assert result.ordering == (0, 1, 2)
 
-    def test_self_loop_is_a_cycle(self):
-        blocks = [[np.array([[1.0]])]]
-        result = detect_serial_structure_blocks(blocks)
-        assert isinstance(result, NotSerial)
-        assert result.cycle == (0,)
+    def test_one_node_closure_is_serial(self):
+        # a damper on the diagonal of K closes the string on itself
+        net = Network(subsystems=(_wave_subsystem(1.0, 1.0, kind="last"),),
+                      k_mat=np.array([[-1.0, 0.0], [0.0, 0.0]]))
+        assert detect_serial_structure(net) == SerialStructure(ordering=(0,))
 
-    def test_upper_triangular_reorders(self):
-        # dependency reversed: block (0, 1) nonzero means 0 depends on 1
-        blocks = [[None, np.array([[1.0]])], [None, None]]
-        result = detect_serial_structure_blocks(blocks)
-        assert isinstance(result, SerialStructure)
-        assert result.ordering == (1, 0)
+    def test_coupling_at_both_ends_reorders(self):
+        # row 0 (string 0's z = 0 end) reads C = (y1(0), y2(1)) of string 1,
+        # which touches string 1 at both ends: string 1 must come first
+        s = [_wave_subsystem(1.0, 1.0, kind="interior") for _ in range(2)]
+        k = np.zeros((4, 4))
+        k[0, 2:4] = 1.0
+        net = Network(subsystems=s, k_mat=k)
+        assert detect_serial_structure(net) == SerialStructure(ordering=(1, 0))
+        assert [ends for ends in row_ends(net) if len(ends) > 1] == [
+            {0: {"z0"}, 1: {"z0", "z1"}}]
 
-    @settings(max_examples=200)
-    @given(pattern=st.integers(1, 7).flatmap(lambda m: st.lists(
-        st.lists(st.sampled_from(["none", "zero", "nonzero"]), min_size=m, max_size=m),
-        min_size=m, max_size=m)))
-    def test_random_block_patterns(self, pattern):
-        # None, all-zero and nonzero (rectangular) blocks in any pattern
-        fill = {"none": None, "zero": np.zeros((1, 2)), "nonzero": np.ones((1, 2))}
-        m = len(pattern)
-        result = detect_serial_structure_blocks([[fill[c] for c in row] for row in pattern])
+    def test_controller_row_touches_what_it_reads(self):
+        # one controller on rows 0 (string 0, z = 0) and 2, 3 (string 1, both
+        # ends): through its state each row touches string 1 at both ends, so
+        # string 1 must come first; the tip controller reads the string only
+        s = [_wave_subsystem(1.0, 1.0, kind="interior") for _ in range(2)]
+        c = Controller(a_c=[[-1.0]], b_c=np.ones((1, 3)), c_c=np.ones((3, 1)),
+                       d_c=np.zeros((3, 3)), state_weight=[[1.0]])
+        net = Network(subsystems=s, controllers=(c,), k_mat=np.zeros((4, 4)),
+                      coupling=((0, 2, 3),))
+        assert detect_serial_structure(net) == SerialStructure(ordering=(1, 0))
+        tip = build_scenario("spring_mass_damper_string_beam")
+        assert detect_serial_structure(tip) == SerialStructure(ordering=(0, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(net=string_networks())
+    def test_random_sparsity_matches_brute_force(self, net):
+        m = len(net.subsystems)
+        result = detect_serial_structure(net)
+        exists = any(serial_under(net, p) for p in itertools.permutations(range(m)))
         if isinstance(result, SerialStructure):
             assert sorted(result.ordering) == list(range(m))
-            perm = result.permuted_blocks()
-            for i in range(m):
-                for j in range(i, m):
-                    assert perm[i][j] is None or np.abs(perm[i][j]).max() == 0
+            assert serial_under(net, result.ordering)
         else:
-            c = result.cycle
-            assert 1 <= len(c) == len(set(c))
-            # c[k + 1] depends on c[k]: block (c[k + 1], c[k]) is nonzero
-            assert all(pattern[c[(k + 1) % len(c)]][c[k]] == "nonzero" for k in range(len(c)))
+            assert not exists
+            assert list(result.cycle) == sorted(set(result.cycle)) and result.cycle
+            # every subsystem left takes rows at both ends when it goes last among them
+            for j in result.cycle:
+                taken = [ends[j] for ends in row_ends(net) if len(ends) > 1 and j in ends
+                         and set(ends) <= set(result.cycle)]
+                assert set().union(*taken) == {"z0", "z1"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(net=string_networks(), data=st.data())
+    def test_renumbering_keeps_verdict(self, net, data):
+        m = len(net.subsystems)
+        perm = data.draw(st.permutations(range(m)))
+        ports = [2 * j + i for j in perm for i in (0, 1)]
+        renamed = Network(subsystems=[net.subsystems[j] for j in perm],
+                          k_mat=net.k_mat[np.ix_(ports, ports)])
+        before, after = detect_serial_structure(net), detect_serial_structure(renamed)
+        assert type(before) is type(after)
+        if isinstance(before, NotSerial):
+            assert sorted(perm[j] for j in after.cycle) == list(before.cycle)
