@@ -104,39 +104,55 @@ class ResolventScan:
                 "diverged": int(self.diverged.sum())}
 
 
-def _inverse_lanczos(b, start, ztrtrs):
+def _inverse_lanczos(b, start, basis, ztrtrs, zgemv, dznrm2, dstev):
     """Largest eigenvalue of (B B^H)^{-1} and its Ritz vector, B upper triangular.
 
     Each step applies B^{-H} B^{-1} by two triangular solves and fully
-    reorthogonalises the Krylov basis.  From step LANCZOS_MIN_STEPS on it
-    stops once the Ritz residual |beta_k s_k| is at most LANCZOS_RTOL *
+    reorthogonalises the Krylov basis in two classical Gram-Schmidt passes.
+    From step LANCZOS_MIN_STEPS on it stops once the Ritz residual
+    |beta_k s_k| of the tridiagonal eigenproblem is at most LANCZOS_RTOL *
     theta, which by Weyl's bound puts theta within LANCZOS_RTOL relative
     of an eigenvalue; at step n the basis spans the space and theta is
-    exact.  Returns (inf, None) on an exactly zero pivot.  ztrtrs is
-    LAPACK's complex triangular solve, which the caller imports.
+    exact.  Returns (theta, Ritz vector, basis), or (inf, None, basis) on
+    an exactly zero pivot.
+
+    basis is a complex Fortran-ordered (n, capacity) buffer whose columns
+    hold the Krylov vectors; the caller keeps it for the next frequency.
+    When the steps outgrow it, a buffer twice as wide (at most n columns)
+    replaces it, so its memory stays O(n * steps).  No n-sized array is
+    allocated per step.  Every BLAS/LAPACK call comes through the
+    arguments, all from scipy (triangular solve, matrix-vector product,
+    norm, tridiagonal eigensolver), so the loop runs on one BLAS runtime.
     """
     n = b.shape[0]
-    basis = [start / np.linalg.norm(start)]
-    alphas, offdiag = [], []
+    x = np.empty(n, dtype=complex)
+    alphas, offdiag = np.empty(n), np.empty(n)
+    np.divide(start, dznrm2(start), out=basis[:, 0])
     for steps in range(1, n + 1):
-        w, info = ztrtrs(b, basis[-1])
-        if info > 0:
-            return np.inf, None
-        x, _ = ztrtrs(b, w, trans=2, overwrite_b=1)
-        q = np.array(basis)
-        h = q.conj() @ x
-        x -= h @ q
-        h2 = q.conj() @ x
-        x -= h2 @ q
-        alphas.append((h[-1] + h2[-1]).real)
-        beta_k = np.linalg.norm(x)
+        q = basis[:, :steps]
+        x[:] = q[:, -1]
+        if ztrtrs(b, x, overwrite_b=1)[1] > 0:
+            return np.inf, None, basis
+        ztrtrs(b, x, trans=2, overwrite_b=1)
+        h = zgemv(1.0, q, x, trans=2)
+        zgemv(-1.0, q, h, beta=1.0, y=x, overwrite_y=1)
+        h2 = zgemv(1.0, q, x, trans=2)
+        zgemv(-1.0, q, h2, beta=1.0, y=x, overwrite_y=1)
+        alphas[steps - 1] = (h[-1] + h2[-1]).real
+        beta_k = dznrm2(x)
         if steps >= LANCZOS_MIN_STEPS or steps == n or beta_k == 0.0:
-            thetas, s = np.linalg.eigh(np.diag(alphas) + np.diag(offdiag, 1)
-                                       + np.diag(offdiag, -1))
+            # the wrapper wants max(k - 1, 1) off-diagonal entries; LAPACK reads none at k = 1
+            thetas, s, info = dstev(alphas[:steps], offdiag[:max(steps - 1, 1)])
+            if info != 0:
+                raise RuntimeError("dstev failed to converge (info %d)" % info)
             if steps == n or beta_k * abs(s[-1, -1]) <= LANCZOS_RTOL * thetas[-1]:
-                return thetas[-1], s[:, -1] @ q
-        offdiag.append(beta_k)
-        basis.append(x / beta_k)
+                return thetas[-1], zgemv(1.0, q, s[:, -1]), basis
+        offdiag[steps - 1] = beta_k
+        if steps == basis.shape[1]:
+            grown = np.empty((n, min(2 * steps, n)), dtype=complex, order="F")
+            grown[:, :steps] = basis
+            basis = grown
+        np.divide(x, beta_k, out=basis[:, steps])
 
 
 def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None):
@@ -158,13 +174,20 @@ def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None):
     (B B^H)^{-1}, found by Lanczos with two O(n^2) triangular solves per
     step and a residual stop (_inverse_lanczos).  Each frequency starts
     from the previous one's Ritz vector blended with a fixed seeded
-    vector, and from the seeded vector alone after a diverged sample.  The
+    vector, and from the seeded vector alone after a diverged sample.  One
+    Krylov basis buffer serves every frequency and grows on demand.  The
     dense SVD of i beta I - s_red is the tests' oracle, not a code path.
-    scipy.linalg (schur, rsf2csf, ztrtrs) is imported here, once per scan,
-    so that importing phnet, check and spectrum load no scipy.
+
+    scipy.linalg (schur, rsf2csf and the BLAS/LAPACK kernels of the
+    frequency loop) is imported here, once per scan, so that importing
+    phnet, check and spectrum load no scipy.  numpy and scipy each ship
+    their own OpenBLAS with its own thread pool, and a threaded call into
+    one library just after the other's can run at half speed while the
+    idle pool spins; every kernel of the loop therefore comes from scipy.
     """
     from scipy.linalg import rsf2csf, schur
-    from scipy.linalg.lapack import ztrtrs
+    from scipy.linalg.blas import dznrm2, zgemv
+    from scipy.linalg.lapack import dstev, ztrtrs
 
     rep = spectrum_report if spectrum_report is not None else spectrum(gen)
     ev = rep.eigenvalues
@@ -200,10 +223,11 @@ def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None):
     seed = np.random.default_rng(0).standard_normal((n, 2)) @ [1.0, 1j]
     seed /= np.linalg.norm(seed)
     start = seed
+    basis = np.empty((n, min(n, LANCZOS_MIN_STEPS)), dtype=complex, order="F")
     norms = np.empty(len(betas))
     for i, beta in enumerate(betas):
         np.fill_diagonal(b, 1j * beta - t_diag)
-        theta, ritz = _inverse_lanczos(b, start, ztrtrs)
+        theta, ritz, basis = _inverse_lanczos(b, start, basis, ztrtrs, zgemv, dznrm2, dstev)
         norms[i] = np.sqrt(theta)
         start = seed if diverged[i] or ritz is None else ritz + LANCZOS_BLEND * seed
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import svdvals
+from scipy.linalg.blas import dznrm2, zgemv
+from scipy.linalg.lapack import dstev, ztrtrs
 
 from phnet import (Network, SpectrumReport, asp_diagnostic,
                    assemble_generator, build_beam, build_chain,
@@ -13,6 +15,7 @@ from phnet import (Network, SpectrumReport, asp_diagnostic,
                    certify_network_dissipative, decay_fit,
                    exponential_verdict, make_initial_state, network_from_dict,
                    network_to_dict, resolvent_scan, simulate, spectrum)
+from phnet.analysis import _inverse_lanczos
 from phnet.scenarios import SCENARIOS, _wave_subsystem
 
 from helpers import random_passive_network, slowest_mode
@@ -185,6 +188,53 @@ class TestResolvent:
         gen = assemble_generator(net, 16)
         scan = resolvent_scan(gen, samples=40)
         assert svd_oracle_deviation(gen, scan) <= SVD_ORACLE_RTOL
+
+
+def inverse_lanczos(b, start):
+    """_inverse_lanczos on B from a one-column basis buffer, with the scan's kernels."""
+    b = np.asfortranarray(b, dtype=complex)
+    basis = np.empty((b.shape[0], 1), dtype=complex, order="F")
+    theta, ritz, out = _inverse_lanczos(b, np.asarray(start, dtype=complex), basis,
+                                        ztrtrs, zgemv, dznrm2, dstev)
+    return theta, ritz, basis, out
+
+
+def inverse_sigma_min_sq(b):
+    return 1.0 / np.linalg.svd(b, compute_uv=False)[-1] ** 2
+
+
+class TestInverseLanczosExits:
+    def test_one_by_one(self):
+        b = np.array([[0.3 - 1.2j]])
+        theta, ritz, _, _ = inverse_lanczos(b, [2.0 - 1.0j])
+        assert theta == pytest.approx(inverse_sigma_min_sq(b), rel=1e-14)
+        assert abs(ritz[0]) == pytest.approx(1.0, rel=1e-14)
+
+    def test_invariant_start_stops_at_step_one(self):
+        # e_1 is invariant under B and B^H, so beta_1 is exactly 0
+        b = np.array([[0.5, 0.0, 0.0], [0.0, 2.0, 1.0j], [0.0, 0.0, 3.0]])
+        theta, ritz, basis, out = inverse_lanczos(b, [3.0, 0.0, 0.0])
+        assert out is basis          # one column was enough: no step 2
+        assert theta == pytest.approx(inverse_sigma_min_sq(b), rel=1e-14)
+        np.testing.assert_allclose(np.abs(ritz), [1.0, 0.0, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_exact_at_step_n(self, n):
+        # singular values of I + 0.2 U cluster, so no earlier step meets the residual stop
+        rng = np.random.default_rng(n)
+        b = np.eye(n) + 0.2 * np.triu(rng.standard_normal((n, n))
+                                      + 1j * rng.standard_normal((n, n)))
+        theta, ritz, _, out = inverse_lanczos(b, rng.standard_normal(n) + 0j)
+        assert out.shape[1] == n     # column n - 1 was written, so step n ran
+        assert theta == pytest.approx(inverse_sigma_min_sq(b), rel=1e-12)
+        resid = np.linalg.solve(b @ b.conj().T, ritz) - theta * ritz
+        assert np.linalg.norm(resid) <= 1e-12 * theta
+
+    def test_zero_pivot(self):
+        b = np.triu(np.ones((3, 3), dtype=complex))
+        b[1, 1] = 0.0
+        theta, ritz, _, _ = inverse_lanczos(b, np.ones(3))
+        assert theta == np.inf and ritz is None
 
 
 class TestAspDiagnostic:

@@ -1,8 +1,9 @@
 """Module layering: passivity alone decides certificates, network, which
 builds the closed loop, does not depend on it, serial detection reads the
 loop only through assemble, the library reads the
-energy-frame generator s_red, never the aliases kept for the benchmark, and
-only the resolvent scan and the Cayley stepper load scipy."""
+energy-frame generator s_red, never the aliases kept for the benchmark,
+only the resolvent scan and the Cayley stepper load scipy, and the scan's
+frequency loop calls no numpy BLAS."""
 
 import ast
 import json
@@ -19,8 +20,11 @@ HARNESS_ALIASES = {"m_red", "chol", "sim_operator"}
 # the Network fields assemble closes the loop from, and the retired declaration
 LOOP_FIELDS = {"k_mat", "coupling", "serial_blocks"}
 # (module, function) of every scipy import: the scan's Schur form and
-# triangular solves, the stepper's SuperLU
+# frequency-loop kernels (triangular solve, gemv, norm, tridiagonal eigensolver),
+# the stepper's SuperLU
 SCIPY_IMPORTERS = {("analysis.py", "resolvent_scan"), ("simulate.py", "__init__")}
+# numpy calls that reach numpy's own BLAS or LAPACK
+NUMPY_BLAS = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
 COLD_PATH = """
 import contextlib, json, os, sys
 import phnet
@@ -120,6 +124,19 @@ def test_scipy_imported_only_inside_scan_and_stepper():
     found = {(path.name, scope) for path in SRC.glob("*.py")
              for scope, _ in _scipy_imports(ast.parse(path.read_text()))}
     assert found == SCIPY_IMPORTERS
+
+
+def test_inverse_lanczos_takes_its_kernels_from_its_arguments():
+    # numpy and scipy each ship an OpenBLAS with its own thread pool; a loop
+    # that alternates the two runs a threaded call while the other pool spins
+    fn = next(node for node in ast.walk(ast.parse((SRC / "analysis.py").read_text()))
+              if isinstance(node, ast.FunctionDef) and node.name == "_inverse_lanczos")
+    matmuls = [node.lineno for node in ast.walk(fn)
+               if isinstance(getattr(node, "op", None), ast.MatMult)]
+    calls = [ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)]
+    numpy_blas = [call for call in calls if "linalg" in call.split(".")
+                  or call.split(".")[-1] in NUMPY_BLAS]
+    assert matmuls == [] and numpy_blas == []
 
 
 def test_cold_path_loads_no_scipy(tmp_path):
