@@ -69,20 +69,24 @@ class CayleyStepper:
 
     step(v) solves (I - dt/2 s_red) w = v for the midpoint state w and
     returns v' = 2w - v, the Cayley step.  SuperLU factors the matrix once,
-    with PERMC_SPEC and DIAG_PIVOT_THRESH.  The energy of a reduced state
-    is 1/2 |v|^2.  scipy.sparse is imported here, not with phnet: only
-    stepping needs it.
+    with PERMC_SPEC and DIAG_PIVOT_THRESH; the matrix is assembled sparse,
+    from the CSC form of s_red and a sparse identity.  The energy of a
+    reduced state is 1/2 |v|^2, and trace(v) = trace_map @ v is taken by
+    scipy's gemv, so a step loop stays on scipy's BLAS.  scipy is imported
+    here, not with phnet: only stepping needs it.
     """
 
     def __init__(self, gen, dt):
-        from scipy.sparse import csc_matrix
+        from scipy.linalg.blas import dgemv, zgemv
+        from scipy.sparse import csc_matrix, identity
         from scipy.sparse.linalg import splu
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.gen = gen
         self.dt = float(dt)
-        a = csc_matrix(np.eye(len(gen.s_red)) - 0.5 * self.dt * gen.s_red)
+        a = (-0.5 * self.dt) * csc_matrix(gen.s_red) + identity(len(gen.s_red), format="csc")
         self.real = not np.iscomplexobj(a)
+        self.dgemv, self.zgemv = dgemv, zgemv
         try:
             self.lu = splu(a, permc_spec=PERMC_SPEC, diag_pivot_thresh=DIAG_PIVOT_THRESH)
         except RuntimeError as exc:      # SuperLU: "Factor is exactly singular"
@@ -97,6 +101,16 @@ class CayleyStepper:
         else:
             w = self.lu.solve(v)
         return 2.0 * w - v
+
+    def trace(self, v):
+        """Stacked traces trace_map @ v of a reduced state (trace_map^T is
+        Fortran-ordered, so gemv reads it without a copy)."""
+        t = self.gen.trace_map.T
+        if np.iscomplexobj(t):
+            return self.zgemv(1.0, t, v, trans=1)
+        if np.iscomplexobj(v):
+            return self.dgemv(1.0, t, v.real, trans=1) + 1j * self.dgemv(1.0, t, v.imag, trans=1)
+        return self.dgemv(1.0, t, v, trans=1)
 
     def energy(self, v):
         """H = 1/2 |v|^2 of a reduced state."""
@@ -147,13 +161,13 @@ def simulate(gen, x0, dt=None, t_end=10.0, record_every=1):
 
     times = [0.0]
     energies = [stepper.energy(v)]
-    tau_rows = [gen.trace_map @ v]
+    tau_rows = [stepper.trace(v)]
     for k in range(1, n_steps + 1):
         v = stepper.step(v)
         if k % record_every == 0 or k == n_steps:
             times.append(k * dt)
             energies.append(stepper.energy(v))
-            tau_rows.append(gen.trace_map @ v)
+            tau_rows.append(stepper.trace(v))
 
     return EnergyTrace(times=np.array(times), energies=np.array(energies),
                        traces=gen.split_traces(np.array(tau_rows)),

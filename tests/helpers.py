@@ -6,13 +6,17 @@ integrals on polynomial states, and chain eigenvalues come from a
 transfer-matrix characteristic equation solved by secant iteration.
 """
 
+import dataclasses
+
 import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial import polynomial as npoly
 
 from phnet import MatrixFunction, Network, PHSubsystem, discretize_subsystem, make_grid
+from phnet.discretize import _by_nodes
 from phnet.model import flux_matrix
 from phnet.network import assemble
+from phnet.passivity import null_basis
 
 GAUSS_N = 64
 _gx, _gw = np.polynomial.legendre.leggauss(GAUSS_N)
@@ -152,6 +156,14 @@ def random_passive_network(rng, n_subsystems, complex_ok=False, with_controller=
     return Network(subsystems=subs, k_mat=k, controllers=controllers, coupling=coupling)
 
 
+def complex_explicit_network():
+    """Two random complex subsystems, a controller and one external port."""
+    net = random_passive_network(np.random.default_rng(2), 2, True, True)
+    used = set(net.coupling[0])
+    row = min(r for r in range(sum(s.port_dim for s in net.subsystems)) if r not in used)
+    return dataclasses.replace(net, external_ports=(row,))
+
+
 def slowest_mode(gen, rep):
     """Real full-sample state of the slowest trusted mode rep.eigenvalues[0]:
     the nearest eig column v of gen.s_red, mapped back by the lift."""
@@ -228,6 +240,30 @@ def full_space_pencil(net, n):
     l_full[n_pde:, n_pde:] = closed.a_c_net
     l_full[n_pde:, :n_pde] = closed.b_c_net @ t_stack
     return l_full, m_full, np.hstack([closed.w_b_net @ t_stack, closed.c_c_net]), t_stack
+
+
+def dense_lift(net, n):
+    """The energy-orthonormal lift W^{-1} z_y as the reduction once stored it,
+    a dense n_full x n_red array: per-node Cholesky factors W of M's
+    blocks, z_y = null_basis of the touched columns of G W^{-1} (identity
+    on the others, kernel columns first), then W^{-1} node by node."""
+    closed = assemble(net)
+    ops = [discretize_subsystem(s, n) for s in net.subsystems]
+    _, m_full, g, _ = full_space_pencil(net, n)
+    dtype = m_full.dtype
+    offs = np.cumsum([0] + [o.l.shape[0] for o in ops])
+    blocks = [(slice(int(a), int(b)), np.einsum("iaib->iab", o.m.reshape(n, s.dim, n, s.dim)))
+              for s, o, a, b in zip(net.subsystems, ops, offs, offs[1:])]
+    blocks.append((slice(int(offs[-1]), len(m_full)), closed.controller_weight[None]))
+    w_inv = [(sl, np.linalg.inv(np.linalg.cholesky(0.5 * (b + b.conj().swapaxes(1, 2)),
+                                                   upper=True))) for sl, b in blocks]
+    g_w = _by_nodes([(sl, b.swapaxes(1, 2)) for sl, b in w_inv], g.T.copy()).T
+    touched, free = np.flatnonzero(g_w.any(axis=0)), np.flatnonzero(~g_w.any(axis=0))
+    kernel = null_basis(g_w[:, touched])
+    lift = np.zeros((len(m_full), kernel.shape[1] + len(free)), dtype=dtype)
+    lift[touched, :kernel.shape[1]] = kernel
+    lift[free, kernel.shape[1] + np.arange(len(free))] = 1.0
+    return _by_nodes(w_inv, lift)
 
 
 def random_nsd_k(rng, size, strict=0.0):

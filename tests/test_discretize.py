@@ -1,18 +1,21 @@
 """Grid invariants, collocated operators, and reduced-generator oracles."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from phnet import (MatrixFunction, Network, PHStructuralError, PHSubsystem,
                    assemble_generator, build_beam, build_chain, build_coupled,
-                   discretize_subsystem, make_grid, spectrum)
+                   discretize_subsystem, make_grid, make_initial_state, resolvent_scan,
+                   simulate, spectrum)
 from phnet.discretize import boundary_flux, discrete_energy_rate
-from phnet.scenarios import _wave_subsystem
+from phnet.scenarios import SCENARIOS, _wave_subsystem, build_scenario
 
-from helpers import (chain_transfer_characteristic, full_space_pencil, kron_collocation,
-                     random_constrained_state, random_passive_network,
-                     random_passive_subsystem, secant_root)
+from helpers import (chain_transfer_characteristic, complex_explicit_network, dense_lift,
+                     full_space_pencil, kron_collocation, random_constrained_state,
+                     random_passive_network, random_passive_subsystem, secant_root)
 
 P1_WAVE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -302,6 +305,89 @@ class TestAssembleGenerator:
         assert np.abs(gen.s_red - s_red).max() <= 1e-13 * np.abs(s_red).max()
         trace_map = t @ lift[:t.shape[1]]
         assert np.abs(gen.trace_map - trace_map).max() <= 1e-13 * np.abs(trace_map).max()
+
+
+PARITY_CASES = ([(name, n) for name in sorted(SCENARIOS) for n in (32, 48)]
+                + [("complex_explicit", 16)])
+
+
+def _parity_network(name):
+    return complex_explicit_network() if name == "complex_explicit" else build_scenario(name)
+
+
+def _reachable_arrays(obj, path, seen):
+    """(path, array) of every ndarray reachable from obj through containers,
+    instance dicts and array bases."""
+    if id(obj) in seen or isinstance(obj, (type, types.FunctionType, types.ModuleType)):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+        yield from _reachable_arrays(obj.base, path + ".base", seen)
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _reachable_arrays(value, "%s[%r]" % (path, key), seen)
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from _reachable_arrays(value, "%s[%d]" % (path, i), seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _reachable_arrays(vars(obj), path, seen)
+
+
+class TestFactoredReduction:
+    """The generator stores M's blocks, W, W^{-1}, the kernel and the column
+    split; lift and m_full are dense views built on request."""
+
+    @pytest.mark.parametrize("name,n", PARITY_CASES)
+    def test_views_match_dense_construction(self, name, n):
+        net = _parity_network(name)
+        gen = assemble_generator(net, n)
+        _, m_full, _, _ = full_space_pencil(net, n)
+        lift = dense_lift(net, n)
+        assert gen.lift.dtype == lift.dtype and np.array_equal(gen.lift, lift)
+        assert gen.m_full.dtype == m_full.dtype and np.array_equal(gen.m_full, m_full)
+        assert gen.n_full == len(m_full)
+        gram = gen.lift.conj().T @ gen.m_full @ gen.lift
+        assert np.abs(gram - np.eye(gen.n_red)).max() <= 1e-12
+        # read-only and built once
+        assert gen.lift is gen.lift and not gen.lift.flags.writeable
+        assert gen.m_full is gen.m_full and not gen.m_full.flags.writeable
+
+    @pytest.mark.parametrize("name,n", PARITY_CASES)
+    def test_project_matches_dense_formula(self, name, n):
+        net = _parity_network(name)
+        gen = assemble_generator(net, n)
+        lift, m_full = dense_lift(net, n), full_space_pencil(net, n)[1]
+        rng = np.random.default_rng(n)
+        real = rng.standard_normal(gen.n_full)
+        for x in (real, real + 1j * rng.standard_normal(gen.n_full)):
+            v, residual = gen.project(x)
+            want = lift.conj().T @ (m_full @ x)
+            diff = x - lift @ want
+            want_residual = np.sqrt(np.real(diff.conj() @ m_full @ diff)
+                                    / np.real(x.conj() @ m_full @ x))
+            assert np.abs(v - want).max() <= 1e-13 * np.abs(want).max()
+            assert abs(residual - want_residual) <= 1e-13 * want_residual
+
+    def test_complex_explicit_network_is_complex_with_controller_and_external_port(self):
+        net = complex_explicit_network()
+        assert net.controllers and net.external_ports
+        assert np.iscomplexobj(assemble_generator(net, 16).s_red)
+
+    def test_library_builds_no_dense_lift_or_mass(self):
+        # after every library call a run makes, neither generator holds an
+        # array with an n_full dimension: the constraint rows in meta
+        # (rows x n_full) are the one exception
+        net = build_scenario("chain_of_strings", {"m": 10})
+        gen = assemble_generator(net, 24)
+        rep = spectrum(gen)
+        resolvent_scan(gen, samples=5, spectrum_report=rep)
+        simulate(gen, make_initial_state(net, gen), dt=1e-2, t_end=0.05)
+        for g in (gen, gen.companion):
+            found = [(path, arr.shape) for path, arr in _reachable_arrays(vars(g), "", set())
+                     if g.n_full in arr.shape]
+            assert found == [("['meta']['constraint']", g.meta["constraint"].shape)]
+            assert "lift" not in vars(g) and "m_full" not in vars(g)
 
 
 class TestDiscreteEnergyBalance:

@@ -1,7 +1,8 @@
 """Module layering: passivity alone decides certificates, network, which
 builds the closed loop, does not depend on it, serial detection reads the
 loop only through assemble, the library reads the
-energy-frame generator s_red, never the aliases kept for the benchmark,
+energy-frame generator s_red, never the aliases and dense views kept for
+the benchmark and the tests,
 only the resolvent scan and the Cayley stepper load scipy, and the scan's
 frequency loop calls no numpy BLAS."""
 
@@ -15,8 +16,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "phnet"
 CERTIFICATE_INTERNALS = {"_certificate", "_psd_verdict", "_tol_for"}
 # DiscreteGenerator.m_red (the identity) and sim_operator() (s_red) serve the
-# benchmark oracles only; chol, the old energy frame, is gone
-HARNESS_ALIASES = {"m_red", "chol", "sim_operator"}
+# benchmark oracles only, and the dense views lift and m_full the oracles,
+# tests and demos; chol, the old energy frame, is gone
+HARNESS_ALIASES = {"m_red", "chol", "sim_operator", "lift", "m_full"}
 # the Network fields assemble closes the loop from, and the retired declaration
 LOOP_FIELDS = {"k_mat", "coupling", "serial_blocks"}
 # (module, function) of every scipy import: the scan's Schur form and

@@ -8,9 +8,9 @@ from phnet import (Network, assemble_generator, build_chain,
                    make_initial_state, simulate, spectrum)
 from phnet.discretize import boundary_flux, discrete_energy_rate
 from phnet.scenarios import _wave_subsystem
-from phnet.simulate import CayleyStepper
+from phnet.simulate import DIAG_PIVOT_THRESH, PERMC_SPEC, CayleyStepper
 
-from helpers import random_constrained_state, random_passive_network
+from helpers import complex_explicit_network, random_constrained_state, random_passive_network
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +84,36 @@ class TestSparseStepper:
             assert np.linalg.norm(v - want) <= 1e-12 * np.linalg.norm(want)
         energy = 0.5 * np.real(want.conj() @ m @ want)
         assert abs(stepper.energy(v) - energy) <= 1e-12 * energy
+
+    def test_sparse_cayley_matrix_factors_as_the_dense_one(self):
+        # I - dt/2 s_red assembled sparse has the dense matrix's entries, so
+        # SuperLU returns the same factors and ordering bit for bit
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+        for net in (build_chain(m=3, kappa=[0.5, 0.02, 0.02]), complex_explicit_network()):
+            gen = assemble_generator(net, 16)
+            lu = CayleyStepper(gen, 1e-2).lu
+            want = splu(csc_matrix(np.eye(gen.n_red) - 0.5 * 1e-2 * gen.s_red),
+                        permc_spec=PERMC_SPEC, diag_pivot_thresh=DIAG_PIVOT_THRESH)
+            assert np.array_equal(lu.perm_c, want.perm_c)
+            assert np.array_equal(lu.perm_r, want.perm_r)
+            for got, ref in ((lu.L, want.L), (lu.U, want.U)):
+                assert (got != ref).nnz == 0 and got.nnz == ref.nnz
+
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2 ** 32 - 1), complex_ok=st.booleans(),
+           complex_v=st.booleans())
+    def test_trace_is_trace_map_product(self, seed, complex_ok, complex_v):
+        # scipy's gemv in the step loop gives numpy's trace_map @ v
+        rng = np.random.default_rng(seed)
+        gen = assemble_generator(random_passive_network(rng, 2, complex_ok, True), 16)
+        v = rng.standard_normal(gen.n_red)
+        if complex_v:
+            v = v + 1j * rng.standard_normal(gen.n_red)
+        want = gen.trace_map @ v
+        got = CayleyStepper(gen, 1e-2).trace(v)
+        assert got.shape == want.shape and np.iscomplexobj(got) == np.iscomplexobj(want)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_complex_state_on_real_generator(self, damped):
         net, gen = damped
