@@ -275,8 +275,9 @@ def _by_nodes(blocks, x):
 
 def _lift(n_full, kernel, touched, free, w_inv, dtype):
     """lift = W^{-1} z_y, z_y the kernel on the touched columns and the identity
-    on the free ones; kernel columns first: last, they grow the pivots of a
-    dense LU of I - dt/2 s_red."""
+    on the free ones; kernel columns first, where they are the Cayley
+    stepper's border: last, they grow the pivots of a dense LU of I - dt/2
+    s_red."""
     lift = np.zeros((n_full, kernel.shape[1] + len(free)), dtype=dtype)
     lift[touched, :kernel.shape[1]] = kernel
     lift[free, kernel.shape[1] + np.arange(len(free))] = 1.0

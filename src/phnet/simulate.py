@@ -12,24 +12,21 @@ exactly for the midpoint state v_mid = (v + v')/2.
 
 Since I + dt/2 s = 2I - (I - dt/2 s), the step is taken in midpoint form:
 solve (I - dt/2 s_red) w = v, then v' = 2w - v, where w is the midpoint
-state.  s_red is block sparse (about 7 % nonzero at n_red 940), so the
-Cayley matrix is factored once by SuperLU and each step costs two sparse
-triangular solves.
+state.  Subsystems meet only through boundary ports, so past the kernel
+coordinates s_red is block diagonal by subsystem, bordered by the kernel
+rows and columns.  CayleyStepper eliminates the blocks against that border
+once per dt, by explicit inverses, and a step is a few dense products on
+numpy's BLAS.  On the ten-string chain at n = 48 (n_red 940, k = 19, ten
+blocks of 92-93) a factor takes 3.6-6.1 ms and a step 38-52 us, against
+14-23 ms and 82-154 us for the sparse LU it replaced; on thirty strings
+(n_red 2820, k = 59) 15-25 ms and 249-329 us against 112-142 ms and
+307-566 us (2 vCPUs, dt 2.5e-3).  The module imports no scipy.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
 
 INCOMPATIBLE_TOL = 1e-6
-
-# SuperLU settings for the Cayley matrix I - dt/2 s_red.  Its pattern is
-# structurally symmetric, so minimum degree on A^T + A suits it, and its
-# Hermitian part is >= I when Sym s_red <= 0, so diagonal pivots are safe
-# and keep that ordering's fill.  On the trajectory chain (ten strings,
-# damped joints, n_red 940) L + U hold 89 262 nonzeros (10 % of dense),
-# against 139 860 under COLAMD and 299 221 under partial pivoting.
-PERMC_SPEC = "MMD_AT_PLUS_A"
-DIAG_PIVOT_THRESH = 0.1
 
 
 @dataclass
@@ -65,56 +62,111 @@ def write_csv(path, header, columns):
 
 
 class CayleyStepper:
-    """Sparse LU of (I - dt/2 s_red) for fixed dt, used in midpoint form.
+    """Bordered block elimination of A = I - dt/2 s_red for fixed dt, used in
+    midpoint form.
 
-    step(v) solves (I - dt/2 s_red) w = v for the midpoint state w and
-    returns v' = 2w - v, the Cayley step.  SuperLU factors the matrix once,
-    with PERMC_SPEC and DIAG_PIVOT_THRESH; the matrix is assembled sparse,
-    from the CSC form of s_red and a sparse identity.  The energy of a
-    reduced state is 1/2 |v|^2, and trace(v) = trace_map @ v is taken by
-    scipy's gemv, so a step loop stays on scipy's BLAS.  scipy is imported
-    here, not with phnet: only stepping needs it.
+    step(v) solves A w = v for the midpoint state w and returns v' = 2w - v,
+    the Cayley step.  Subsystems meet only through boundary ports, so a
+    subsystem's free rows of s_red reach only its own free columns and the
+    kernel ones (the first k coordinates).  The free coordinates of each
+    first-order subsystem make one block; the border holds the rest: the
+    kernel coordinates and the free coordinates of higher-order subsystems
+    and of the controllers.  A_ff, the blocks' part of A, is then block
+    diagonal.  The factor inverts each block A_j once (one batched inv over
+    a stack padded with identity), forms X = A_ff^{-1} A_fb and the Schur
+    complement S = A_bb - A_bf X, and inverts S; a step takes y = A_ff^{-1}
+    v_f, w_b = S^{-1} (v_b - A_bf y) and w_f = y - X w_b, on v gathered
+    into the padded layout, so it is a handful of numpy calls.
+
+    Explicit inverses are safe here: for a dissipative network Sym A = I -
+    dt/2 Sym s_red >= I, so every A_j and S, a principal block and a Schur
+    complement of A, has Hermitian part >= I as well, and each inverse has
+    norm <= 1.  The inverses do not bound |S|, and the elimination loses
+    accuracy in proportion to |S| / |A|.  A beam's derivative traces are
+    dense in its nodes, so its free coordinates couple to the kernel through
+    its n^4-scaled operator: eliminated as a block, they made |S| about
+    |A|^2 (5.7e6 against 2.4e3 on spring_mass_damper_string_beam at n = 48)
+    and put the solve 1.5e-12 off a dense LU's; in the border, |S| stays
+    within 3 |A| on every network measured.  A lone beam is all border, one
+    dense S^{-1}.  The blocks are gathered from s_red by index, so no n_red
+    x n_red array is made.  The energy of a reduced state is 1/2 |v|^2, and
+    trace(v) = trace_map @ v.
     """
 
     def __init__(self, gen, dt):
-        from scipy.linalg.blas import dgemv, zgemv
-        from scipy.sparse import csc_matrix, identity
-        from scipy.sparse.linalg import splu
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.gen = gen
         self.dt = float(dt)
-        a = (-0.5 * self.dt) * csc_matrix(gen.s_red) + identity(len(gen.s_red), format="csc")
-        self.real = not np.iscomplexobj(a)
-        self.dgemv, self.zgemv = dgemv, zgemv
-        try:
-            self.lu = splu(a, permc_spec=PERMC_SPEC, diag_pivot_thresh=DIAG_PIVOT_THRESH)
-        except RuntimeError as exc:      # SuperLU: "Factor is exactly singular"
-            raise RuntimeError(
-                "Cayley solver failed at dt=%.3e (cond ~ %.2e): %s"
-                % (dt, np.linalg.cond(a.toarray()), exc)) from exc
+        s, h, k = gen.s_red, 0.5 * self.dt, gen.kernel.shape[1]
+        # subsystem j's free coordinates are [starts[j], stops[j]); those of
+        # first-order subsystems make the blocks, and all others the border
+        starts = k + np.searchsorted(gen.free, [sl.start for sl in gen.sample_slices])
+        stops = k + np.searchsorted(gen.free, [sl.stop for sl in gen.sample_slices])
+        first_order = np.array([sub.order == 1 for sub in gen.net.subsystems], dtype=bool)
+        keep = first_order & (stops > starts)
+        starts, sizes = starts[keep], (stops - starts)[keep]
+        # the padded layout: block j in slots j*width.., then the border; a
+        # pad slot reads its block's first coordinate, and zeroed pad rows and
+        # columns keep it out of every product
+        width = int(sizes.max(initial=0))
+        real = np.arange(width) < sizes[:, None]
+        both = real[:, :, None] & real[:, None, :]
+        layout = starts[:, None] + np.arange(width) * real
+        in_block = np.zeros(len(s), dtype=bool)
+        in_block[layout] = True
+        border = np.flatnonzero(~in_block)
+        self.n_pad = layout.size
+        self.gather = np.concatenate([layout.ravel(), border])
+        self.place = np.empty(len(s), dtype=int)          # each coordinate's slot
+        self.place[layout[real]] = np.flatnonzero(real)
+        self.place[border] = self.n_pad + np.arange(len(border))
+        self.real = not np.iscomplexobj(s)
+        a_ff = np.where(both, -h * s[layout[:, :, None], layout[:, None, :]], 0.0) + np.eye(width)
+        self.inv_ff = _inverse(a_ff, self.dt) * both
+        self.a_bf = -h * s[np.ix_(border, layout.ravel())] * real.ravel()
+        a_fb = -h * s[np.ix_(layout.ravel(), border)] * real.ravel()[:, None]
+        self.x = (self.inv_ff @ a_fb.reshape(*real.shape, len(border))).reshape(a_fb.shape)
+        schur = -h * s[np.ix_(border, border)] - self.a_bf @ self.x
+        schur[np.diag_indices_from(schur)] += 1.0
+        self.inv_s = _inverse(schur, self.dt)
+
+    def _solve(self, v):
+        """w = A^{-1} v by the block elimination, in the padded layout.  With
+        no blocks (a lone beam) it is w = S^{-1} v: the products with the
+        empty blocks are skipped, as they cost more than that one gemv."""
+        u = v[self.gather]
+        if not self.n_pad:
+            return (self.inv_s @ u)[self.place]
+        y = (self.inv_ff @ u[:self.n_pad].reshape(*self.inv_ff.shape[:2], 1)).reshape(-1)
+        w_b = self.inv_s @ (u[self.n_pad:] - self.a_bf @ y)
+        return np.concatenate([y - self.x @ w_b, w_b])[self.place]
 
     def step(self, v):
         v = np.asarray(v)
         if np.iscomplexobj(v) and self.real:
-            w = self.lu.solve(v.real) + 1j * self.lu.solve(v.imag)
+            w = self._solve(v.real) + 1j * self._solve(v.imag)
         else:
-            w = self.lu.solve(v)
+            w = self._solve(v)
         return 2.0 * w - v
 
     def trace(self, v):
-        """Stacked traces trace_map @ v of a reduced state (trace_map^T is
-        Fortran-ordered, so gemv reads it without a copy)."""
-        t = self.gen.trace_map.T
-        if np.iscomplexobj(t):
-            return self.zgemv(1.0, t, v, trans=1)
-        if np.iscomplexobj(v):
-            return self.dgemv(1.0, t, v.real, trans=1) + 1j * self.dgemv(1.0, t, v.imag, trans=1)
-        return self.dgemv(1.0, t, v, trans=1)
+        """Stacked traces trace_map @ v of a reduced state."""
+        return self.gen.trace_map @ v
 
     def energy(self, v):
         """H = 1/2 |v|^2 of a reduced state."""
         return 0.5 * float(np.real(np.vdot(v, v)))
+
+
+def _inverse(a, dt):
+    """np.linalg.inv of a matrix or a stack; a singular one raises a
+    RuntimeError naming dt and its condition number."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("Cayley solver failed at dt=%.3e (cond ~ %.2e): %s"
+                           % (dt, np.max(np.linalg.cond(a)), exc)) from exc
 
 
 def default_dt(gen, spectrum_report=None):

@@ -3,8 +3,8 @@ builds the closed loop, does not depend on it, serial detection reads the
 loop only through assemble, the library reads the
 energy-frame generator s_red, never the aliases and dense views kept for
 the benchmark and the tests,
-only the resolvent scan and the Cayley stepper load scipy, and the scan's
-frequency loop calls no numpy BLAS."""
+only the resolvent scan loads scipy (the Cayley stepper runs on numpy), and
+the scan's frequency loop calls no numpy BLAS."""
 
 import ast
 import json
@@ -22,9 +22,8 @@ HARNESS_ALIASES = {"m_red", "chol", "sim_operator", "lift", "m_full"}
 # the Network fields assemble closes the loop from, and the retired declaration
 LOOP_FIELDS = {"k_mat", "coupling", "serial_blocks"}
 # (module, function) of every scipy import: the scan's Schur form and
-# frequency-loop kernels (triangular solve, gemv, norm, tridiagonal eigensolver),
-# the stepper's SuperLU
-SCIPY_IMPORTERS = {("analysis.py", "resolvent_scan"), ("simulate.py", "__init__")}
+# frequency-loop kernels (triangular solve, gemv, norm, tridiagonal eigensolver)
+SCIPY_IMPORTERS = {("analysis.py", "resolvent_scan")}
 # numpy calls that reach numpy's own BLAS or LAPACK
 NUMPY_BLAS = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
 COLD_PATH = """
@@ -38,10 +37,13 @@ with open(path, "w") as f, contextlib.redirect_stdout(f):
 with open(os.devnull, "w") as f, contextlib.redirect_stdout(f):
     assert cli.main(["check", path]) == 0
     assert cli.main(["spectrum", path, "--n", "24", "--out", os.path.join(tmp, "s.csv")]) == 0
+    assert cli.main(["simulate", path, "--n", "24", "--t-end", "0.05",
+                     "--out", os.path.join(tmp, "t.csv")]) == 0
 net = phnet.build_coupled(variant="spring_mass_damper_string_beam")
 assert net.controllers
 gen = phnet.assemble_generator(net, 24)
 rep = phnet.spectrum(gen)
+phnet.simulate(gen, phnet.make_initial_state(net, gen), dt=1e-2, t_end=0.05)
 cold = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 phnet.resolvent_scan(gen, samples=5, spectrum_report=rep)
 print(json.dumps({"cold": cold, "scan": sorted(sys.modules)}))
@@ -122,7 +124,7 @@ def _scipy_imports(tree, scope=None):
         yield from _scipy_imports(node, scope)
 
 
-def test_scipy_imported_only_inside_scan_and_stepper():
+def test_scipy_imported_only_inside_the_scan():
     found = {(path.name, scope) for path in SRC.glob("*.py")
              for scope, _ in _scipy_imports(ast.parse(path.read_text()))}
     assert found == SCIPY_IMPORTERS
@@ -142,8 +144,8 @@ def test_inverse_lanczos_takes_its_kernels_from_its_arguments():
 
 
 def test_cold_path_loads_no_scipy(tmp_path):
-    # import phnet, check and spectrum (a controller network too) run on
-    # numpy alone; the resolvent scan loads scipy.linalg, not scipy.sparse
+    # import phnet, check, spectrum and simulate (a controller network too)
+    # run on numpy alone; the resolvent scan loads scipy.linalg, not scipy.sparse
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", COLD_PATH, str(tmp_path)], env=env,

@@ -1,16 +1,52 @@
-"""Cayley stepping: contraction, reversibility, exact energy balance."""
+"""Cayley stepping: contraction, reversibility, exact energy balance, and
+the port structure of s_red that the block-eliminated step relies on."""
+
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phnet import (Network, assemble_generator, build_chain,
-                   make_initial_state, simulate, spectrum)
+from phnet import (SCENARIOS, Controller, Network, assemble_generator, build_chain,
+                   build_scenario, make_initial_state, simulate, spectrum)
 from phnet.discretize import boundary_flux, discrete_energy_rate
 from phnet.scenarios import _wave_subsystem
-from phnet.simulate import DIAG_PIVOT_THRESH, PERMC_SPEC, CayleyStepper
+from phnet.simulate import CayleyStepper
 
-from helpers import complex_explicit_network, random_constrained_state, random_passive_network
+from helpers import random_constrained_state, random_passive_network
+
+
+def all_border(s_red):
+    """A generator stand-in whose coordinates are all border (kernel) ones."""
+    n = len(s_red)
+    return SimpleNamespace(s_red=s_red, kernel=np.zeros((0, n)), free=np.arange(0),
+                           sample_slices=[], controller_slice=slice(0, 0),
+                           net=SimpleNamespace(subsystems=()))
+
+
+def subsystem_blocks(gen):
+    """The reduced positions of each subsystem's free coordinates."""
+    k = gen.kernel.shape[1]
+    return [k + np.flatnonzero((gen.free >= sl.start) & (gen.free < sl.stop))
+            for sl in gen.sample_slices]
+
+
+def hidden_state_network():
+    """Two damped strings and a controller whose third state C_c does not
+    read (weight I), so the reduction keeps that state as a free controller
+    coordinate.  B_c drives it by both strings' velocities at z = 0, which
+    no constraint row touches, so s_red couples it to both strings' free
+    blocks: the elimination is exact only with it in the border.  With D_c
+    = 0 and B_c != C_c* the controller is not passive, so the network is
+    not certified; the Cayley map is the same algebra."""
+    strings = tuple(_wave_subsystem(1.0, 1.0, kind="interior") for _ in range(2))
+    ctrl = Controller(a_c=[[-1.0, 0.0, 1.0], [0.0, -1.0, 0.0], [-1.0, 0.0, -1.0]],
+                      b_c=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                      c_c=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], d_c=np.zeros((2, 2)),
+                      state_weight=np.eye(3))
+    k_mat = np.diag([0.0, -0.5, 0.0, -0.5])       # y1(1) = -y2(1) / 2 on each string
+    return Network(subsystems=strings, controllers=(ctrl,), coupling=((0, 2),), k_mat=k_mat)
 
 
 @pytest.fixture(scope="module")
@@ -28,16 +64,13 @@ def damped():
 
 class TestStepMidpoint:
     def test_zero_dynamics_identity(self):
-        class Dummy:
-            s_red = np.zeros((3, 3))
         v = np.array([1.0, -2.0, 0.5])
-        assert np.allclose(CayleyStepper(Dummy(), 0.1).step(v), v)
+        assert np.allclose(CayleyStepper(all_border(np.zeros((3, 3))), 0.1).step(v), v)
 
     def test_scalar_cayley_at_minus_one(self):
         # a = -1, dt = 2: (1 + dt/2 a) / (1 - dt/2 a) = 0
-        class Dummy:
-            s_red = -np.eye(1)
-        assert np.allclose(CayleyStepper(Dummy(), 2.0).step(np.array([3.0])), [0.0])
+        assert np.allclose(CayleyStepper(all_border(-np.eye(1)), 2.0).step(np.array([3.0])),
+                           [0.0])
 
     def test_conservative_step_is_isometric(self, conservative):
         net, gen = conservative
@@ -54,17 +87,15 @@ class TestStepMidpoint:
 
     def test_singular_cayley_matrix_names_dt_and_condition(self):
         # 1 - dt/2 s = 1 - 1/2 * 2 = 0
-        class Dummy:
-            s_red = 2.0 * np.eye(1)
         with pytest.raises(RuntimeError, match=r"dt=1\.000e\+00 \(cond ~ inf\)"):
-            CayleyStepper(Dummy(), 1.0)
+            CayleyStepper(all_border(2.0 * np.eye(1)), 1.0)
 
 
-class TestSparseStepper:
-    """The SuperLU midpoint-form step is the dense Cayley map."""
+class TestBlockStepper:
+    """The block-eliminated midpoint-form step is the dense Cayley map."""
 
     @settings(max_examples=40)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n_subsystems=st.integers(1, 2),
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_subsystems=st.integers(1, 3),
            complex_ok=st.booleans(), with_controller=st.booleans(),
            dt=st.sampled_from([1e-3, 1e-2, 1e-1]))
     def test_matches_dense_cayley_map(self, seed, n_subsystems, complex_ok,
@@ -85,26 +116,41 @@ class TestSparseStepper:
         energy = 0.5 * np.real(want.conj() @ m @ want)
         assert abs(stepper.energy(v) - energy) <= 1e-12 * energy
 
-    def test_sparse_cayley_matrix_factors_as_the_dense_one(self):
-        # I - dt/2 s_red assembled sparse has the dense matrix's entries, so
-        # SuperLU returns the same factors and ordering bit for bit
-        from scipy.sparse import csc_matrix
-        from scipy.sparse.linalg import splu
-        for net in (build_chain(m=3, kappa=[0.5, 0.02, 0.02]), complex_explicit_network()):
-            gen = assemble_generator(net, 16)
-            lu = CayleyStepper(gen, 1e-2).lu
-            want = splu(csc_matrix(np.eye(gen.n_red) - 0.5 * 1e-2 * gen.s_red),
-                        permc_spec=PERMC_SPEC, diag_pivot_thresh=DIAG_PIVOT_THRESH)
-            assert np.array_equal(lu.perm_c, want.perm_c)
-            assert np.array_equal(lu.perm_r, want.perm_r)
-            for got, ref in ((lu.L, want.L), (lu.U, want.U)):
-                assert (got != ref).nnz == 0 and got.nnz == ref.nnz
+    @pytest.mark.parametrize("dt", [1e-2, 2.5e-3])
+    def test_block_solve_is_backward_stable(self, dt):
+        # the bound of the dense LU below, for the elimination's x = A^-1 b
+        # on the benchmark's trajectory chain (ten blocks, kernel width 19)
+        gen = assemble_generator(build_chain(m=10, kappa=[0.5] + [0.02] * 9), 48)
+        a = np.eye(gen.n_red) - 0.5 * dt * gen.s_red
+        b = np.random.default_rng(0).standard_normal(gen.n_red)
+        x = CayleyStepper(gen, dt)._solve(b)
+        assert np.linalg.norm(b - a @ x) <= 1e-14 * np.linalg.norm(a, 2) * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_schur_complement_keeps_the_scale_of_a(self, name):
+        # block elimination loses accuracy in proportion to |S| / |A|; a
+        # beam's free coordinates, eliminated as a block, made |S| about |A|^2
+        gen = assemble_generator(build_scenario(name), 48)
+        for dt in (1e-2, 1e-1):
+            stepper = CayleyStepper(gen, dt)
+            a = np.eye(gen.n_red) - 0.5 * dt * gen.s_red
+            assert np.linalg.norm(np.linalg.inv(stepper.inv_s), 2) <= 10 * np.linalg.norm(a, 2)
+
+    def test_factor_allocates_no_dense_matrix(self):
+        # the blocks, X and S are cut from s_red: no n_red x n_red array
+        gen = assemble_generator(build_chain(m=10, kappa=[0.5] + [0.02] * 9), 48)
+        tracemalloc.start()
+        try:
+            CayleyStepper(gen, 2.5e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gen.n_red ** 2 * gen.s_red.itemsize
 
     @settings(max_examples=20)
     @given(seed=st.integers(0, 2 ** 32 - 1), complex_ok=st.booleans(),
            complex_v=st.booleans())
     def test_trace_is_trace_map_product(self, seed, complex_ok, complex_v):
-        # scipy's gemv in the step loop gives numpy's trace_map @ v
         rng = np.random.default_rng(seed)
         gen = assemble_generator(random_passive_network(rng, 2, complex_ok, True), 16)
         v = rng.standard_normal(gen.n_red)
@@ -124,13 +170,6 @@ class TestSparseStepper:
         got = CayleyStepper(gen, 1e-2).step(v)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_fill_reducing_ordering(self):
-        # damped joints couple neighbouring strings; SuperLU's default
-        # COLAMD ordering then fills L + U to 90 % of n_red^2
-        gen = assemble_generator(build_chain(m=10, kappa=[0.5] + [0.02] * 9), 48)
-        lu = CayleyStepper(gen, 2.5e-3).lu
-        assert lu.L.nnz + lu.U.nnz < 0.2 * gen.n_red ** 2
-
     def test_dense_cayley_solve_is_backward_stable(self):
         # a dense LU of I - dt/2 s_red, as the benchmark's trajectory oracle
         # takes it: with the constraint-kernel coordinates after the free
@@ -140,6 +179,47 @@ class TestSparseStepper:
         b = np.random.default_rng(0).standard_normal(gen.n_red)
         x = np.linalg.solve(a, b)
         assert np.linalg.norm(b - a @ x) <= 1e-14 * np.linalg.norm(a, 2) * np.linalg.norm(x)
+
+
+class TestPortStructure:
+    """Subsystems meet only through boundary ports: the free x free part of
+    s_red is block diagonal by subsystem, exactly."""
+
+    @staticmethod
+    def assert_block_diagonal(gen):
+        blocks = subsystem_blocks(gen)
+        for i, rows in enumerate(blocks):
+            for j, cols in enumerate(blocks):
+                if i != j:
+                    assert not gen.s_red[np.ix_(rows, cols)].any(), (i, j)
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_subsystems=st.integers(1, 3),
+           complex_ok=st.booleans(), with_controller=st.booleans())
+    def test_random_networks(self, seed, n_subsystems, complex_ok, with_controller):
+        rng = np.random.default_rng(seed)
+        net = random_passive_network(rng, n_subsystems, complex_ok, with_controller)
+        self.assert_block_diagonal(assemble_generator(net, 16))
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scenarios(self, name):
+        self.assert_block_diagonal(assemble_generator(build_scenario(name), 32))
+
+    def test_free_controller_coordinate(self):
+        gen = assemble_generator(hidden_state_network(), 24)
+        c = gen.controller_slice
+        assert list(gen.free[gen.free >= c.start]) == [c.stop - 1]
+        blocks = subsystem_blocks(gen)
+        assert all(gen.s_red[-1, cols].any() for cols in blocks)
+        self.assert_block_diagonal(gen)
+        s, h = gen.s_red, 5e-3
+        v = np.random.default_rng(6).standard_normal(gen.n_red)
+        stepper = CayleyStepper(gen, 2 * h)
+        want = v.copy()
+        for _ in range(20):
+            v = stepper.step(v)
+            want = np.linalg.solve(np.eye(gen.n_red) - h * s, want + h * (s @ want))
+            assert np.linalg.norm(v - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestSimulate:
