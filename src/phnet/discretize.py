@@ -142,33 +142,31 @@ class DiscreteGenerator:
     """The constrained network generator dv/dt = s_red v in the energy frame.
 
     The reduction is stored factored.  M (= m_full) is block diagonal with
-    one block per node and one for the controller states: mass holds them
-    as (slice, (k, b, b) stack) pairs, w their upper Cholesky factors (M =
-    W* W) and w_inv the inverses.  kernel (z_y on the touched columns, the
-    trace nodes and controller states that the constraint rows reach),
-    touched and free (the other columns, in order) give the constraint
-    null space basis lift = W^{-1} z_y, which is energy-orthonormal, lift*
-    M lift = I: x = lift v has energy 1/2 |v|^2, and s_red = lift* M L lift
-    (L the closed loop, never formed) has the energy norm as its Euclidean
-    norm.  trace_map @ v stacks every subsystem's traces.  meta holds the
-    constraint rows, constraint_residual = max |G lift| and sym_drift = max
-    eig of Sym s_red.
+    one block per node and one for the controller states; w holds their
+    upper Cholesky factors (M = W* W) as (slice, (k, b, b) stack) pairs, the
+    one stored form of the energy weight.  kernel (z_y on the touched
+    columns, the trace nodes and controller states that the constraint rows
+    reach), touched and free (the other columns, in order) give the
+    constraint null space basis lift = W^{-1} z_y, which is
+    energy-orthonormal, lift* M lift = I: x = lift v has energy 1/2 |v|^2,
+    and s_red = lift* M L lift (L the closed loop, never formed) has the
+    energy norm as its Euclidean norm.  trace_map @ v stacks every
+    subsystem's traces.  meta holds the constraint rows,
+    constraint_residual = max |G lift| and sym_drift = max eig of Sym s_red.
 
     Built on first use: the companion (a coarser resolution, for the
     two-grid eigenvalue filter), the eigenvalues of s_red, and the dense
     lift (n_full x n_red) and m_full (n_full x n_full), read-only views for
     tests, demos and the benchmark oracles; the library never reads the
-    two.  On the ten-string chain at n = 48 (n_full 960, n_red 940) the
-    factors take 0.06 MB where the two views would take 14.6 MB; on thirty
-    strings (n_full 2880, n_red 2820), 0.2 MB against 131 MB.  m_red (= I)
-    and sim_operator() (= s_red) serve the benchmark oracles only.
+    two.  On the ten-string chain at n = 48 (n_full 960, n_red 940) W takes
+    0.015 MB where the two views would take 14.6 MB; on thirty strings
+    (n_full 2880, n_red 2820), 0.05 MB against 131 MB.  m_red (= I) and
+    sim_operator() (= s_red) serve the benchmark oracles only.
     """
 
     s_red: np.ndarray
     trace_map: np.ndarray
-    mass: list
     w: list
-    w_inv: list
     kernel: np.ndarray
     touched: np.ndarray
     free: np.ndarray
@@ -189,18 +187,19 @@ class DiscreteGenerator:
     @cached_property
     def lift(self):
         """W^{-1} z_y as a dense read-only array, built on first request."""
-        lift = _lift(self.n_full, self.kernel, self.touched, self.free, self.w_inv,
-                     self.s_red.dtype)
+        w_inv = [(sl, np.linalg.inv(b)) for sl, b in self.w]
+        lift = _lift(self.n_full, self.kernel, self.touched, self.free, w_inv, self.s_red.dtype)
         lift.setflags(write=False)
         return lift
 
     @cached_property
     def m_full(self):
-        """The block-diagonal M as a dense read-only array, built on first request."""
+        """The block-diagonal M as a dense read-only array, built on first request
+        from each subsystem's collocated M and the controller weight."""
         m_full = np.zeros((self.n_full, self.n_full), dtype=self.s_red.dtype)
-        for sl, b in self.mass:
-            idx = np.arange(sl.start, sl.stop).reshape(b.shape[:2])
-            m_full[idx[:, :, None], idx[:, None, :]] = b
+        for s, grid, sl in zip(self.net.subsystems, self.grids, self.sample_slices):
+            m_full[sl, sl] = discretize_subsystem(s, grid.n).m
+        m_full[self.controller_slice, self.controller_slice] = assemble(self.net).controller_weight
         m_full.setflags(write=False)
         return m_full
 
@@ -232,28 +231,23 @@ class DiscreteGenerator:
     def project(self, x_full):
         """M-orthogonal projection of a full sample vector; returns (v, rel residual).
 
-        v = lift* M x block by block: M x per node, then on the kernel
-        columns the lift's own columns W^{-1} z_y (n_full x kernel width,
-        built here), on the free ones W^{-*} per node.  These are the
-        dense product's nonzero terms, and v is the dense formula's bit for
-        bit on the built-in scenarios.  The residual is measured in the W
-        norm, |W (x - lift v)| / |W x| = |W x - z_y v| / |W x|.
+        v = lift* M x = z_y* W^{-*} W* W x = z_y* u with u = W x, one pass
+        over the nodes: kernel* u on the touched columns, u itself on the
+        free ones.  The residual is measured in the W norm, |W (x - lift v)|
+        / |W x| = |u[touched] - kernel v_kernel| / |u|, as the free part of
+        u - z_y v is exactly 0.  v agrees with the dense formula lift* (M x)
+        within 5e-16 relative on the built-in scenarios and 1e-15 on random
+        passive networks.
         """
         x_full = np.asarray(x_full)
         x = np.array(x_full, dtype=np.result_type(x_full, self.s_red)).reshape(-1, 1)
-        mx = _by_nodes(self.mass, x.copy())
-        k = self.kernel.shape[1]
-        # no free columns: the lift's kernel columns alone
-        kernel_lift = _lift(self.n_full, self.kernel, self.touched, self.free[:0], self.w_inv,
-                            self.s_red.dtype)
-        v_kernel = kernel_lift.conj().T @ mx[:, 0]
-        w_inv_h = [(sl, b.conj().swapaxes(1, 2)) for sl, b in self.w_inv]
-        v = np.concatenate([v_kernel, _by_nodes(w_inv_h, mx)[self.free, 0]])
         u = _by_nodes(self.w, x)[:, 0]
-        diff = np.concatenate([u[self.touched] - self.kernel @ v_kernel, u[self.free] - v[k:]])
+        u_touched = u[self.touched]
+        v_kernel = self.kernel.conj().T @ u_touched
+        diff = u_touched - self.kernel @ v_kernel
         num = float(np.real(np.vdot(diff, diff)))
         den = max(float(np.real(np.vdot(u, u))), 1e-300)
-        return v, np.sqrt(num / den)
+        return np.concatenate([v_kernel, u[self.free]]), np.sqrt(num / den)
 
     def traces(self, v):
         """Per-subsystem boundary traces tau_j(Hx) of a reduced state."""
@@ -300,8 +294,8 @@ def _reduce(net, n_per_subsystem):
     [W_B T, C_c] the constraint rows, touches only trace nodes and controller
     states; z_y is null_basis of those columns and the identity elsewhere,
     lift = W^{-1} z_y and s_red = z_y* W L lift, L lift stacking L_j lift_j
-    over A_c lift_c + B_c trace_map.  The dense lift and L lift live only
-    here; the generator keeps M's blocks, W, W^{-1}, the kernel and the
+    over A_c lift_c + B_c trace_map.  M's blocks, W^{-1}, the dense lift
+    and L lift live only here; the generator keeps W, the kernel and the
     column split.  Raises PHStructuralError naming a subsystem that cannot
     be collocated, or the block of dependent rows.
     """
@@ -331,8 +325,7 @@ def _reduce(net, n_per_subsystem):
     for s, o, sl in zip(net.subsystems, ops, sample_slices):
         t_stack[r:r + o.t.shape[0], sl] = o.t
         r += o.t.shape[0]
-        mass.append((sl, np.einsum("iaib->iab",
-                                   o.m.reshape(o.grid.n, s.dim, o.grid.n, s.dim)).copy()))
+        mass.append((sl, np.einsum("iaib->iab", o.m.reshape(o.grid.n, s.dim, o.grid.n, s.dim))))
     mass.append((controller_slice, closed.controller_weight[None]))
     try:
         w = [(sl, np.linalg.cholesky(0.5 * (b + b.conj().swapaxes(1, 2)), upper=True))
@@ -355,7 +348,6 @@ def _reduce(net, n_per_subsystem):
                                 "%.2e); offending block: subsystem %d (port row %d)"
                                 % (sv[-1] if len(sv) == g.shape[0] else 0.0, j, row))
 
-    # the dense lift and L lift are transient: the generator keeps the factors
     lift = _lift(n_full, kernel, touched, free, w_inv, dtype)
     trace_map = t_stack @ lift[:n_pde]
     lz = np.zeros(lift.shape, dtype=dtype)
@@ -366,7 +358,7 @@ def _reduce(net, n_per_subsystem):
     w_lz = _by_nodes(w, lz)
     return DiscreteGenerator(
         s_red=np.vstack([kernel.conj().T @ w_lz[touched], w_lz[free]]), trace_map=trace_map,
-        mass=mass, w=w, w_inv=w_inv, kernel=kernel, touched=touched, free=free,
+        w=w, kernel=kernel, touched=touched, free=free,
         sample_slices=sample_slices, controller_slice=controller_slice,
         grids=[o.grid for o in ops], net=net,
         meta={"constraint": g,

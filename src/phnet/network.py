@@ -15,6 +15,7 @@ passivity certifies the closed loop from these blocks.
 
 import numpy as np
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import PHStructuralError, _as_matrix, flux_form
 
@@ -113,8 +114,12 @@ class Network:
     def n_controller_states(self):
         return sum(c.n_state for c in self.controllers)
 
+    @cached_property
+    def _closed_loop(self):
+        return _close_loop(self)
 
-@dataclass
+
+@dataclass(frozen=True)
 class ClosedLoopDescription:
     """The closed-loop law of a Network, assembled once.
 
@@ -137,6 +142,10 @@ class ClosedLoopDescription:
     a_c_net: np.ndarray
     b_c_net: np.ndarray
     kept_rows: np.ndarray
+
+    def __post_init__(self):
+        for arr in vars(self).values():
+            arr.setflags(write=False)
 
     def constraint_matrix(self):
         """Rows over the stacked (tau, x_c) vector."""
@@ -167,7 +176,8 @@ def _block_diag(blocks):
 
 
 def assemble(net):
-    """Build the ClosedLoopDescription of a Network.
+    """The ClosedLoopDescription of a Network, built once: every call on an
+    immutable Network returns the same read-only loop.
 
     The only code that reads net.controllers and net.coupling to close the
     loop B x = K C x - sum_c S_c (C_c x_c + D_c S_c^T C x): it folds D_c
@@ -176,6 +186,10 @@ def assemble(net):
     port-dimension mismatches, a controller attached to a nonexistent /
     doubly-used port row, or an external port on a missing or controller row.
     """
+    return net._closed_loop
+
+
+def _close_loop(net):
     p = net.total_ports
     if len(net.coupling) != len(net.controllers):
         raise PHStructuralError("need one coupling entry per controller (%d controllers, "

@@ -1,5 +1,6 @@
 """Grid invariants, collocated operators, and reduced-generator oracles."""
 
+import dataclasses
 import types
 
 import numpy as np
@@ -10,7 +11,7 @@ from phnet import (MatrixFunction, Network, PHStructuralError, PHSubsystem,
                    assemble_generator, build_beam, build_chain, build_coupled,
                    discretize_subsystem, make_grid, make_initial_state, resolvent_scan,
                    simulate, spectrum)
-from phnet.discretize import boundary_flux, discrete_energy_rate
+from phnet.discretize import DiscreteGenerator, boundary_flux, discrete_energy_rate
 from phnet.scenarios import SCENARIOS, _wave_subsystem, build_scenario
 
 from helpers import (chain_transfer_characteristic, complex_explicit_network, dense_lift,
@@ -335,8 +336,13 @@ def _reachable_arrays(obj, path, seen):
 
 
 class TestFactoredReduction:
-    """The generator stores M's blocks, W, W^{-1}, the kernel and the column
-    split; lift and m_full are dense views built on request."""
+    """The generator stores W, the kernel and the column split; lift and
+    m_full are dense views built on request."""
+
+    def test_generator_stores_one_factor(self):
+        # W alone stands for the energy weight: M and W^{-1} are not fields
+        fields = {f.name for f in dataclasses.fields(DiscreteGenerator)}
+        assert "w" in fields and not fields & {"mass", "w_inv"}
 
     @pytest.mark.parametrize("name,n", PARITY_CASES)
     def test_views_match_dense_construction(self, name, n):
@@ -368,6 +374,26 @@ class TestFactoredReduction:
                                     / np.real(x.conj() @ m_full @ x))
             assert np.abs(v - want).max() <= 1e-13 * np.abs(want).max()
             assert abs(residual - want_residual) <= 1e-13 * want_residual
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_subsystems=st.integers(1, 3),
+           complex_ok=st.booleans(), with_controller=st.booleans(), n=st.integers(12, 24))
+    def test_project_round_trip_on_random_networks(self, seed, n_subsystems, complex_ok,
+                                                   with_controller, n):
+        rng = np.random.default_rng(seed)
+        net = random_passive_network(rng, n_subsystems, complex_ok, with_controller)
+        gen = assemble_generator(net, n)
+        # a constrained state projects back onto its own coordinates
+        v = rng.standard_normal(gen.n_red) + 1j * rng.standard_normal(gen.n_red)
+        got, residual = gen.project(gen.lift @ v)
+        assert np.abs(got - v).max() <= 1e-13 * np.abs(v).max()
+        assert residual <= 1e-13
+        # any state: the residual is the dense |x - lift lift* M x|_M / |x|_M
+        lift, m_full = dense_lift(net, n), full_space_pencil(net, n)[1]
+        x = rng.standard_normal(gen.n_full)
+        diff = x - lift @ (lift.conj().T @ (m_full @ x))
+        want = np.sqrt(np.real(diff.conj() @ m_full @ diff) / np.real(x @ m_full @ x))
+        assert abs(gen.project(x)[1] - want) <= 1e-13 * want
 
     def test_complex_explicit_network_is_complex_with_controller_and_external_port(self):
         net = complex_explicit_network()

@@ -203,6 +203,25 @@ class TestCertification:
                           controllers=controllers, coupling=coupling)
             assert certify_network_dissipative(net).passed
 
+    def test_one_loop_per_network(self, monkeypatch):
+        # the certificate, serial detection and both reductions share one
+        # read-only closed loop
+        from phnet import assemble_generator, build_coupled, detect_serial_structure
+        from phnet.network import ClosedLoopDescription
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(ClosedLoopDescription(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr("phnet.network.ClosedLoopDescription", counting)
+        net = build_coupled(variant="spring_mass_damper_string_beam")
+        assert certify_network_dissipative(net).passed
+        detect_serial_structure(net)
+        assemble_generator(net, 24).companion
+        assert len(built) == 1 and assemble(net) is built[0]
+        assert not built[0].w_b_net.flags.writeable
+
     def test_complex_controller_preserved(self):
         # complex controller matrices must not be truncated to real parts
         s = _wave_subsystem(1.0, 1.0, kind="mass_free")
