@@ -158,9 +158,10 @@ class DiscreteGenerator:
     two-grid eigenvalue filter), the eigenvalues of s_red, and the dense
     lift (n_full x n_red) and m_full (n_full x n_full), read-only views for
     tests, demos and the benchmark oracles; the library never reads the
-    two.  On the ten-string chain at n = 48 (n_full 960, n_red 940) W takes
-    0.015 MB where the two views would take 14.6 MB; on thirty strings
-    (n_full 2880, n_red 2820), 0.05 MB against 131 MB.  m_red (= I) and
+    two, and the reduction forms lift only one block of rows at a time.
+    On the ten-string chain at n = 48 (n_full 960, n_red 940) W takes 0.015
+    MB where the two views would take 14.6 MB; on thirty strings (n_full
+    2880, n_red 2820), 0.05 MB against 131 MB.  m_red (= I) and
     sim_operator() (= s_red) serve the benchmark oracles only.
     """
 
@@ -186,9 +187,12 @@ class DiscreteGenerator:
 
     @cached_property
     def lift(self):
-        """W^{-1} z_y as a dense read-only array, built on first request."""
+        """W^{-1} z_y as a dense read-only array, built on first request from
+        the per-block rows that _reduce forms one at a time."""
         w_inv = [(sl, np.linalg.inv(b)) for sl, b in self.w]
-        lift = _lift(self.n_full, self.kernel, self.touched, self.free, w_inv, self.s_red.dtype)
+        lift = np.empty((self.n_full, self.n_red), dtype=self.s_red.dtype)
+        for sl, b in w_inv:
+            lift[sl] = _lift_rows(sl, b, self.kernel, self.touched, self.free, lift.dtype)
         lift.setflags(write=False)
         return lift
 
@@ -267,15 +271,18 @@ def _by_nodes(blocks, x):
     return x
 
 
-def _lift(n_full, kernel, touched, free, w_inv, dtype):
-    """lift = W^{-1} z_y, z_y the kernel on the touched columns and the identity
-    on the free ones; kernel columns first, where they are the Cayley
-    stepper's border: last, they grow the pivots of a dense LU of I - dt/2
-    s_red."""
-    lift = np.zeros((n_full, kernel.shape[1] + len(free)), dtype=dtype)
-    lift[touched, :kernel.shape[1]] = kernel
-    lift[free, kernel.shape[1] + np.arange(len(free))] = 1.0
-    return _by_nodes(w_inv, lift)
+def _lift_rows(sl, w_inv_block, kernel, touched, free, dtype):
+    """Rows sl of lift = W^{-1} z_y, an n_j x n_red array: z_y is the kernel
+    on the touched columns and the identity on the free ones, kernel
+    columns first, where they are the Cayley stepper's border (last, they
+    grow the pivots of a dense LU of I - dt/2 s_red)."""
+    k = kernel.shape[1]
+    rows = np.zeros((sl.stop - sl.start, k + len(free)), dtype=dtype)
+    t0, t1 = np.searchsorted(touched, [sl.start, sl.stop])
+    rows[touched[t0:t1] - sl.start, :k] = kernel[t0:t1]
+    f0, f1 = np.searchsorted(free, [sl.start, sl.stop])
+    rows[free[f0:f1] - sl.start, k + np.arange(f0, f1)] = 1.0
+    return _by_nodes([(slice(None), w_inv_block)], rows)
 
 
 def assemble_generator(net, n_per_subsystem):
@@ -294,10 +301,19 @@ def _reduce(net, n_per_subsystem):
     [W_B T, C_c] the constraint rows, touches only trace nodes and controller
     states; z_y is null_basis of those columns and the identity elsewhere,
     lift = W^{-1} z_y and s_red = z_y* W L lift, L lift stacking L_j lift_j
-    over A_c lift_c + B_c trace_map.  M's blocks, W^{-1}, the dense lift
-    and L lift live only here; the generator keeps W, the kernel and the
-    column split.  Raises PHStructuralError naming a subsystem that cannot
-    be collocated, or the block of dependent rows.
+    over A_c lift_c + B_c trace_map.  Subsystems meet only through ports, so
+    both are formed one block of W at a time: block j's rows lift_j (n_j x
+    n_red) give its rows t_j lift_j of trace_map and W_j L_j lift_j, whose
+    free rows are rows of s_red as they stand and whose touched rows are
+    gathered for the one product with the kernel; the controller block,
+    which reads trace_map, comes last.  No n_full x n_red array is formed:
+    on the ten-string chain at n = 48 (n_red 940) the tracemalloc peak is
+    11.5 MB against 7.6 MB held after it, on thirty strings (n_red 2820)
+    83.9 against 67.9 MB.  M's blocks and W^{-1} live only here; the
+    generator keeps W, the kernel and the column split.
+    constraint_residual is max |w_b_net trace_map + c_c_net lift_c| = max
+    |G lift|.  Raises PHStructuralError naming a subsystem that cannot be
+    collocated, or the block of dependent rows.
     """
     n_list = ([int(n_per_subsystem)] * len(net.subsystems) if np.isscalar(n_per_subsystem)
               else [int(n) for n in n_per_subsystem])
@@ -348,21 +364,41 @@ def _reduce(net, n_per_subsystem):
                                 "%.2e); offending block: subsystem %d (port row %d)"
                                 % (sv[-1] if len(sv) == g.shape[0] else 0.0, j, row))
 
-    lift = _lift(n_full, kernel, touched, free, w_inv, dtype)
-    trace_map = t_stack @ lift[:n_pde]
-    lz = np.zeros(lift.shape, dtype=dtype)
-    for o, sl in zip(ops, sample_slices):
-        cols = np.flatnonzero(lift[sl].any(axis=0))       # the columns lift_j touches
-        lz[sl, cols] = o.l @ lift[sl, cols]
-    lz[controller_slice] = closed.a_c_net @ lift[controller_slice] + closed.b_c_net @ trace_map
-    w_lz = _by_nodes(w, lz)
+    # one block of W at a time (the controller's last): its free rows go
+    # straight into s_red and its touched rows into the product with the
+    # kernel, by np.take, whose mode "clip" writes out without a buffer
+    k = kernel.shape[1]
+    s_red = np.empty((k + len(free), k + len(free)), dtype=dtype)
+    trace_map = np.empty((t_stack.shape[0], s_red.shape[1]), dtype=dtype)
+    w_lz_touched = np.empty((len(touched), s_red.shape[1]), dtype=dtype)
+    t_rows = np.cumsum([0] + [o.t.shape[0] for o in ops])
+    for j, ((sl, w_j), (_, w_inv_j)) in enumerate(zip(w, w_inv)):
+        lift_j = _lift_rows(sl, w_inv_j, kernel, touched, free, dtype)
+        if j < len(ops):
+            rows = slice(int(t_rows[j]), int(t_rows[j + 1]))
+            trace_map[rows] = t_stack[rows, sl] @ lift_j
+            lz = np.zeros(lift_j.shape, dtype=dtype)
+            cols = np.flatnonzero(lift_j.any(axis=0))        # the columns lift_j touches
+            lz[:, cols] = ops[j].l @ lift_j[:, cols]
+        else:
+            lift_c = lift_j
+            lz = closed.a_c_net @ lift_c + closed.b_c_net @ trace_map
+        del lift_j                   # at most two n_j x n_red arrays live at once
+        _by_nodes([(slice(None), w_j)], lz)
+        t0, t1 = np.searchsorted(touched, [sl.start, sl.stop])
+        np.take(lz, touched[t0:t1] - sl.start, axis=0, out=w_lz_touched[t0:t1], mode="clip")
+        f0, f1 = np.searchsorted(free, [sl.start, sl.stop])
+        np.take(lz, free[f0:f1] - sl.start, axis=0, out=s_red[k + f0:k + f1], mode="clip")
+        del lz
+    s_red[:k] = kernel.conj().T @ w_lz_touched
+    residual = closed.w_b_net @ trace_map + closed.c_c_net @ lift_c     # G lift
     return DiscreteGenerator(
-        s_red=np.vstack([kernel.conj().T @ w_lz[touched], w_lz[free]]), trace_map=trace_map,
+        s_red=s_red, trace_map=trace_map,
         w=w, kernel=kernel, touched=touched, free=free,
         sample_slices=sample_slices, controller_slice=controller_slice,
         grids=[o.grid for o in ops], net=net,
         meta={"constraint": g,
-              "constraint_residual": float(np.abs(g @ lift).max()) if g.size else 0.0})
+              "constraint_residual": float(np.abs(residual).max()) if g.size else 0.0})
 
 
 def discrete_energy_rate(gen, v):

@@ -44,12 +44,16 @@ class EnergyTrace:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self, path):
-        """Columns: t, H, then s<j>_tau<i> flattened trace components."""
+        """Columns: t, H, then s<j>_tau<i> flattened trace components; a
+        complex trace adds s<j>_tau<i>_im, its imaginary part, after each."""
         header, columns = ["t", "H"], [self.times, self.energies]
         for j, tr in enumerate(self.traces):
             for i in range(tr.shape[1]):
                 header.append("s%d_tau%d" % (j, i))
                 columns.append(np.real(tr[:, i]))
+                if np.iscomplexobj(tr):
+                    header.append("s%d_tau%d_im" % (j, i))
+                    columns.append(tr[:, i].imag)
         write_csv(path, header, columns)
 
 
@@ -193,7 +197,10 @@ def simulate(gen, x0, dt=None, t_end=10.0, record_every=1):
     projected M-orthogonally onto the constraint null space; a projection
     residual above INCOMPATIBLE_TOL sets the warning field (incompatible
     initial datum: the compatibility conditions at the boundary fail).
+    The start, every record_every-th step and the last step are recorded.
     """
+    if not isinstance(record_every, (int, np.integer)) or record_every < 1:
+        raise ValueError("record_every must be a positive integer")
     x0 = np.asarray(x0)
     n_full = gen.n_full
     if x0.shape[0] == gen.controller_slice.start and n_full > x0.shape[0]:
@@ -211,18 +218,18 @@ def simulate(gen, x0, dt=None, t_end=10.0, record_every=1):
     n_steps = _step_count(t_end, dt)
     stepper = CayleyStepper(gen, dt)
 
-    times = [0.0]
-    energies = [stepper.energy(v)]
-    tau_rows = [stepper.trace(v)]
+    n_records = 1 + n_steps // record_every + (n_steps % record_every > 0)
+    tau = stepper.trace(v)
+    times, energies = np.zeros(n_records), np.empty(n_records)
+    tau_rows = np.empty((n_records, len(tau)), dtype=tau.dtype)
+    energies[0], tau_rows[0], r = stepper.energy(v), tau, 1
     for k in range(1, n_steps + 1):
         v = stepper.step(v)
         if k % record_every == 0 or k == n_steps:
-            times.append(k * dt)
-            energies.append(stepper.energy(v))
-            tau_rows.append(stepper.trace(v))
+            times[r], energies[r], tau_rows[r] = k * dt, stepper.energy(v), stepper.trace(v)
+            r += 1
 
-    return EnergyTrace(times=np.array(times), energies=np.array(energies),
-                       traces=gen.split_traces(np.array(tau_rows)),
+    return EnergyTrace(times=times, energies=energies, traces=gen.split_traces(tau_rows),
                        warning=warning,
                        meta={"dt": dt, "t_end": t_end, "steps": n_steps,
                              "projection_residual": residual})

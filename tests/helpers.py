@@ -242,28 +242,53 @@ def full_space_pencil(net, n):
     return l_full, m_full, np.hstack([closed.w_b_net @ t_stack, closed.c_c_net]), t_stack
 
 
-def dense_lift(net, n):
-    """The energy-orthonormal lift W^{-1} z_y as the reduction once stored it,
-    a dense n_full x n_red array: per-node Cholesky factors W of M's
-    blocks, z_y = null_basis of the touched columns of G W^{-1} (identity
-    on the others, kernel columns first), then W^{-1} node by node."""
+def _dense_factors(net, n):
+    """The pieces of the reduction as it once was formed: the per-node upper
+    Cholesky factors W of M's blocks and their inverses, z_y = null_basis of
+    the touched columns of G W^{-1} (identity on the others, kernel columns
+    first), and the dense lift W^{-1} z_y, n_full x n_red."""
     closed = assemble(net)
     ops = [discretize_subsystem(s, n) for s in net.subsystems]
-    _, m_full, g, _ = full_space_pencil(net, n)
+    _, m_full, g, t_stack = full_space_pencil(net, n)
     dtype = m_full.dtype
     offs = np.cumsum([0] + [o.l.shape[0] for o in ops])
     blocks = [(slice(int(a), int(b)), np.einsum("iaib->iab", o.m.reshape(n, s.dim, n, s.dim)))
               for s, o, a, b in zip(net.subsystems, ops, offs, offs[1:])]
     blocks.append((slice(int(offs[-1]), len(m_full)), closed.controller_weight[None]))
-    w_inv = [(sl, np.linalg.inv(np.linalg.cholesky(0.5 * (b + b.conj().swapaxes(1, 2)),
-                                                   upper=True))) for sl, b in blocks]
+    w = [(sl, np.linalg.cholesky(0.5 * (b + b.conj().swapaxes(1, 2)), upper=True))
+         for sl, b in blocks]
+    w_inv = [(sl, np.linalg.inv(b)) for sl, b in w]
     g_w = _by_nodes([(sl, b.swapaxes(1, 2)) for sl, b in w_inv], g.T.copy()).T
     touched, free = np.flatnonzero(g_w.any(axis=0)), np.flatnonzero(~g_w.any(axis=0))
     kernel = null_basis(g_w[:, touched])
     lift = np.zeros((len(m_full), kernel.shape[1] + len(free)), dtype=dtype)
     lift[touched, :kernel.shape[1]] = kernel
     lift[free, kernel.shape[1] + np.arange(len(free))] = 1.0
-    return _by_nodes(w_inv, lift)
+    return closed, ops, t_stack, w, kernel, touched, free, _by_nodes(w_inv, lift)
+
+
+def dense_lift(net, n):
+    """The energy-orthonormal lift W^{-1} z_y as the reduction once stored it,
+    a dense n_full x n_red array (see _dense_factors)."""
+    return _dense_factors(net, n)[-1]
+
+
+def dense_reduction(net, n):
+    """(s_red, trace_map) by the dense arithmetic the reduction once used:
+    trace_map = T lift; L lift stacks each subsystem's L_j lift_j, on the
+    columns lift_j touches, over a_c_net lift_c + b_c_net trace_map; W
+    applied by nodes; then the kernel rows z_y* (W L lift)[touched] above
+    the free rows."""
+    closed, ops, t_stack, w, kernel, touched, free, lift = _dense_factors(net, n)
+    n_pde = t_stack.shape[1]
+    trace_map = t_stack @ lift[:n_pde]
+    lz = np.zeros(lift.shape, dtype=lift.dtype)
+    for o, (sl, _) in zip(ops, w):
+        cols = np.flatnonzero(lift[sl].any(axis=0))
+        lz[sl, cols] = o.l @ lift[sl, cols]
+    lz[n_pde:] = closed.a_c_net @ lift[n_pde:] + closed.b_c_net @ trace_map
+    w_lz = _by_nodes(w, lz)
+    return np.vstack([kernel.conj().T @ w_lz[touched], w_lz[free]]), trace_map
 
 
 def random_nsd_k(rng, size, strict=0.0):

@@ -1,6 +1,7 @@
 """Grid invariants, collocated operators, and reduced-generator oracles."""
 
 import dataclasses
+import tracemalloc
 import types
 
 import numpy as np
@@ -15,8 +16,9 @@ from phnet.discretize import DiscreteGenerator, boundary_flux, discrete_energy_r
 from phnet.scenarios import SCENARIOS, _wave_subsystem, build_scenario
 
 from helpers import (chain_transfer_characteristic, complex_explicit_network, dense_lift,
-                     full_space_pencil, kron_collocation, random_constrained_state,
-                     random_passive_network, random_passive_subsystem, secant_root)
+                     dense_reduction, full_space_pencil, kron_collocation,
+                     random_constrained_state, random_passive_network, random_passive_subsystem,
+                     secant_root)
 
 P1_WAVE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -394,6 +396,27 @@ class TestFactoredReduction:
         diff = x - lift @ (lift.conj().T @ (m_full @ x))
         want = np.sqrt(np.real(diff.conj() @ m_full @ diff) / np.real(x @ m_full @ x))
         assert abs(gen.project(x)[1] - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("name,n", PARITY_CASES)
+    def test_reduction_by_blocks_matches_dense_arithmetic(self, name, n):
+        # s_red and trace_map by blocks are the dense lift's products, bit for bit
+        net = _parity_network(name)
+        gen = assemble_generator(net, n)
+        s_red, trace_map = dense_reduction(net, n)
+        assert gen.s_red.dtype == s_red.dtype and np.array_equal(gen.s_red, s_red)
+        assert gen.trace_map.dtype == trace_map.dtype and np.array_equal(gen.trace_map, trace_map)
+
+    def test_reduction_peak_stays_below_two_s_red(self):
+        # the companion's build is _reduce alone: by blocks, nothing of
+        # n_full x n_red is formed, and the peak stays below twice s_red
+        gen = assemble_generator(build_chain(m=10, kappa=[0.5] + [0.02] * 9), 48)
+        tracemalloc.start()
+        try:
+            companion = gen.companion
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * companion.s_red.nbytes
 
     def test_complex_explicit_network_is_complex_with_controller_and_external_port(self):
         net = complex_explicit_network()

@@ -14,7 +14,7 @@ from phnet.discretize import boundary_flux, discrete_energy_rate
 from phnet.scenarios import _wave_subsystem
 from phnet.simulate import CayleyStepper
 
-from helpers import random_constrained_state, random_passive_network
+from helpers import complex_explicit_network, random_constrained_state, random_passive_network
 
 
 def all_border(s_red):
@@ -273,6 +273,49 @@ class TestSimulate:
         header = path.read_text().splitlines()[0].split(",")
         assert header[:2] == ["t", "H"]
         assert "s0_tau0" in header and "s0_tau3" in header
+
+        assert not any(h.endswith("_im") for h in header)
+
+    def test_csv_writes_imaginary_parts_of_complex_traces(self, tmp_path):
+        net = complex_explicit_network()
+        gen = assemble_generator(net, 16)
+        rng = np.random.default_rng(3)
+        x0 = rng.standard_normal(gen.n_full) + 1j * rng.standard_normal(gen.n_full)
+        tr = simulate(gen, x0, dt=1e-2, t_end=0.05)
+        path = tmp_path / "trace.csv"
+        tr.to_csv(path)
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        want = ["t", "H"]
+        for j, t in enumerate(tr.traces):
+            assert np.iscomplexobj(t)
+            want += [h % (j, i) for i in range(t.shape[1]) for h in ("s%d_tau%d", "s%d_tau%d_im")]
+        assert header == want
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        stacked = np.hstack(tr.traces)
+        assert np.array_equal(table[:, 2::2], stacked.real)
+        assert np.array_equal(table[:, 3::2], stacked.imag)
+
+    @pytest.mark.parametrize("steps, every", [(0, 1), (5, 1), (14, 7), (15, 7), (3, 7)])
+    def test_records_every_kth_step_and_the_last(self, damped, steps, every):
+        net, gen = damped
+        x0 = make_initial_state(net, gen, "sine")
+        dt = 1e-2
+        tr = simulate(gen, x0, dt=dt, t_end=steps * dt, record_every=every)
+        kept = [k for k in range(steps + 1) if k % every == 0 or k == steps]
+        assert np.array_equal(tr.times, np.array(kept) * dt)
+        assert len(tr.energies) == len(kept) and tr.traces[0].shape[0] == len(kept)
+        stepper, v = CayleyStepper(gen, dt), gen.project(x0)[0]
+        for k in range(1, steps + 1):
+            v = stepper.step(v)
+        assert tr.energies[-1] == stepper.energy(v)
+        assert np.array_equal(np.hstack([t[-1] for t in tr.traces]), gen.trace_map @ v)
+
+    @pytest.mark.parametrize("every", [0, -7, 2.0])
+    def test_record_every_must_be_positive(self, damped, every):
+        net, gen = damped
+        with pytest.raises(ValueError, match="record_every"):
+            simulate(gen, np.zeros(gen.n_full), dt=1e-2, t_end=0.05, record_every=every)
 
 
 class TestInvariants:
