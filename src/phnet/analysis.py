@@ -216,10 +216,10 @@ def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None):
     div_tol = 1e-9 * scale
     diverged = np.abs(1j * betas[:, None] - ev_all).min(axis=1, initial=np.inf) < div_tol
 
-    t_mat = rsf2csf(*schur(gen.s_red))[0]
-    n = t_mat.shape[0]
-    b = np.asfortranarray(-t_mat)
-    t_diag = np.diag(t_mat)
+    b = np.asfortranarray(rsf2csf(*schur(gen.s_red))[0])     # T, then -T in place
+    n = b.shape[0]
+    t_diag = np.diag(b).copy()
+    np.negative(b, out=b)
     seed = np.random.default_rng(0).standard_normal((n, 2)) @ [1.0, 1j]
     seed /= np.linalg.norm(seed)
     start = seed

@@ -4,7 +4,8 @@ Reports are JSON on stdout (schema 1); tabular output goes to CSV files
 with '.' decimals, ',' separators, a header row, and LF line endings.
 Non-finite numbers are reported as null.  Exit codes: 0 success /
 certified, 1 failed certification, 2 schema, parse or parameter error,
-non-positive numeric flag or non-finite file entry (one line on stderr).
+non-positive numeric flag, non-finite file entry, a dt and t_end that give
+no step count or Cayley factor, or memory exhausted (one line on stderr).
 The only parallelism is BLAS's, set by OPENBLAS_NUM_THREADS; a random
 start is seeded by --x0 random:<seed> (random alone means random:0).
 """
@@ -22,7 +23,7 @@ from .network import NotSerial, detect_serial_structure
 from .passivity import (certify_network_dissipative, check_controller_passive,
                         check_impedance, check_scattering, check_sym_p0)
 from .scenarios import SCENARIOS, ScenarioError, build_scenario, make_initial_state
-from .simulate import simulate, write_csv
+from .simulate import StepSizeError, simulate, write_csv
 
 DEFAULT_N = 48
 
@@ -215,7 +216,7 @@ def main(argv=None):
             parser.error("scenario dump needs a name")
         return args.func(args)
     except (argparse.ArgumentError, NetworkFileError, ScenarioError,
-            PHStructuralError) as exc:
+            PHStructuralError, StepSizeError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -80,13 +80,14 @@ def make_grid(n):
 class SubsystemOperators:
     """Collocated (L, M, T) of one subsystem on its grid.
 
-    l : discrete port-Hamiltonian operator on the nd sample vector of x
-    m : quadrature Gram of the energy inner product <f, H g>
-    t : trace extraction rows, tau(Hx) = t @ samples
+    l    : discrete port-Hamiltonian operator on the nd sample vector of x
+    mass : M, the quadrature Gram of the energy inner product <f, H g>, as
+           its (n, d, d) stack of node blocks quad_i H(z_i)
+    t    : trace extraction rows, tau(Hx) = t @ samples
     """
 
     l: np.ndarray
-    m: np.ndarray
+    mass: np.ndarray
     t: np.ndarray
     grid: SubsystemGrid
 
@@ -96,11 +97,11 @@ def discretize_subsystem(subsystem, n):
 
     Samples are node-major (entry i d + a is component a at z_i), and every
     operator follows from the nodal stacks H(z_i), P_0(z_i) and the powers
-    D^k of the differentiation matrix, as (n, d, n, d) arrays
+    D^k of the differentiation matrix: L as an (n, d, n, d) array
 
         L[i,a,j,c] = sum_k D^k[i,j] (P_k H(z_j))[a,c] + delta_ij (P_0 H)(z_i)[a,c],
-        M[i,a,j,c] = delta_ij quad_i H(z_i)[a,c];
 
+    and M, block diagonal, as its node blocks mass[i] = quad_i H(z_i);
     the trace rows y^(k)(1), then y^(k)(0) (y = Hx, k < N) are rows n - 1
     and 0 of D^k times the H stack.  Needs n >= 4N + 4, so that the trace
     derivatives to order N - 1 and the operator are resolved, and an H
@@ -124,8 +125,6 @@ def discretize_subsystem(subsystem, n):
     l4 = np.zeros(shape, dtype=np.result_type(float, h_vals, *p0h, *s.p_matrices[1:]))
     if p0h:
         l4[nodes, :, nodes, :] = p0h[0]
-    m4 = np.zeros(shape, dtype=h_vals.dtype)
-    m4[nodes, :, nodes, :] = grid.quad[:, None, None] * h_vals
 
     dk, ends = np.eye(n), []
     for pk in s.p_matrices[1:]:
@@ -133,7 +132,7 @@ def discretize_subsystem(subsystem, n):
         dk = grid.diff @ dk
         l4 += np.einsum("ij,jac->iajc", dk, pk @ h_vals)
     nd = n * s.dim
-    return SubsystemOperators(l=l4.reshape(nd, nd), m=m4.reshape(nd, nd),
+    return SubsystemOperators(l=l4.reshape(nd, nd), mass=grid.quad[:, None, None] * h_vals,
                               t=np.stack(ends, axis=1).reshape(-1, nd), grid=grid)
 
 
@@ -199,10 +198,11 @@ class DiscreteGenerator:
     @cached_property
     def m_full(self):
         """The block-diagonal M as a dense read-only array, built on first request
-        from each subsystem's collocated M and the controller weight."""
+        by placing its node blocks quad_i H(z_i) and the controller weight."""
         m_full = np.zeros((self.n_full, self.n_full), dtype=self.s_red.dtype)
         for s, grid, sl in zip(self.net.subsystems, self.grids, self.sample_slices):
-            m_full[sl, sl] = discretize_subsystem(s, grid.n).m
+            rows = np.arange(sl.start, sl.stop).reshape(grid.n, -1, 1)   # node i, entry a
+            m_full[rows, rows.mT] = grid.quad[:, None, None] * s.hamiltonian(grid.points)
         m_full[self.controller_slice, self.controller_slice] = assemble(self.net).controller_weight
         m_full.setflags(write=False)
         return m_full
@@ -296,8 +296,9 @@ def assemble_generator(net, n_per_subsystem):
 def _reduce(net, n_per_subsystem):
     """Energy-orthonormal reduction of the loop law of assemble(net).
 
-    M is block diagonal (quad_i H(z_i) per node, the controller weight): M =
-    W* W by Cholesky factors of its blocks' Hermitian parts.  G W^{-1}, G =
+    M is block diagonal, never formed dense (the subsystems' mass stacks
+    quad_i H(z_i), the controller weight): M = W* W by Cholesky factors of
+    its blocks' Hermitian parts.  G W^{-1}, G =
     [W_B T, C_c] the constraint rows, touches only trace nodes and controller
     states; z_y is null_basis of those columns and the identity elsewhere,
     lift = W^{-1} z_y and s_red = z_y* W L lift, L lift stacking L_j lift_j
@@ -308,8 +309,8 @@ def _reduce(net, n_per_subsystem):
     gathered for the one product with the kernel; the controller block,
     which reads trace_map, comes last.  No n_full x n_red array is formed:
     on the ten-string chain at n = 48 (n_red 940) the tracemalloc peak is
-    11.5 MB against 7.6 MB held after it, on thirty strings (n_red 2820)
-    83.9 against 67.9 MB.  M's blocks and W^{-1} live only here; the
+    10.7 MB against 7.6 MB held after it, on thirty strings (n_red 2820)
+    81.7 against 67.9 MB.  M's blocks and W^{-1} live only here; the
     generator keeps W, the kernel and the column split.
     constraint_residual is max |w_b_net trace_map + c_c_net lift_c| = max
     |G lift|.  Raises PHStructuralError naming a subsystem that cannot be
@@ -336,12 +337,11 @@ def _reduce(net, n_per_subsystem):
 
     # w_b_net carries the dtype of K, W_B, W_C and the controllers
     dtype = np.result_type(closed.w_b_net, *(o.l for o in ops))
-    t_stack = np.zeros((sum(o.t.shape[0] for o in ops), n_pde), dtype=dtype)
-    r, mass = 0, []
-    for s, o, sl in zip(net.subsystems, ops, sample_slices):
+    t_rows = np.cumsum([0] + [o.t.shape[0] for o in ops])
+    t_stack = np.zeros((int(t_rows[-1]), n_pde), dtype=dtype)
+    for o, sl, r in zip(ops, sample_slices, t_rows):
         t_stack[r:r + o.t.shape[0], sl] = o.t
-        r += o.t.shape[0]
-        mass.append((sl, np.einsum("iaib->iab", o.m.reshape(o.grid.n, s.dim, o.grid.n, s.dim))))
+    mass = [(sl, o.mass) for o, sl in zip(ops, sample_slices)]
     mass.append((controller_slice, closed.controller_weight[None]))
     try:
         w = [(sl, np.linalg.cholesky(0.5 * (b + b.conj().swapaxes(1, 2)), upper=True))
@@ -371,7 +371,6 @@ def _reduce(net, n_per_subsystem):
     s_red = np.empty((k + len(free), k + len(free)), dtype=dtype)
     trace_map = np.empty((t_stack.shape[0], s_red.shape[1]), dtype=dtype)
     w_lz_touched = np.empty((len(touched), s_red.shape[1]), dtype=dtype)
-    t_rows = np.cumsum([0] + [o.t.shape[0] for o in ops])
     for j, ((sl, w_j), (_, w_inv_j)) in enumerate(zip(w, w_inv)):
         lift_j = _lift_rows(sl, w_inv_j, kernel, touched, free, dtype)
         if j < len(ops):

@@ -29,6 +29,11 @@ from dataclasses import dataclass, field
 INCOMPATIBLE_TOL = 1e-6
 
 
+class StepSizeError(RuntimeError):
+    """dt (with t_end) gives no step count numpy can record, or a Cayley
+    matrix I - dt/2 s_red that cannot be factored."""
+
+
 @dataclass
 class EnergyTrace:
     """Time series of energies and boundary traces along one trajectory.
@@ -126,14 +131,18 @@ class CayleyStepper:
         self.place[layout[real]] = np.flatnonzero(real)
         self.place[border] = self.n_pad + np.arange(len(border))
         self.real = not np.iscomplexobj(s)
-        a_ff = np.where(both, -h * s[layout[:, :, None], layout[:, None, :]], 0.0) + np.eye(width)
-        self.inv_ff = _inverse(a_ff, self.dt) * both
-        self.a_bf = -h * s[np.ix_(border, layout.ravel())] * real.ravel()
-        a_fb = -h * s[np.ix_(layout.ravel(), border)] * real.ravel()[:, None]
-        self.x = (self.inv_ff @ a_fb.reshape(*real.shape, len(border))).reshape(a_fb.shape)
-        schur = -h * s[np.ix_(border, border)] - self.a_bf @ self.x
-        schur[np.diag_indices_from(schur)] += 1.0
-        self.inv_s = _inverse(schur, self.dt)
+        with np.errstate(all="ignore"):      # an overflow shows as a non-finite factor
+            a_ff = np.where(both, -h * s[layout[:, :, None], layout[:, None, :]], 0.0)
+            self.inv_ff = _inverse(a_ff + np.eye(width), self.dt) * both
+            self.a_bf = -h * s[np.ix_(border, layout.ravel())] * real.ravel()
+            a_fb = -h * s[np.ix_(layout.ravel(), border)] * real.ravel()[:, None]
+            self.x = (self.inv_ff @ a_fb.reshape(*real.shape, len(border))).reshape(a_fb.shape)
+            schur = -h * s[np.ix_(border, border)] - self.a_bf @ self.x
+            schur[np.diag_indices_from(schur)] += 1.0
+            self.inv_s = _inverse(schur, self.dt)
+        if not all(np.isfinite(f).all() for f in (self.inv_ff, self.x, self.inv_s)):
+            raise StepSizeError("Cayley solver failed at dt=%.3e: its factors are not "
+                                "finite" % self.dt)
 
     def _solve(self, v):
         """w = A^{-1} v by the block elimination, in the padded layout.  With
@@ -165,12 +174,12 @@ class CayleyStepper:
 
 def _inverse(a, dt):
     """np.linalg.inv of a matrix or a stack; a singular one raises a
-    RuntimeError naming dt and its condition number."""
+    StepSizeError naming dt and its condition number."""
     try:
         return np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError("Cayley solver failed at dt=%.3e (cond ~ %.2e): %s"
-                           % (dt, np.max(np.linalg.cond(a)), exc)) from exc
+        raise StepSizeError("Cayley solver failed at dt=%.3e (cond ~ %.2e): %s"
+                            % (dt, np.max(np.linalg.cond(a)), exc)) from exc
 
 
 def default_dt(gen, spectrum_report=None):
@@ -186,6 +195,9 @@ def _step_count(t_end, dt):
     """ceil(t_end / dt), but a quotient within rounding of an integer is
     that integer: t_end = 4000 dt must not give 4001 steps."""
     q = t_end / dt
+    if not np.isfinite(q):
+        raise StepSizeError("t_end / dt = %.3e / %.3e is not a finite step count"
+                            % (t_end, dt))
     k = round(q)
     return k if abs(q - k) <= 4 * np.finfo(float).eps * k else int(np.ceil(q))
 
@@ -198,6 +210,8 @@ def simulate(gen, x0, dt=None, t_end=10.0, record_every=1):
     residual above INCOMPATIBLE_TOL sets the warning field (incompatible
     initial datum: the compatibility conditions at the boundary fail).
     The start, every record_every-th step and the last step are recorded.
+    A t_end / dt that is not finite, or more records than numpy can size,
+    raises StepSizeError before the stepper is factored.
     """
     if not isinstance(record_every, (int, np.integer)) or record_every < 1:
         raise ValueError("record_every must be a positive integer")
@@ -216,9 +230,12 @@ def simulate(gen, x0, dt=None, t_end=10.0, record_every=1):
     if dt is None:
         dt = default_dt(gen)
     n_steps = _step_count(t_end, dt)
-    stepper = CayleyStepper(gen, dt)
-
     n_records = 1 + n_steps // record_every + (n_steps % record_every > 0)
+    row_bytes = np.result_type(gen.trace_map, v).itemsize * max(gen.trace_map.shape[0], 1)
+    if n_records * row_bytes > np.iinfo(np.intp).max:
+        raise StepSizeError("dt=%.3e: %.3e records of %d bytes exceed numpy's largest array"
+                            % (dt, n_records, row_bytes))
+    stepper = CayleyStepper(gen, dt)
     tau = stepper.trace(v)
     times, energies = np.zeros(n_records), np.empty(n_records)
     tau_rows = np.empty((n_records, len(tau)), dtype=tau.dtype)

@@ -219,8 +219,9 @@ def kron_collocation(subsystem, n):
 def full_space_pencil(net, n):
     """The full-space closed loop (L, M, G, T) that assemble_generator
     reduces: L = blkdiag(L_j) with the controller rows [B_c T, A_c]
-    appended, M = blkdiag(M_j, controller weight), the constraint rows
-    G = [W_B T, C_c] and the stacked trace rows T = blkdiag(T_j)."""
+    appended, M = blkdiag(M_j, controller weight) with M_j the block_diag
+    of subsystem j's node blocks, the constraint rows G = [W_B T, C_c] and
+    the stacked trace rows T = blkdiag(T_j)."""
     closed = assemble(net)
     ops = [discretize_subsystem(s, n) for s in net.subsystems]
     n_pde = sum(o.l.shape[0] for o in ops)
@@ -233,7 +234,7 @@ def full_space_pencil(net, n):
     for o in ops:
         sl = slice(c, c + o.l.shape[0])
         l_full[sl, sl] = o.l
-        m_full[sl, sl] = o.m
+        m_full[sl, sl] = sla.block_diag(*o.mass)
         t_stack[r:r + o.t.shape[0], sl] = o.t
         r, c = r + o.t.shape[0], sl.stop
     m_full[n_pde:, n_pde:] = closed.controller_weight
@@ -252,8 +253,7 @@ def _dense_factors(net, n):
     _, m_full, g, t_stack = full_space_pencil(net, n)
     dtype = m_full.dtype
     offs = np.cumsum([0] + [o.l.shape[0] for o in ops])
-    blocks = [(slice(int(a), int(b)), np.einsum("iaib->iab", o.m.reshape(n, s.dim, n, s.dim)))
-              for s, o, a, b in zip(net.subsystems, ops, offs, offs[1:])]
+    blocks = [(slice(int(a), int(b)), o.mass) for o, a, b in zip(ops, offs, offs[1:])]
     blocks.append((slice(int(offs[-1]), len(m_full)), closed.controller_weight[None]))
     w = [(sl, np.linalg.cholesky(0.5 * (b + b.conj().swapaxes(1, 2)), upper=True))
          for sl, b in blocks]

@@ -441,6 +441,11 @@ class TestExitCodes:
         ["simulate", "--dt", "0"],
         ["simulate", "--dt", "-1"],
         ["simulate", "--t-end", "-1"],
+        ["simulate", "--dt", "1e-320"],         # t_end / dt overflows
+        ["simulate", "--t-end", "1e308"],
+        ["simulate", "--dt", "1e-300"],         # more records than numpy can index
+        ["simulate", "--dt", "5e-18"],          # a record count numpy indexes, bytes it cannot
+        ["simulate", "--dt", "1e308"],          # the Cayley factors overflow
         ["simulate", "--record-every", "0"],
         ["simulate", "--x0", "random:abc"],
         ["simulate", "--x0", "randomfoo"],
@@ -454,6 +459,15 @@ class TestExitCodes:
         path = write_chain(tmp_path, m=1, kappa=[0.5])
         rc = main(argv[:1] + [path, "--n", "24", "--out", str(tmp_path / "o.csv")]
                   + argv[1:])
+        self.assert_usage_error(rc, capsys)
+
+    def test_out_of_memory(self, tmp_path, capsys, monkeypatch):
+        # a record allocation too large for the host (--dt 1e-9 asks for 74.5 GiB)
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+        monkeypatch.setattr("phnet.cli.simulate", no_memory)
+        rc = main(["simulate", write_chain(tmp_path, m=1, kappa=[0.5]), "--n", "24",
+                   "--dt", "1e-9", "--out", str(tmp_path / "o.csv")])
         self.assert_usage_error(rc, capsys)
 
     @pytest.mark.parametrize("command", ["spectrum", "simulate", "resolvent"])

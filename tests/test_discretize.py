@@ -12,7 +12,8 @@ from phnet import (MatrixFunction, Network, PHStructuralError, PHSubsystem,
                    assemble_generator, build_beam, build_chain, build_coupled,
                    discretize_subsystem, make_grid, make_initial_state, resolvent_scan,
                    simulate, spectrum)
-from phnet.discretize import DiscreteGenerator, boundary_flux, discrete_energy_rate
+from phnet.discretize import (DiscreteGenerator, SubsystemOperators, boundary_flux,
+                              discrete_energy_rate)
 from phnet.scenarios import SCENARIOS, _wave_subsystem, build_scenario
 
 from helpers import (chain_transfer_characteristic, complex_explicit_network, dense_lift,
@@ -83,8 +84,8 @@ class TestDiscretizeSubsystem:
         s2 = PHSubsystem(order=1, dim=2, p_matrices=(None, P1_WAVE),
                          hamiltonian=MatrixFunction.constant(2.0 * np.eye(2)),
                          w_b=s1.w_b, w_c=s1.w_c)
-        m1 = discretize_subsystem(s1, 12).m
-        m2 = discretize_subsystem(s2, 12).m
+        m1 = discretize_subsystem(s1, 12).mass
+        m2 = discretize_subsystem(s2, 12).mass
         assert np.allclose(m2, 2.0 * m1)
 
     def test_energy_of_sine_state(self):
@@ -92,8 +93,7 @@ class TestDiscretizeSubsystem:
         ops = discretize_subsystem(s, 32)
         x = np.zeros((32, 2))
         x[:, 0] = np.sin(np.pi * ops.grid.points)
-        xv = x.reshape(-1)
-        energy = float(xv @ ops.m @ xv)
+        energy = float(np.einsum("ia,iab,ib->", x, ops.mass, x))
         assert abs(energy - 0.5) <= 1e-8
 
     def test_n_too_small(self):
@@ -112,10 +112,15 @@ class TestDiscretizeSubsystem:
                                      complex_ok=complex_ok)
         n = 4 * order + 4 + extra
         ops = discretize_subsystem(s, n)
-        for got, want, rtol in zip((ops.l, ops.m, ops.t), kron_collocation(s, n),
-                                   (1e-14, 1e-15, 1e-15)):
+        l_ref, m_ref, t_ref = kron_collocation(s, n)
+        for got, want, rtol in zip((ops.l, ops.t), (l_ref, t_ref), (1e-14, 1e-15)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+        # M is its node blocks: the diagonal d x d blocks of the reference, bit for bit
+        nodes = np.arange(n)
+        m_blocks = m_ref.reshape(n, s.dim, n, s.dim)[nodes, :, nodes, :]
+        assert ops.mass.dtype == m_blocks.dtype and ops.mass.shape == (n, s.dim, s.dim)
+        assert np.array_equal(ops.mass, m_blocks)
 
 
 def free_free_wave_network():
@@ -346,6 +351,14 @@ class TestFactoredReduction:
         fields = {f.name for f in dataclasses.fields(DiscreteGenerator)}
         assert "w" in fields and not fields & {"mass", "w_inv"}
 
+    def test_operators_hold_mass_blocks(self):
+        # a subsystem's M is its (n, d, d) stack of node blocks, never a dense matrix
+        fields = [f.name for f in dataclasses.fields(SubsystemOperators)]
+        assert fields == ["l", "mass", "t", "grid"]
+        s = random_passive_subsystem(np.random.default_rng(3), order=2, dim=3)
+        ops = discretize_subsystem(s, 16)
+        assert ops.mass.shape == (16, s.dim, s.dim) and ops.l.shape == (16 * s.dim,) * 2
+
     @pytest.mark.parametrize("name,n", PARITY_CASES)
     def test_views_match_dense_construction(self, name, n):
         net = _parity_network(name)
@@ -472,10 +485,10 @@ class TestDiscreteEnergyBalance:
             ops = discretize_subsystem(s, n)
             grid = ops.grid
             x = smooth_state(grid.points).reshape(-1)
-            lhs = float(np.real(x @ ops.m @ ops.l @ x))
+            xs, lx = x.reshape(-1, 2), (ops.l @ x).reshape(-1, 2)
+            lhs = float(np.real(np.einsum("ia,iab,ib->", xs, ops.mass, lx)))
             # interpolate the grid polynomial to the fine Gauss rule
             vals = np.empty((len(gx), 2))
-            xs = x.reshape(-1, 2)
             for c in range(2):
                 vals[:, c] = _interp_poly(grid.points, xs[:, c], gx)
             p0_vals = p0(gx)

@@ -12,7 +12,7 @@ from phnet import (SCENARIOS, Controller, Network, assemble_generator, build_cha
                    build_scenario, make_initial_state, simulate, spectrum)
 from phnet.discretize import boundary_flux, discrete_energy_rate
 from phnet.scenarios import _wave_subsystem
-from phnet.simulate import CayleyStepper
+from phnet.simulate import CayleyStepper, StepSizeError
 
 from helpers import complex_explicit_network, random_constrained_state, random_passive_network
 
@@ -89,6 +89,14 @@ class TestStepMidpoint:
         # 1 - dt/2 s = 1 - 1/2 * 2 = 0
         with pytest.raises(RuntimeError, match=r"dt=1\.000e\+00 \(cond ~ inf\)"):
             CayleyStepper(all_border(2.0 * np.eye(1)), 1.0)
+
+    def test_overflowing_dt_names_dt(self, damped):
+        # dt/2 s_red overflows: the factors are not finite, and no warning escapes
+        net, gen = damped
+        with np.errstate(all="raise"):
+            with pytest.raises(StepSizeError, match=r"dt=1\.000e\+308: its factors are not "
+                               "finite"):
+                CayleyStepper(gen, 1e308)
 
 
 class TestBlockStepper:
