@@ -26,7 +26,8 @@ LANCZOS_BLEND = 0.1
 
 @dataclass
 class SpectrumReport:
-    """Trusted eigenvalues (descending real part) plus raw diagnostics; no eigenvectors."""
+    """Trusted eigenvalues in decay order (_decay_order) plus raw
+    diagnostics; no eigenvectors."""
 
     eigenvalues: np.ndarray
     abscissa: float
@@ -36,13 +37,8 @@ class SpectrumReport:
     meta: dict = field(default_factory=dict)
 
     def dominant(self, count):
-        """The `count` slowest-decaying trusted modes, ties by |Im| ascending."""
-        if len(self.eigenvalues) == 0:
-            return self.eigenvalues
-        idx = sorted(range(len(self.eigenvalues)),
-                     key=lambda i: (-self.eigenvalues[i].real,
-                                    abs(self.eigenvalues[i].imag)))
-        return self.eigenvalues[idx[:count]]
+        """The `count` slowest-decaying trusted modes: a prefix of eigenvalues."""
+        return self.eigenvalues[:count]
 
     def to_dict(self):
         return {"abscissa": self.abscissa,
@@ -51,6 +47,12 @@ class SpectrumReport:
                 "discarded": int(self.discarded),
                 "zero_modes": int(len(self.zero_modes)),
                 "sym_drift": self.meta.get("sym_drift")}
+
+
+def _decay_order(vals):
+    """Indices sorting eigenvalues by descending real part, then ascending
+    |Im|; one stable sort, so exact ties keep their eig order."""
+    return np.lexsort((np.abs(vals.imag), -vals.real))
 
 
 def _matches(vals, ref):
@@ -68,13 +70,14 @@ def spectrum(gen):
     asp_diagnostic reads for the companion too); no eigenvector is formed
     (asp_diagnostic computes its own).
     An eigenvalue is trusted when the companion has one within
-    TRUST_MATCH_RTOL * (1 + |lambda|).  Zero modes are |lambda| <
+    TRUST_MATCH_RTOL * (1 + |lambda|).  The trusted list is in decay order,
+    descending real part, then ascending |Im| (_decay_order), so
+    SpectrumReport.dominant slices it.  Zero modes are |lambda| <
     ZERO_MODE_REL_TOL * max|raw lambda|, a scale free of the reduction's basis.
     """
     vals = gen.eigenvalues
-    comp_vals = gen.companion.eigenvalues
-    trusted = vals[_matches(vals, comp_vals).any(axis=1)]
-    trusted = trusted[np.argsort(-trusted.real)]
+    trusted = vals[_matches(vals, gen.companion.eigenvalues).any(axis=1)]
+    trusted = trusted[_decay_order(trusted)]
     scale = float(np.abs(vals).max(initial=1e-300))
     zero_modes = trusted[np.abs(trusted) < ZERO_MODE_REL_TOL * scale]
     return SpectrumReport(
@@ -160,9 +163,10 @@ def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None):
 
     norm(beta) = 1 / sigma_min(i beta I - s_red), the energy norm.
     Scans [0, beta_max]; for real-coefficient networks negative beta is
-    implied by conjugate symmetry.  The uniform grid is refined with
-    PEAK_REFINE_LEVELS log-spaced offsets around every trusted
-    eigenfrequency so narrow peaks are not missed.  Samples within
+    implied by conjugate symmetry.  The grid is one np.unique over the
+    uniform samples, every in-band trusted eigenfrequency b0 = |Im lambda|
+    and its PEAK_REFINE_LEVELS offsets b0 +- |Re lambda| 10^-l clipped to
+    [0, beta_max], so narrow peaks are not missed.  Samples within
     tolerance of an eigenvalue are flagged diverged and excluded from the
     sup.  trend = sup over (beta_max/2, beta_max] divided by sup over
     [0, beta_max/2]; growth with frequency signals a failing uniform
@@ -198,18 +202,13 @@ def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None):
         beta_max = min(beta_max, trust_band) if trust_band > 0 else beta_max
     beta_max = float(max(beta_max, 1e-6))
 
-    betas = set(np.linspace(0.0, beta_max, samples))
-    for lam in ev:
-        b0 = abs(lam.imag)
-        if b0 > beta_max:
-            continue
-        betas.add(b0)
-        if abs(lam.real) > 0:
-            for lvl in range(PEAK_REFINE_LEVELS):
-                off = abs(lam.real) * 10.0 ** (-lvl)
-                betas.add(min(beta_max, b0 + off))
-                betas.add(max(0.0, b0 - off))
-    betas = np.array(sorted(betas))
+    # a zero |Re| gives offsets equal to b0, which np.unique drops
+    in_band = np.abs(ev.imag) <= beta_max
+    b0 = np.abs(ev.imag[in_band])[:, None]
+    off = np.abs(ev.real[in_band])[:, None] * 10.0 ** -np.arange(PEAK_REFINE_LEVELS)
+    betas = np.unique(np.concatenate([np.linspace(0.0, beta_max, samples), b0.ravel(),
+                                      np.minimum(beta_max, b0 + off).ravel(),
+                                      np.maximum(0.0, b0 - off).ravel()]))
 
     ev_all = rep.raw_eigenvalues
     scale = max(1.0, float(np.abs(ev_all).max())) if len(ev_all) else 1.0
@@ -277,14 +276,14 @@ def asp_diagnostic(gen, r_selector):
     free-free string has one), which the cluster residual would report as an
     invisible mode.  A residual ~ 0 exposes an undamped imaginary mode
     invisible to R (an ASP violation).  Returns a list of (eigenvalue,
-    residual) in descending real part.
+    residual) in spectrum's decay order (_decay_order).
     """
     vals, v = np.linalg.eig(gen.s_red)
     comp_vals = gen.companion.eigenvalues
     scale = float(np.abs(vals).max(initial=1e-300))
     near = np.flatnonzero(_matches(vals, comp_vals).any(axis=1)
                           & (np.abs(vals.real) < ZERO_MODE_REL_TOL * scale * 10))
-    near = near[np.argsort(-vals[near].real)]
+    near = near[_decay_order(vals[near])]
     lams, v = vals[near], v[:, near]
     taus = gen.split_traces((gen.trace_map @ v).T)
     r_v = np.array([taus[j][:, comp] for j, comp in r_selector])

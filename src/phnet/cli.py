@@ -4,14 +4,17 @@ Reports are JSON on stdout (schema 1); tabular output goes to CSV files
 with '.' decimals, ',' separators, a header row, and LF line endings.
 Non-finite numbers are reported as null.  Exit codes: 0 success /
 certified, 1 failed certification, 2 schema, parse or parameter error,
-non-positive numeric flag, non-finite file entry, a dt and t_end that give
-no step count or Cayley factor, or memory exhausted (one line on stderr).
+non-positive numeric flag, an --out that cannot be written (checked at
+parse time, before any computation), non-finite file entry, a dt and
+t_end that give no step count or Cayley factor, or memory exhausted (one
+line on stderr).
 The only parallelism is BLAS's, set by OPENBLAS_NUM_THREADS; a random
 start is seeded by --x0 random:<seed> (random alone means random:0).
 """
 
 import argparse
 import json
+import os
 import sys
 import numpy as np
 
@@ -42,6 +45,17 @@ def _positive(kind):
         return value
     parse.__name__ = kind.__name__
     return parse
+
+
+def _out_path(text):
+    """argparse type for --out: a file name, not a directory, in a writable directory."""
+    parent, name = os.path.split(text)
+    parent = parent or "."
+    if not name or os.path.isdir(text):
+        raise argparse.ArgumentTypeError("%r is not a file name" % text)
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise argparse.ArgumentTypeError("%s is not a writable directory" % parent)
+    return text
 
 
 def _emit(doc):
@@ -181,14 +195,14 @@ def build_parser():
 
     sp = sub.add_parser("spectrum", help="trusted eigenvalues and spectral abscissa")
     common(sp)
-    sp.add_argument("--out", default="spectrum.csv")
+    sp.add_argument("--out", type=_out_path, default="spectrum.csv")
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("resolvent", help="imaginary-axis resolvent scan")
     common(sp)
     sp.add_argument("--beta-max", type=_positive(float), default=None)
     sp.add_argument("--samples", type=_positive(int), default=200)
-    sp.add_argument("--out", default="resolvent.csv")
+    sp.add_argument("--out", type=_out_path, default="resolvent.csv")
     sp.set_defaults(func=cmd_resolvent)
 
     sp = sub.add_parser("simulate", help="contractive time integration")
@@ -197,7 +211,7 @@ def build_parser():
     sp.add_argument("--t-end", type=_positive(float), default=10.0)
     sp.add_argument("--x0", default="sine", help="sine | bump | random[:seed]")
     sp.add_argument("--record-every", type=_positive(int), default=1)
-    sp.add_argument("--out", default="trace.csv")
+    sp.add_argument("--out", type=_out_path, default="trace.csv")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("scenario", help="list built-in scenarios or dump one as JSON")
@@ -214,9 +228,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.command == "scenario" and args.action == "dump" and not args.name:
             parser.error("scenario dump needs a name")
+        if args.command == "scenario" and args.action == "list" and (args.name or args.params):
+            parser.error("scenario list takes no name and no --params")
         return args.func(args)
     except (argparse.ArgumentError, NetworkFileError, ScenarioError,
-            PHStructuralError, StepSizeError, MemoryError) as exc:
+            PHStructuralError, StepSizeError, MemoryError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -150,7 +150,8 @@ class DiscreteGenerator:
     energy-orthonormal, lift* M lift = I: x = lift v has energy 1/2 |v|^2,
     and s_red = lift* M L lift (L the closed loop, never formed) has the
     energy norm as its Euclidean norm.  trace_map @ v stacks every
-    subsystem's traces.  meta holds the constraint rows,
+    subsystem's traces, and split_traces cuts them per subsystem: the one
+    trace extractor.  meta holds the constraint rows,
     constraint_residual = max |G lift| and sym_drift = max eig of Sym s_red.
 
     Built on first use: the companion (a coarser resolution, for the
@@ -252,10 +253,6 @@ class DiscreteGenerator:
         num = float(np.real(np.vdot(diff, diff)))
         den = max(float(np.real(np.vdot(u, u))), 1e-300)
         return np.concatenate([v_kernel, u[self.free]]), np.sqrt(num / den)
-
-    def traces(self, v):
-        """Per-subsystem boundary traces tau_j(Hx) of a reduced state."""
-        return self.split_traces(self.trace_map @ np.asarray(v))
 
     def split_traces(self, tau):
         """Per-subsystem blocks of stacked traces (last axis)."""
@@ -407,8 +404,9 @@ def discrete_energy_rate(gen, v):
 
 
 def boundary_flux(gen, v):
-    """1/2 sum_j tau_j* Q_j tau_j at the lifted state (no P_0 volume term)."""
-    taus = gen.traces(v)
+    """1/2 sum_j tau_j* Q_j tau_j at the lifted state (no P_0 volume term),
+    with tau_j the blocks of trace_map @ v."""
+    taus = gen.split_traces(gen.trace_map @ np.asarray(v))
     total = 0.0
     for s, tau in zip(gen.net.subsystems, taus):
         q = flux_form(s)

@@ -98,14 +98,13 @@ class CayleyStepper:
     and put the solve 1.5e-12 off a dense LU's; in the border, |S| stays
     within 3 |A| on every network measured.  A lone beam is all border, one
     dense S^{-1}.  The blocks are gathered from s_red by index, so no n_red
-    x n_red array is made.  The energy of a reduced state is 1/2 |v|^2, and
-    trace(v) = trace_map @ v.
+    x n_red array is made.  The energy of a reduced state is 1/2 |v|^2; its
+    traces are gen.trace_map @ v, which the stepper does not hold.
     """
 
     def __init__(self, gen, dt):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        self.gen = gen
         self.dt = float(dt)
         s, h, k = gen.s_red, 0.5 * self.dt, gen.kernel.shape[1]
         # subsystem j's free coordinates are [starts[j], stops[j]); those of
@@ -163,10 +162,6 @@ class CayleyStepper:
             w = self._solve(v)
         return 2.0 * w - v
 
-    def trace(self, v):
-        """Stacked traces trace_map @ v of a reduced state."""
-        return self.gen.trace_map @ v
-
     def energy(self, v):
         """H = 1/2 |v|^2 of a reduced state."""
         return 0.5 * float(np.real(np.vdot(v, v)))
@@ -209,7 +204,9 @@ def simulate(gen, x0, dt=None, t_end=10.0, record_every=1):
     projected M-orthogonally onto the constraint null space; a projection
     residual above INCOMPATIBLE_TOL sets the warning field (incompatible
     initial datum: the compatibility conditions at the boundary fail).
-    The start, every record_every-th step and the last step are recorded.
+    The start, every record_every-th step and the last step are recorded,
+    each as its energy and its stacked traces gen.trace_map @ v, split per
+    subsystem by gen.split_traces.
     A t_end / dt that is not finite, or more records than numpy can size,
     raises StepSizeError before the stepper is factored.
     """
@@ -236,14 +233,14 @@ def simulate(gen, x0, dt=None, t_end=10.0, record_every=1):
         raise StepSizeError("dt=%.3e: %.3e records of %d bytes exceed numpy's largest array"
                             % (dt, n_records, row_bytes))
     stepper = CayleyStepper(gen, dt)
-    tau = stepper.trace(v)
+    tau = gen.trace_map @ v
     times, energies = np.zeros(n_records), np.empty(n_records)
     tau_rows = np.empty((n_records, len(tau)), dtype=tau.dtype)
     energies[0], tau_rows[0], r = stepper.energy(v), tau, 1
     for k in range(1, n_steps + 1):
         v = stepper.step(v)
         if k % record_every == 0 or k == n_steps:
-            times[r], energies[r], tau_rows[r] = k * dt, stepper.energy(v), stepper.trace(v)
+            times[r], energies[r], tau_rows[r] = k * dt, stepper.energy(v), gen.trace_map @ v
             r += 1
 
     return EnergyTrace(times=times, energies=energies, traces=gen.split_traces(tau_rows),

@@ -13,6 +13,7 @@ import scipy.linalg as sla
 from numpy.polynomial import polynomial as npoly
 
 from phnet import MatrixFunction, Network, PHSubsystem, discretize_subsystem, make_grid
+from phnet.analysis import PEAK_REFINE_LEVELS
 from phnet.discretize import _by_nodes
 from phnet.model import flux_matrix
 from phnet.network import assemble
@@ -169,6 +170,25 @@ def slowest_mode(gen, rep):
     the nearest eig column v of gen.s_red, mapped back by the lift."""
     vals, v = np.linalg.eig(gen.s_red)
     return np.real(gen.lift @ v[:, np.argmin(np.abs(vals - rep.eigenvalues[0]))])
+
+
+def set_built_scan_grid(eigenvalues, beta_max, samples):
+    """resolvent_scan's frequency grid built one eigenvalue at a time in a
+    set: the uniform samples, then each in-band b0 = |Im lambda| and its
+    offsets b0 +- |Re lambda| 10^-l, l < PEAK_REFINE_LEVELS, clipped to
+    [0, beta_max]."""
+    betas = set(np.linspace(0.0, beta_max, samples))
+    for lam in eigenvalues:
+        b0 = abs(lam.imag)
+        if b0 > beta_max:
+            continue
+        betas.add(b0)
+        if abs(lam.real) > 0:
+            for lvl in range(PEAK_REFINE_LEVELS):
+                off = abs(lam.real) * 10.0 ** (-lvl)
+                betas.add(min(beta_max, b0 + off))
+                betas.add(max(0.0, b0 - off))
+    return np.array(sorted(betas))
 
 
 def random_constrained_state(gen, rng):

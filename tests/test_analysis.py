@@ -18,10 +18,25 @@ from phnet import (Network, SpectrumReport, asp_diagnostic,
 from phnet.analysis import _inverse_lanczos
 from phnet.scenarios import SCENARIOS, _wave_subsystem
 
-from helpers import random_passive_network, slowest_mode
+from helpers import random_passive_network, set_built_scan_grid, slowest_mode
 
 TARGET = 0.5 * np.log(1.0 / 3.0)
 SVD_ORACLE_RTOL = 1e-8
+
+
+def example_generator(source, complex_ok, with_controller, n=16):
+    """The generator of a built-in scenario (a name) or of a random passive
+    network (a seed), at n points per subsystem."""
+    if isinstance(source, str):
+        return assemble_generator(build_scenario(source), n)
+    net = random_passive_network(np.random.default_rng(source), 2, complex_ok,
+                                 with_controller)
+    return assemble_generator(net, n)
+
+
+EXAMPLES = dict(source=st.one_of(st.sampled_from(sorted(SCENARIOS)),
+                                 st.integers(0, 2 ** 32 - 1)),
+                complex_ok=st.booleans(), with_controller=st.booleans())
 
 
 def svd_oracle_deviation(gen, scan):
@@ -83,6 +98,19 @@ class TestSpectrum:
         assert np.all(np.diff(rep.eigenvalues.real) <= 1e-12)
         assert rep.abscissa == pytest.approx(rep.eigenvalues.real.max())
         assert rep.discarded == len(rep.raw_eigenvalues) - len(rep.eigenvalues)
+
+    @settings(max_examples=30)
+    @given(count=st.integers(0, 40), **EXAMPLES)
+    def test_decay_order_and_dominant_prefix(self, count, source, complex_ok,
+                                             with_controller):
+        # descending real part, ties by ascending |Im|; dominant(k) takes
+        # the k smallest keys, which is the list's own prefix
+        rep = spectrum(example_generator(source, complex_ok, with_controller))
+        keys = [(-lam.real, abs(lam.imag)) for lam in rep.eigenvalues]
+        assert keys == sorted(keys)
+        dom = rep.dominant(count)
+        assert np.array_equal(dom, rep.eigenvalues[:count])
+        assert [(-lam.real, abs(lam.imag)) for lam in dom] == sorted(keys)[:count]
 
     def test_conjugate_symmetry(self, damped_gen):
         rep = spectrum(damped_gen[1])
@@ -169,6 +197,20 @@ class TestResolvent:
                 continue
             dist = np.abs(1j * b - ev).min()
             assert nrm >= 1.0 / dist - 1e-8
+
+    @settings(max_examples=30)
+    @given(band=st.sampled_from([None, 0.3]), **EXAMPLES)
+    def test_grid_matches_set_built_reference(self, band, source, complex_ok,
+                                              with_controller):
+        # the default band, or 0.3 max |Im|, which leaves eigenvalues out of band
+        gen = example_generator(source, complex_ok, with_controller)
+        rep = spectrum(gen)
+        top = float(np.abs(rep.eigenvalues.imag).max(initial=0.0))
+        scan = resolvent_scan(gen, beta_max=None if band is None else band * top,
+                              samples=40, spectrum_report=rep)
+        want = set_built_scan_grid(rep.eigenvalues, scan.beta_max, 40)
+        assert scan.betas.dtype == want.dtype
+        assert scan.betas.tobytes() == want.tobytes()
 
     def test_norms_match_dense_svd(self, free_free_gen):
         gens = [assemble_generator(build_scenario(name), 24) for name in sorted(SCENARIOS)]

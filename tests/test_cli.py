@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from phnet import (SCENARIOS, MatrixFunction, Network, PHSubsystem, build_beam,
                    build_chain, build_scenario, network_to_dict, save_network)
 from phnet.cli import main
+from phnet.simulate import EnergyTrace
 
 
 def write_chain(tmp_path, **kwargs):
@@ -239,6 +240,12 @@ class TestScenarioCommand:
     def test_dump_needs_name(self):
         assert main(["scenario", "dump"]) == 2
 
+    @pytest.mark.parametrize("extra", [["chain_of_strings"], ["--params", "{}"]])
+    def test_list_takes_no_argument(self, capsys, extra):
+        assert main(["scenario", "list"] + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
 
 def reject_nonfinite(token):
     raise ValueError("bare %s in JSON output" % token)
@@ -269,8 +276,9 @@ class TestExitCodes:
 
     def assert_usage_error(self, rc, capsys):
         assert rc == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert out == ""
 
     def test_params_not_json(self, capsys):
         rc = main(["scenario", "dump", "chain_of_strings", "--params", "{m: 2}"])
@@ -454,11 +462,32 @@ class TestExitCodes:
         ["spectrum", "--n", "abc"],
         ["spectrum", "--bogus"],
         ["spectrum", "--seed", "1"],
+        # an --out that cannot be written fails before the computation
+        ["spectrum", "--out", "{tmp}/missing/o.csv"],
+        ["spectrum", "--out", "{tmp}"],
+        ["spectrum", "--out", ""],
+        ["spectrum", "--out", "{tmp}/"],
+        ["resolvent", "--out", "{tmp}/missing/o.csv"],
+        ["resolvent", "--out", "{tmp}"],
+        ["simulate", "--out", "{tmp}/missing/o.csv"],
+        ["simulate", "--out", "{tmp}"],
     ])
     def test_bad_flag(self, tmp_path, capsys, argv):
         path = write_chain(tmp_path, m=1, kappa=[0.5])
         rc = main(argv[:1] + [path, "--n", "24", "--out", str(tmp_path / "o.csv")]
-                  + argv[1:])
+                  + [a.format(tmp=tmp_path) for a in argv[1:]])
+        self.assert_usage_error(rc, capsys)
+
+    @pytest.mark.parametrize("command", ["spectrum", "resolvent", "simulate"])
+    def test_write_fails(self, tmp_path, capsys, monkeypatch, command):
+        # a write refused after the parse-time check
+        def refuse(*args):
+            raise PermissionError(13, "Permission denied", "o.csv")
+        monkeypatch.setattr("phnet.cli.write_csv", refuse)
+        monkeypatch.setattr(EnergyTrace, "to_csv", refuse)
+        extra = ["--t-end", "0.05"] if command == "simulate" else []
+        rc = main([command, write_chain(tmp_path, m=1, kappa=[0.5]), "--n", "24",
+                   "--out", str(tmp_path / "o.csv")] + extra)
         self.assert_usage_error(rc, capsys)
 
     def test_out_of_memory(self, tmp_path, capsys, monkeypatch):

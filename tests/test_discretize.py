@@ -242,7 +242,7 @@ class TestAssembleGenerator:
         gen = assemble_generator(net, 24)
         v = np.random.default_rng(5).standard_normal(gen.n_red)
         x = gen.lift @ v
-        taus = gen.traces(v)
+        taus = gen.split_traces(gen.trace_map @ v)
         assert len(taus) == len(net.subsystems)
         for s, sl, tau in zip(net.subsystems, gen.sample_slices, taus):
             want = discretize_subsystem(s, 24).t @ x[sl]

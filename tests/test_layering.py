@@ -3,6 +3,7 @@ builds the closed loop, does not depend on it, serial detection reads the
 loop only through assemble, the library reads the
 energy-frame generator s_red, never the aliases and dense views kept for
 the benchmark and the tests,
+the library's one trace extractor is trace_map @ v split by split_traces,
 only the resolvent scan loads scipy (the Cayley stepper runs on numpy), and
 the scan's frequency loop calls no numpy BLAS."""
 
@@ -19,6 +20,9 @@ CERTIFICATE_INTERNALS = {"_certificate", "_psd_verdict", "_tol_for"}
 # benchmark oracles only, and the dense views lift and m_full the oracles,
 # tests and demos; chol, the old energy frame, is gone
 HARNESS_ALIASES = {"m_red", "chol", "sim_operator", "lift", "m_full"}
+# every trace is gen.trace_map @ v, cut per subsystem by gen.split_traces;
+# no second extractor method may wrap it
+TRACE_METHODS = {"trace", "traces"}
 # the Network fields assemble closes the loop from, and the retired declaration
 LOOP_FIELDS = {"k_mat", "coupling", "serial_blocks"}
 # (module, function) of every scipy import: the scan's Schur form and
@@ -104,6 +108,14 @@ def test_library_reads_no_harness_alias():
                                 and node.attr in HARNESS_ALIASES})
              for path in SRC.glob("*.py")}
     assert {name: used for name, used in reads.items() if used} == {}
+
+
+def test_library_keeps_one_trace_extractor():
+    defined = {path.name: sorted(node.name for node in ast.walk(ast.parse(path.read_text()))
+                                 if isinstance(node, ast.FunctionDef)
+                                 and node.name in TRACE_METHODS)
+               for path in SRC.glob("*.py")}
+    assert {name: found for name, found in defined.items() if found} == {}
 
 
 def _scipy_imports(tree, scope=None):

@@ -155,20 +155,6 @@ class TestBlockStepper:
             tracemalloc.stop()
         assert peak < gen.n_red ** 2 * gen.s_red.itemsize
 
-    @settings(max_examples=20)
-    @given(seed=st.integers(0, 2 ** 32 - 1), complex_ok=st.booleans(),
-           complex_v=st.booleans())
-    def test_trace_is_trace_map_product(self, seed, complex_ok, complex_v):
-        rng = np.random.default_rng(seed)
-        gen = assemble_generator(random_passive_network(rng, 2, complex_ok, True), 16)
-        v = rng.standard_normal(gen.n_red)
-        if complex_v:
-            v = v + 1j * rng.standard_normal(gen.n_red)
-        want = gen.trace_map @ v
-        got = CayleyStepper(gen, 1e-2).trace(v)
-        assert got.shape == want.shape and np.iscomplexobj(got) == np.iscomplexobj(want)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-
     def test_complex_state_on_real_generator(self, damped):
         net, gen = damped
         rng = np.random.default_rng(5)
