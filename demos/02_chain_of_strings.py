@@ -37,7 +37,7 @@ print("\nspectral abscissa: %.6f" % rep.abscissa)
 # Start on the slowest mode so the fitted decay rate is the modal one: an
 # eigenvector v of s_red, the generator in the energy frame, lifted to samples.
 vals, v = np.linalg.eig(gen.s_red)
-x0 = np.real(gen.lift @ v[:, np.argmin(np.abs(vals - rep.eigenvalues[0]))])
+x0 = np.real(gen.lift_state(v[:, np.argmin(np.abs(vals - rep.eigenvalues[0]))]))
 trace = simulate(gen, x0, dt=5e-3, t_end=40.0, record_every=10)
 m_const, eta = decay_fit(trace)
 print("energy envelope: H(t) <= %.2f exp(%.5f t) H(0)" % (m_const, eta))

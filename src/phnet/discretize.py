@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from numpy.polynomial import legendre as npleg
 
-from .model import PHStructuralError, coercivity, flux_form
+from .model import PHStructuralError, coercivity
 from .network import assemble
 from .passivity import null_basis
 
@@ -150,19 +150,17 @@ class DiscreteGenerator:
     energy-orthonormal, lift* M lift = I: x = lift v has energy 1/2 |v|^2,
     and s_red = lift* M L lift (L the closed loop, never formed) has the
     energy norm as its Euclidean norm.  trace_map @ v stacks every
-    subsystem's traces, and split_traces cuts them per subsystem: the one
-    trace extractor.  meta holds the constraint rows,
-    constraint_residual = max |G lift| and sym_drift = max eig of Sym s_red.
+    subsystem's traces, split_traces cuts them per subsystem (the one trace
+    extractor), and lift_state(v) = lift v maps reduced states to samples.
+    meta holds the constraint rows, constraint_residual = max |G lift| and
+    sym_drift = max eig of Sym s_red.
 
     Built on first use: the companion (a coarser resolution, for the
-    two-grid eigenvalue filter), the eigenvalues of s_red, and the dense
-    lift (n_full x n_red) and m_full (n_full x n_full), read-only views for
-    tests, demos and the benchmark oracles; the library never reads the
-    two, and the reduction forms lift only one block of rows at a time.
-    On the ten-string chain at n = 48 (n_full 960, n_red 940) W takes 0.015
-    MB where the two views would take 14.6 MB; on thirty strings (n_full
-    2880, n_red 2820), 0.05 MB against 131 MB.  m_red (= I) and
-    sim_operator() (= s_red) serve the benchmark oracles only.
+    two-grid eigenvalue filter) and the eigenvalues of s_red.  The dense
+    views lift and m_full, m_red (= I) and sim_operator() (= s_red) serve
+    the benchmark oracles and the view tests only.  On the ten-string chain
+    at n = 48 (n_red 940) W takes 0.015 MB where lift and m_full would take
+    14.6 MB; on thirty strings (n_red 2820), 0.05 against 131 MB.
     """
 
     s_red: np.ndarray
@@ -185,14 +183,27 @@ class DiscreteGenerator:
     def n_full(self):
         return self.controller_slice.stop
 
+    def _lift_blocks(self):
+        """(slice, rows sl of lift) per block of W, one block at a time."""
+        for sl, b in self.w:
+            yield sl, _lift_rows(sl, np.linalg.inv(b), self.kernel, self.touched, self.free,
+                                 self.s_red.dtype)
+
+    def lift_state(self, v):
+        """x = lift v for v of shape (n_red,) or (n_red, m), the inverse of
+        project, from one block of rows of lift at a time."""
+        v = np.asarray(v)
+        x = np.empty((self.n_full,) + v.shape[1:], dtype=np.result_type(v, self.s_red))
+        for sl, rows in self._lift_blocks():
+            x[sl] = rows @ v
+        return x
+
     @cached_property
     def lift(self):
-        """W^{-1} z_y as a dense read-only array, built on first request from
-        the per-block rows that _reduce forms one at a time."""
-        w_inv = [(sl, np.linalg.inv(b)) for sl, b in self.w]
+        """W^{-1} z_y, dense and read-only, stacked from lift_state's block rows."""
         lift = np.empty((self.n_full, self.n_red), dtype=self.s_red.dtype)
-        for sl, b in w_inv:
-            lift[sl] = _lift_rows(sl, b, self.kernel, self.touched, self.free, lift.dtype)
+        for sl, rows in self._lift_blocks():
+            lift[sl] = rows
         lift.setflags(write=False)
         return lift
 
@@ -271,8 +282,9 @@ def _by_nodes(blocks, x):
 def _lift_rows(sl, w_inv_block, kernel, touched, free, dtype):
     """Rows sl of lift = W^{-1} z_y, an n_j x n_red array: z_y is the kernel
     on the touched columns and the identity on the free ones, kernel
-    columns first, where they are the Cayley stepper's border (last, they
-    grow the pivots of a dense LU of I - dt/2 s_red)."""
+    columns first.  The free columns then follow in sample order, so each
+    subsystem's free coordinates are one contiguous range of v, and the
+    kernel coordinates lead the Cayley stepper's border."""
     k = kernel.shape[1]
     rows = np.zeros((sl.stop - sl.start, k + len(free)), dtype=dtype)
     t0, t1 = np.searchsorted(touched, [sl.start, sl.stop])
@@ -307,7 +319,7 @@ def _reduce(net, n_per_subsystem):
     which reads trace_map, comes last.  No n_full x n_red array is formed:
     on the ten-string chain at n = 48 (n_red 940) the tracemalloc peak is
     10.7 MB against 7.6 MB held after it, on thirty strings (n_red 2820)
-    81.7 against 67.9 MB.  M's blocks and W^{-1} live only here; the
+    81.7 against 67.9 MB.  M's blocks and W^{-1} are not kept: the
     generator keeps W, the kernel and the column split.
     constraint_residual is max |w_b_net trace_map + c_c_net lift_c| = max
     |G lift|.  Raises PHStructuralError naming a subsystem that cannot be
@@ -357,9 +369,9 @@ def _reduce(net, n_per_subsystem):
         u, sv, _ = np.linalg.svd(g_w[:, touched])
         row = int(closed.kept_rows[np.argmax(np.abs(u[:, -1]))])
         j = int(np.searchsorted(net.port_offsets, row, side="right")) - 1
-        raise PHStructuralError("constraint matrix rank deficient (smallest singular value "
+        raise PHStructuralError("constraint matrix rank deficient (sigma_min / sigma_max "
                                 "%.2e); offending block: subsystem %d (port row %d)"
-                                % (sv[-1] if len(sv) == g.shape[0] else 0.0, j, row))
+                                % (sv[-1] / sv[0] if len(sv) == g.shape[0] else 0.0, j, row))
 
     # one block of W at a time (the controller's last): its free rows go
     # straight into s_red and its touched rows into the product with the
@@ -395,21 +407,4 @@ def _reduce(net, n_per_subsystem):
         grids=[o.grid for o in ops], net=net,
         meta={"constraint": g,
               "constraint_residual": float(np.abs(residual).max()) if g.size else 0.0})
-
-
-def discrete_energy_rate(gen, v):
-    """Re v* s_red v = dH/dt along dv/dt = s_red v: the energy balance's left side."""
-    v = np.asarray(v)
-    return float(np.real(v.conj() @ gen.s_red @ v))
-
-
-def boundary_flux(gen, v):
-    """1/2 sum_j tau_j* Q_j tau_j at the lifted state (no P_0 volume term),
-    with tau_j the blocks of trace_map @ v."""
-    taus = gen.split_traces(gen.trace_map @ np.asarray(v))
-    total = 0.0
-    for s, tau in zip(gen.net.subsystems, taus):
-        q = flux_form(s)
-        total += 0.5 * float(np.real(tau.conj() @ q @ tau))
-    return total
 

@@ -168,6 +168,11 @@ def _is_bool(x):
     return isinstance(x, (bool, np.bool_))
 
 
+def _is_integral(x):
+    """An int or an integral float (NaN and infinities leave x % 1 NaN), never a boolean."""
+    return not _is_bool(x) and isinstance(x, (int, np.integer, float)) and x % 1 == 0
+
+
 @dataclass(frozen=True)
 class PHSubsystem:
     """One port-Hamiltonian subsystem, rescaled to (0, 1) on construction."""

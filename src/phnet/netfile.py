@@ -20,7 +20,7 @@ load, and the serial structure is derived from the closed loop.
 import json
 import numbers
 
-from .model import MatrixFunction, PHSubsystem, _decode_array, _encode_array
+from .model import MatrixFunction, PHSubsystem, _decode_array, _encode_array, _is_integral
 from .network import Controller, Network
 from .scenarios import SCENARIOS, build_scenario
 
@@ -38,9 +38,7 @@ def _matrix(obj, what):
 
 def _integer(obj, what):
     """An integral JSON number; booleans and fractions are schema errors."""
-    integral = (isinstance(obj, numbers.Integral)
-                or isinstance(obj, float) and obj.is_integer())
-    if isinstance(obj, bool) or not integral:
+    if not _is_integral(obj):
         raise NetworkFileError("%s must be an integer, got %r" % (what, obj))
     return int(obj)
 

@@ -22,7 +22,7 @@ literal_bc_sign on the chain for the opposite end-damper orientation
 
 import numpy as np
 
-from .model import MatrixFunction, PHSubsystem, _has_leaf, _is_bool, flux_matrix
+from .model import MatrixFunction, PHSubsystem, _has_leaf, _is_bool, _is_integral, flux_matrix
 from .network import Controller, Network
 
 
@@ -202,8 +202,9 @@ def build_chain(*, m=3, rho=None, tension=None, kappa=None, lengths=None,
     joint couples segment j's z = 1 end to segment j + 1's z = 0 end, so
     the chain is serial in its natural order.
     """
-    if m < 1:
-        raise ScenarioError("need at least one segment")
+    if not _is_integral(m) or m < 1:
+        raise ScenarioError("m must be a positive integer, got %r" % (m,))
+    m = int(m)
     rho = [scalar_profile(r) for r in (rho or [1.0] * m)]
     tension = [scalar_profile(t) for t in (tension or [1.0] * m)]
     kappa = tuple(float(k) for k in (kappa if kappa is not None

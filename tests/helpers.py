@@ -12,7 +12,8 @@ import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial import polynomial as npoly
 
-from phnet import MatrixFunction, Network, PHSubsystem, discretize_subsystem, make_grid
+from phnet import (MatrixFunction, Network, PHSubsystem, discretize_subsystem, flux_form,
+                   make_grid)
 from phnet.analysis import PEAK_REFINE_LEVELS
 from phnet.discretize import _by_nodes
 from phnet.model import flux_matrix
@@ -167,9 +168,23 @@ def complex_explicit_network():
 
 def slowest_mode(gen, rep):
     """Real full-sample state of the slowest trusted mode rep.eigenvalues[0]:
-    the nearest eig column v of gen.s_red, mapped back by the lift."""
+    the nearest eig column v of gen.s_red, mapped back by lift_state."""
     vals, v = np.linalg.eig(gen.s_red)
-    return np.real(gen.lift @ v[:, np.argmin(np.abs(vals - rep.eigenvalues[0]))])
+    return np.real(gen.lift_state(v[:, np.argmin(np.abs(vals - rep.eigenvalues[0]))]))
+
+
+def discrete_energy_rate(gen, v):
+    """Re v* s_red v = dH/dt along dv/dt = s_red v: the energy balance's left side."""
+    v = np.asarray(v)
+    return float(np.real(v.conj() @ gen.s_red @ v))
+
+
+def boundary_flux(gen, v):
+    """1/2 sum_j tau_j* Q_j tau_j at the lifted state (no P_0 volume term),
+    with tau_j the blocks of trace_map @ v."""
+    taus = gen.split_traces(gen.trace_map @ np.asarray(v))
+    return sum(0.5 * float(np.real(tau.conj() @ flux_form(s) @ tau))
+               for s, tau in zip(gen.net.subsystems, taus))
 
 
 def set_built_scan_grid(eigenvalues, beta_max, samples):

@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -348,6 +349,41 @@ class TestExitCodes:
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"schema": 1, "scenario": {"name": name, "params": params}}))
         self.assert_usage_error(main(["check", str(path)]), capsys)
+
+    @pytest.mark.parametrize("m", ["2.5", '"3"', "[2]", "null", "0"])
+    def test_chain_m_not_an_integer(self, capsys, m):
+        # a fraction used to exit 2 with "can't multiply sequence by non-int
+        # of type 'float'", a string with "'<' not supported between
+        # instances of 'str' and 'int'"
+        rc = main(["scenario", "dump", "chain_of_strings", "--params", '{"m": %s}' % m])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: m must be a positive integer, got ")
+
+    def test_chain_m_integral_float(self, tmp_path, capsys):
+        # an integral number counts as an integer, as order and dim do in a
+        # file; 2.0 used to exit 2
+        assert main(["scenario", "dump", "chain_of_strings", "--params", '{"m": 2.0}']) == 0
+        path = tmp_path / "chain.json"
+        path.write_text(capsys.readouterr().out)
+        assert main(["check", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["subsystems"]) == 2
+
+    @pytest.mark.parametrize("params", [{"m": 2, "lengths": [1e-300, 1]},
+                                        {"m": 2, "kappa": [1e300, 0]}])
+    def test_rank_deficiency_reports_relative_singular_value(self, tmp_path, capsys, params):
+        # the rank rule is sigma <= REL_TOL sigma_max, and the message used
+        # to give the absolute sigma_min, 1.55e+01 on both networks
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(
+            {"schema": 1, "scenario": {"name": "chain_of_strings", "params": params}}))
+        rc = main(["spectrum", str(path), "--n", "16", "--out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        ratio = re.search(r"sigma_min / sigma_max (\S+)\)", err)
+        assert ratio and float(ratio.group(1)) <= 1e-10
 
     @pytest.mark.parametrize("command", ["check", "spectrum"])
     @pytest.mark.parametrize("name, params", [

@@ -12,14 +12,13 @@ from phnet import (MatrixFunction, Network, PHStructuralError, PHSubsystem,
                    assemble_generator, build_beam, build_chain, build_coupled,
                    discretize_subsystem, make_grid, make_initial_state, resolvent_scan,
                    simulate, spectrum)
-from phnet.discretize import (DiscreteGenerator, SubsystemOperators, boundary_flux,
-                              discrete_energy_rate)
+from phnet.discretize import DiscreteGenerator, SubsystemOperators
 from phnet.scenarios import SCENARIOS, _wave_subsystem, build_scenario
 
-from helpers import (chain_transfer_characteristic, complex_explicit_network, dense_lift,
-                     dense_reduction, full_space_pencil, kron_collocation,
-                     random_constrained_state, random_passive_network, random_passive_subsystem,
-                     secant_root)
+from helpers import (boundary_flux, chain_transfer_characteristic, complex_explicit_network,
+                     dense_lift, dense_reduction, discrete_energy_rate, full_space_pencil,
+                     kron_collocation, random_constrained_state, random_passive_network,
+                     random_passive_subsystem, secant_root)
 
 P1_WAVE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -204,7 +203,8 @@ class TestAssembleGenerator:
     def test_null_space_exactness(self):
         gen = assemble_generator(damped_wave_network(), 48)
         g = gen.meta["constraint"]
-        assert np.abs(g @ gen.lift).max() <= 1e-10 * max(1.0, np.abs(g).max())
+        lift = gen.lift_state(np.eye(gen.n_red))
+        assert np.abs(g @ lift).max() <= 1e-10 * max(1.0, np.abs(g).max())
 
     def test_sym_drift_recorded_and_small(self):
         gen = assemble_generator(damped_wave_network(), 48)
@@ -241,7 +241,7 @@ class TestAssembleGenerator:
         net = build_coupled(variant="spring_mass_damper_string_beam")
         gen = assemble_generator(net, 24)
         v = np.random.default_rng(5).standard_normal(gen.n_red)
-        x = gen.lift @ v
+        x = gen.lift_state(v)
         taus = gen.split_traces(gen.trace_map @ v)
         assert len(taus) == len(net.subsystems)
         for s, sl, tau in zip(net.subsystems, gen.sample_slices, taus):
@@ -283,7 +283,7 @@ class TestAssembleGenerator:
             return assemble_generator(Network(subsystems=(sub,), k_mat=np.zeros((2, 2))), 16)
 
         scalar, matrix = gen_with(2.0), gen_with(2.0 * np.eye(2))
-        assert scalar.lift.dtype == scalar.s_red.dtype == np.float64
+        assert scalar.lift_state(np.eye(scalar.n_red)).dtype == scalar.s_red.dtype == np.float64
         got, want = spectrum(scalar).eigenvalues, spectrum(matrix).eigenvalues
         assert len(got) == len(want) > 0
         assert np.abs(got - want).max() <= 1e-12
@@ -300,15 +300,13 @@ class TestAssembleGenerator:
         n = 12 + extra
         gen = assemble_generator(net, n)
         l_full, m_full, g, t = full_space_pencil(net, n)
-        lift = gen.lift
+        lift = gen.lift_state(np.eye(gen.n_red))
         assert lift.dtype == gen.s_red.dtype == l_full.dtype
         assert np.abs(g @ lift).max() <= 1e-10 * max(1.0, np.abs(g).max())
         rank = np.linalg.matrix_rank
         assert lift.shape[1] == rank(lift) == len(m_full) - rank(g)
         gram = lift.conj().T @ m_full @ lift
         assert np.abs(gram - np.eye(gen.n_red)).max() <= 1e-12
-        # the aliases the benchmark oracles read
-        assert np.array_equal(gen.m_red, np.eye(gen.n_red)) and gen.sim_operator() is gen.s_red
         s_red = lift.conj().T @ m_full @ l_full @ lift
         assert np.abs(gen.s_red - s_red).max() <= 1e-13 * np.abs(s_red).max()
         trace_map = t @ lift[:t.shape[1]]
@@ -375,6 +373,12 @@ class TestFactoredReduction:
         assert gen.m_full is gen.m_full and not gen.m_full.flags.writeable
 
     @pytest.mark.parametrize("name,n", PARITY_CASES)
+    def test_aliases_the_oracles_read(self, name, n):
+        # m_red (the identity) and sim_operator() (s_red) serve the benchmark oracles only
+        gen = assemble_generator(_parity_network(name), n)
+        assert np.array_equal(gen.m_red, np.eye(gen.n_red)) and gen.sim_operator() is gen.s_red
+
+    @pytest.mark.parametrize("name,n", PARITY_CASES)
     def test_project_matches_dense_formula(self, name, n):
         net = _parity_network(name)
         gen = assemble_generator(net, n)
@@ -400,7 +404,7 @@ class TestFactoredReduction:
         gen = assemble_generator(net, n)
         # a constrained state projects back onto its own coordinates
         v = rng.standard_normal(gen.n_red) + 1j * rng.standard_normal(gen.n_red)
-        got, residual = gen.project(gen.lift @ v)
+        got, residual = gen.project(gen.lift_state(v))
         assert np.abs(got - v).max() <= 1e-13 * np.abs(v).max()
         assert residual <= 1e-13
         # any state: the residual is the dense |x - lift lift* M x|_M / |x|_M
@@ -412,12 +416,21 @@ class TestFactoredReduction:
 
     @pytest.mark.parametrize("name,n", PARITY_CASES)
     def test_reduction_by_blocks_matches_dense_arithmetic(self, name, n):
-        # s_red and trace_map by blocks are the dense lift's products, bit for bit
+        # s_red and trace_map by blocks are the dense lift's products, bit for
+        # bit; lift_state, by blocks too, is its product with reduced states
         net = _parity_network(name)
         gen = assemble_generator(net, n)
         s_red, trace_map = dense_reduction(net, n)
         assert gen.s_red.dtype == s_red.dtype and np.array_equal(gen.s_red, s_red)
         assert gen.trace_map.dtype == trace_map.dtype and np.array_equal(gen.trace_map, trace_map)
+        lift = dense_lift(net, n)
+        rng = np.random.default_rng(n)
+        real = rng.standard_normal(gen.n_red)
+        for v in (real, real + 1j * rng.standard_normal(gen.n_red),
+                  rng.standard_normal((gen.n_red, 3))):
+            got, want = gen.lift_state(v), lift @ v
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_reduction_peak_stays_below_two_s_red(self):
         # the companion's build is _reduce alone: by blocks, nothing of
@@ -445,6 +458,7 @@ class TestFactoredReduction:
         rep = spectrum(gen)
         resolvent_scan(gen, samples=5, spectrum_report=rep)
         simulate(gen, make_initial_state(net, gen), dt=1e-2, t_end=0.05)
+        gen.lift_state(np.eye(gen.n_red, 3))
         for g in (gen, gen.companion):
             found = [(path, arr.shape) for path, arr in _reachable_arrays(vars(g), "", set())
                      if g.n_full in arr.shape]

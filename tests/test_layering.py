@@ -1,8 +1,9 @@
 """Module layering: passivity alone decides certificates, network, which
 builds the closed loop, does not depend on it, serial detection reads the
-loop only through assemble, the library reads the
-energy-frame generator s_red, never the aliases and dense views kept for
-the benchmark and the tests,
+loop only through assemble, the library and the demos read the
+energy-frame generator s_red and lift_state, never the aliases and dense
+views kept for the benchmark oracles and the view tests, the library
+defines no test-only energy-balance helper,
 the library's one trace extractor is trace_map @ v split by split_traces,
 only the resolvent scan loads scipy (the Cayley stepper runs on numpy), and
 the scan's frequency loop calls no numpy BLAS."""
@@ -14,12 +15,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "phnet"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "phnet"
+DEMOS = ROOT / "demos"
 CERTIFICATE_INTERNALS = {"_certificate", "_psd_verdict", "_tol_for"}
 # DiscreteGenerator.m_red (the identity) and sim_operator() (s_red) serve the
-# benchmark oracles only, and the dense views lift and m_full the oracles,
-# tests and demos; chol, the old energy frame, is gone
+# benchmark oracles only, and the dense views lift and m_full the oracles and
+# the view tests; chol, the old energy frame, is gone
 HARNESS_ALIASES = {"m_red", "chol", "sim_operator", "lift", "m_full"}
+# the energy balance's two sides, oracles that tests/helpers.py keeps
+TEST_ONLY_HELPERS = {"discrete_energy_rate", "boundary_flux"}
 # every trace is gen.trace_map @ v, cut per subsystem by gen.split_traces;
 # no second extractor method may wrap it
 TRACE_METHODS = {"trace", "traces"}
@@ -102,20 +107,39 @@ def test_serial_detection_reads_the_loop_through_assemble():
             for name in seen} == {name: [] for name in seen}
 
 
-def test_library_reads_no_harness_alias():
+def _alias_reads(paths):
+    """{file name: the HARNESS_ALIASES attributes it reads}, read-free files left out."""
     reads = {path.name: sorted({node.attr for node in ast.walk(ast.parse(path.read_text()))
                                 if isinstance(node, ast.Attribute)
                                 and node.attr in HARNESS_ALIASES})
-             for path in SRC.glob("*.py")}
-    assert {name: used for name, used in reads.items() if used} == {}
+             for path in paths}
+    return {name: used for name, used in reads.items() if used}
+
+
+def _library_defines(names):
+    """{module name: the functions of names it defines}, modules defining none left out."""
+    defined = {path.name: sorted(node.name for node in ast.walk(ast.parse(path.read_text()))
+                                 if isinstance(node, ast.FunctionDef) and node.name in names)
+               for path in SRC.glob("*.py")}
+    return {name: found for name, found in defined.items() if found}
+
+
+def test_library_reads_no_harness_alias():
+    assert _alias_reads(SRC.glob("*.py")) == {}
+
+
+def test_demos_read_no_harness_alias():
+    # a demo maps reduced states with lift_state, never with the dense views
+    demos = sorted(DEMOS.glob("*.py"))
+    assert demos and _alias_reads(demos) == {}
 
 
 def test_library_keeps_one_trace_extractor():
-    defined = {path.name: sorted(node.name for node in ast.walk(ast.parse(path.read_text()))
-                                 if isinstance(node, ast.FunctionDef)
-                                 and node.name in TRACE_METHODS)
-               for path in SRC.glob("*.py")}
-    assert {name: found for name, found in defined.items() if found} == {}
+    assert _library_defines(TRACE_METHODS) == {}
+
+
+def test_library_keeps_no_test_only_helper():
+    assert _library_defines(TEST_ONLY_HELPERS) == {}
 
 
 def _scipy_imports(tree, scope=None):

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from phnet import (SCENARIOS, Controller, Network, assemble_generator, build_chain,
                    build_scenario, make_initial_state, simulate, spectrum)
-from phnet.discretize import boundary_flux, discrete_energy_rate
 from phnet.scenarios import _wave_subsystem
 from phnet.simulate import CayleyStepper, StepSizeError
 
-from helpers import complex_explicit_network, random_constrained_state, random_passive_network
+from helpers import (boundary_flux, complex_explicit_network, discrete_energy_rate,
+                     random_constrained_state, random_passive_network)
 
 
 def all_border(s_red):
