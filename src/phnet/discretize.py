@@ -151,7 +151,7 @@ class DiscreteGenerator:
     and s_red = lift* M L lift (L the closed loop, never formed) has the
     energy norm as its Euclidean norm.  trace_map @ v stacks every
     subsystem's traces, split_traces cuts them per subsystem (the one trace
-    extractor), and lift_state(v) = lift v maps reduced states to samples.
+    extractor), and lift_state(v) = W^{-1} z_y v maps v back to samples.
     meta holds the constraint rows, constraint_residual = max |G lift| and
     sym_drift = max eig of Sym s_red.
 
@@ -183,27 +183,26 @@ class DiscreteGenerator:
     def n_full(self):
         return self.controller_slice.stop
 
-    def _lift_blocks(self):
-        """(slice, rows sl of lift) per block of W, one block at a time."""
-        for sl, b in self.w:
-            yield sl, _lift_rows(sl, np.linalg.inv(b), self.kernel, self.touched, self.free,
-                                 self.s_red.dtype)
-
     def lift_state(self, v):
-        """x = lift v for v of shape (n_red,) or (n_red, m), the inverse of
-        project, from one block of rows of lift at a time."""
+        """x = lift v = W^{-1} z_y v for v of leading dimension n_red, project's
+        mirror: z_y v is kernel @ v[:k] on the touched columns and v[k:] on the
+        free ones, and W^{-1} acts node by node, so no row of lift is formed."""
         v = np.asarray(v)
-        x = np.empty((self.n_full,) + v.shape[1:], dtype=np.result_type(v, self.s_red))
-        for sl, rows in self._lift_blocks():
-            x[sl] = rows @ v
-        return x
+        if v.shape[:1] != (self.n_red,):
+            raise ValueError("v has shape %s, expected (%d, ...)" % (v.shape, self.n_red))
+        k, cols = self.kernel.shape[1], v.reshape(self.n_red, -1)
+        x = np.empty((self.n_full, cols.shape[1]), dtype=np.result_type(v, self.s_red))
+        x[self.touched], x[self.free] = self.kernel @ cols[:k], cols[k:]
+        x = _by_nodes([(sl, np.linalg.inv(b)) for sl, b in self.w], x)
+        return x.reshape((self.n_full,) + v.shape[1:])
 
     @cached_property
     def lift(self):
-        """W^{-1} z_y, dense and read-only, stacked from lift_state's block rows."""
+        """W^{-1} z_y, dense and read-only, stacked from _lift_rows per block of W."""
         lift = np.empty((self.n_full, self.n_red), dtype=self.s_red.dtype)
-        for sl, rows in self._lift_blocks():
-            lift[sl] = rows
+        for sl, b in self.w:
+            lift[sl] = _lift_rows(sl, np.linalg.inv(b), self.kernel, self.touched, self.free,
+                                  self.s_red.dtype)
         lift.setflags(write=False)
         return lift
 
@@ -245,7 +244,7 @@ class DiscreteGenerator:
         return vals
 
     def project(self, x_full):
-        """M-orthogonal projection of a full sample vector; returns (v, rel residual).
+        """M-orthogonal projection of x_full, of shape (n_full,); returns (v, rel residual).
 
         v = lift* M x = z_y* W^{-*} W* W x = z_y* u with u = W x, one pass
         over the nodes: kernel* u on the touched columns, u itself on the
@@ -256,8 +255,9 @@ class DiscreteGenerator:
         passive networks.
         """
         x_full = np.asarray(x_full)
-        x = np.array(x_full, dtype=np.result_type(x_full, self.s_red)).reshape(-1, 1)
-        u = _by_nodes(self.w, x)[:, 0]
+        if x_full.shape != (self.n_full,):
+            raise ValueError("x_full has shape %s, expected (%d,)" % (x_full.shape, self.n_full))
+        u = _by_nodes(self.w, x_full.astype(np.result_type(x_full, self.s_red))[:, None])[:, 0]
         u_touched = u[self.touched]
         v_kernel = self.kernel.conj().T @ u_touched
         diff = u_touched - self.kernel @ v_kernel
@@ -280,9 +280,9 @@ def _by_nodes(blocks, x):
 
 
 def _lift_rows(sl, w_inv_block, kernel, touched, free, dtype):
-    """Rows sl of lift = W^{-1} z_y, an n_j x n_red array: z_y is the kernel
-    on the touched columns and the identity on the free ones, kernel
-    columns first.  The free columns then follow in sample order, so each
+    """Rows sl of lift = W^{-1} z_y, an n_j x n_red array, for _reduce and the
+    lift view: z_y is the kernel on the touched columns and the identity on
+    the free ones, kernel columns first.  The free columns then follow in sample order, so each
     subsystem's free coordinates are one contiguous range of v, and the
     kernel coordinates lead the Cayley stepper's border."""
     k = kernel.shape[1]

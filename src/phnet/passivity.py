@@ -160,37 +160,34 @@ def null_basis(mat):
 def check_controller_passive(controller):
     """Impedance passivity certificate for a Controller.
 
-    Tests the Hermitian supply-defect block matrix on (x_c, u_c); the
-    certificate detail also reports strict input passivity: the largest
-    kappa with defect <= -kappa * diag(0, Pi), Pi the orthogonal projector
-    onto range(D_c*), and whether ker D_c is contained in ker B_c (the
-    structural condition a strictly input passive loop needs).  Both use
-    Z = null_basis(D_c), a basis of ker D_c: Pi = I - Z Z*, and
-    ker D_c subset ker B_c iff B_c Z = 0 to REL_TOL.
+    Tests the Hermitian supply-defect block matrix on (x_c, u_c).  The detail
+    also reports whether ker D_c, spanned by Z = null_basis(D_c), lies in ker
+    B_c (B_c Z = 0 to REL_TOL, which a strictly input passive loop needs), and
+    the strict input passivity margin: the largest kappa with defect + kappa
+    Y_hat Y_hat* <= tol I, Y_hat = [0; Y], Y = null_basis(Z*) spanning range(D_c*).
+    For E = tol I - defect = U diag(e) U* > 0 that is kappa = 1 / lambda_max(Y_hat*
+    E^{-1} Y_hat) = 1 / sigma_max(F)^2, F = diag(e)^{-1/2} U* Y_hat; otherwise,
+    or where D_c = 0, kappa = 0.
     """
     defect = controller.supply_defect()
     tol = _tol_for(defect)
     cert = _psd_verdict(-defect, "controller", tol,
                         detail="-(supply defect) on (x_c, u_c)")
     z = null_basis(controller.d_c)
-    pi = np.eye(controller.n_port) - z @ z.conj().T
-    pi_hat = np.zeros_like(defect)
-    n = controller.n_state
-    pi_hat[n:, n:] = pi
-    kappa = 0.0
-    if cert.passed and np.abs(pi).max() > 0:
-        lo, hi = 0.0, float(np.abs(defect).max() + 1.0)
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            ok = np.linalg.eigvalsh(0.5 * ((defect + mid * pi_hat)
-                                           + (defect + mid * pi_hat).conj().T)).max() <= tol
-            lo, hi = (mid, hi) if ok else (lo, mid)
-        kappa = lo
+    kappa = _input_passivity_margin(defect, null_basis(z.conj().T), tol) if cert.passed else 0.0
     kernel_ok = bool(np.abs(controller.b_c @ z).max(initial=0.0)
                      <= _tol_for(controller.b_c))
     cert.detail += ("; strict input passivity margin kappa = %.3e; "
                     "ker D_c subset ker B_c: %s" % (kappa, kernel_ok))
     return cert
+
+
+def _input_passivity_margin(defect, y, tol):
+    """check_controller_passive's kappa, y an orthonormal basis of range(D_c*)."""
+    e, u = np.linalg.eigh(tol * np.eye(len(defect)) - 0.5 * (defect + defect.conj().T))
+    if e[0] <= 0 or not y.shape[1]:
+        return 0.0
+    return float(np.linalg.norm((u[-len(y):].conj().T @ y) / np.sqrt(e)[:, None], 2) ** -2)
 
 
 def certify_network_dissipative(net):

@@ -210,7 +210,8 @@ def simulate(gen, x0, dt=None, t_end=10.0, record_every=1):
     A t_end / dt that is not finite, or more records than numpy can size,
     raises StepSizeError before the stepper is factored.
     """
-    if not isinstance(record_every, (int, np.integer)) or record_every < 1:
+    if (isinstance(record_every, bool) or not isinstance(record_every, (int, np.integer))
+            or record_every < 1):
         raise ValueError("record_every must be a positive integer")
     x0 = np.asarray(x0)
     n_full = gen.n_full

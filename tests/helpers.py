@@ -140,6 +140,25 @@ def random_passive_controller(rng, n_state, n_port):
     return Controller(a_c=a_c, b_c=b_c, c_c=c_c, d_c=d_c, state_weight=w)
 
 
+def bisection_kappa(defect, z, tol):
+    """The strict input passivity margin kappa as check_controller_passive once
+    found it, by 40 bisection steps on [0, max |defect| + 1]: the largest kappa
+    with Sym(defect + kappa diag(0, Pi)) <= tol I, Pi = I - Z Z*, z a basis of
+    ker D_c; 0 where Pi = 0.  Resolves kappa to 2^-40 (max |defect| + 1)."""
+    n_port = z.shape[0]
+    pi_hat = np.zeros_like(defect)
+    pi_hat[-n_port:, -n_port:] = np.eye(n_port) - z @ z.conj().T
+    if not np.abs(pi_hat).max() > 0:
+        return 0.0
+    lo, hi = 0.0, float(np.abs(defect).max() + 1.0)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        form = defect + mid * pi_hat
+        ok = np.linalg.eigvalsh(0.5 * (form + form.conj().T)).max() <= tol
+        lo, hi = (mid, hi) if ok else (lo, mid)
+    return lo
+
+
 def random_passive_network(rng, n_subsystems, complex_ok=False, with_controller=False):
     """Random passive subsystems joined by a random K with Sym K <= 0; with
     a controller, one random passive controller takes a random subset of

@@ -364,6 +364,8 @@ class TestFactoredReduction:
         _, m_full, _, _ = full_space_pencil(net, n)
         lift = dense_lift(net, n)
         assert gen.lift.dtype == lift.dtype and np.array_equal(gen.lift, lift)
+        mapped = gen.lift_state(np.eye(gen.n_red))
+        assert mapped.dtype == lift.dtype and np.array_equal(mapped, lift)
         assert gen.m_full.dtype == m_full.dtype and np.array_equal(gen.m_full, m_full)
         assert gen.n_full == len(m_full)
         gram = gen.lift.conj().T @ gen.m_full @ gen.lift
@@ -432,6 +434,19 @@ class TestFactoredReduction:
             assert got.shape == want.shape and got.dtype == want.dtype
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
+    def test_project_and_lift_state_reject_wrong_shapes(self):
+        # project takes one full state of length n_full, lift_state a leading
+        # dimension n_red; anything else is refused by name, not reshaped
+        gen = assemble_generator(build_chain(m=2), 24)
+        n, n_red = gen.n_full, gen.n_red
+        assert n == 96
+        for shape in [(n + 1,), (n, 2), (1, n), ()]:
+            with pytest.raises(ValueError, match=r"expected \(%d,\)" % n):
+                gen.project(np.ones(shape))
+        for shape in [(n_red + 1,), (n_red - 1, 2), (2, n_red), ()]:
+            with pytest.raises(ValueError, match=r"expected \(%d, \.\.\.\)" % n_red):
+                gen.lift_state(np.ones(shape))
+
     def test_reduction_peak_stays_below_two_s_red(self):
         # the companion's build is _reduce alone: by blocks, nothing of
         # n_full x n_red is formed, and the peak stays below twice s_red
@@ -459,6 +474,16 @@ class TestFactoredReduction:
         resolvent_scan(gen, samples=5, spectrum_report=rep)
         simulate(gen, make_initial_state(net, gen), dt=1e-2, t_end=0.05)
         gen.lift_state(np.eye(gen.n_red, 3))
+        # one state is W^{-1} z_y v, node by node: its peak stays below one
+        # subsystem's n_j x n_red block of lift
+        v = np.ones(gen.n_red)
+        tracemalloc.start()
+        try:
+            gen.lift_state(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (gen.sample_slices[0].stop - gen.sample_slices[0].start) * v.nbytes
         for g in (gen, gen.companion):
             found = [(path, arr.shape) for path, arr in _reachable_arrays(vars(g), "", set())
                      if g.n_full in arr.shape]

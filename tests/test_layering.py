@@ -5,6 +5,7 @@ energy-frame generator s_red and lift_state, never the aliases and dense
 views kept for the benchmark oracles and the view tests, the library
 defines no test-only energy-balance helper,
 the library's one trace extractor is trace_map @ v split by split_traces,
+only the reduction and the dense lift view form rows of lift,
 only the resolvent scan loads scipy (the Cayley stepper runs on numpy), and
 the scan's frequency loop calls no numpy BLAS."""
 
@@ -33,6 +34,9 @@ LOOP_FIELDS = {"k_mat", "coupling", "serial_blocks"}
 # (module, function) of every scipy import: the scan's Schur form and
 # frequency-loop kernels (triangular solve, gemv, norm, tridiagonal eigensolver)
 SCIPY_IMPORTERS = {("analysis.py", "resolvent_scan")}
+# (module, function) of every call to discretize._lift_rows: the reduction
+# and the dense lift view
+LIFT_ROW_CALLERS = {("discretize.py", "_reduce"), ("discretize.py", "lift")}
 # numpy calls that reach numpy's own BLAS or LAPACK
 NUMPY_BLAS = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
 COLD_PATH = """
@@ -142,28 +146,39 @@ def test_library_keeps_no_test_only_helper():
     assert _library_defines(TEST_ONLY_HELPERS) == {}
 
 
-def _scipy_imports(tree, scope=None):
-    """(enclosing function, None at module level; module) of every scipy import."""
+def _scoped(tree, scope=None):
+    """(enclosing function, None at module level; node) of every node below tree."""
     for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _scipy_imports(node, node.name)
-            continue
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-        else:
-            names = []
-        for name in names:
-            if name.split(".")[0] == "scipy":
-                yield scope, name
-        yield from _scipy_imports(node, scope)
+        yield scope, node
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _scoped(node, inner)
+
+
+def _library_scopes(test):
+    """{(module name, enclosing function)} of every library node that passes test."""
+    return {(path.name, scope) for path in SRC.glob("*.py")
+            for scope, node in _scoped(ast.parse(path.read_text())) if test(node)}
+
+
+def _imports_scipy(node):
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        names = []
+    return any(name.split(".")[0] == "scipy" for name in names)
 
 
 def test_scipy_imported_only_inside_the_scan():
-    found = {(path.name, scope) for path in SRC.glob("*.py")
-             for scope, _ in _scipy_imports(ast.parse(path.read_text()))}
-    assert found == SCIPY_IMPORTERS
+    assert _library_scopes(_imports_scipy) == SCIPY_IMPORTERS
+
+
+def test_lift_rows_serve_the_reduction_and_the_dense_view_only():
+    # lift_state is W^{-1} z_y v node by node: no caller forms rows of lift per state
+    calls = _library_scopes(lambda node: isinstance(node, ast.Call)
+                            and ast.unparse(node.func).split(".")[-1] == "_lift_rows")
+    assert calls == LIFT_ROW_CALLERS
 
 
 def test_inverse_lanczos_takes_its_kernels_from_its_arguments():

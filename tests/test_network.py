@@ -1,5 +1,6 @@
 """Network assembly, closed-loop certification, serial-structure detection."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,10 +13,12 @@ from phnet import (Controller, Network, NotSerial, PHStructuralError,
                    SerialStructure, assemble, build_chain, build_scenario,
                    certify_network_dissipative, check_controller_passive,
                    detect_serial_structure, null_basis)
+from phnet.model import REL_TOL
 from phnet.network import _block_diag
+from phnet.passivity import _input_passivity_margin, _tol_for
 from phnet.scenarios import _wave_subsystem
 
-from helpers import (random_nsd_k, random_passive_controller,
+from helpers import (bisection_kappa, random_nsd_k, random_passive_controller,
                      random_passive_subsystem)
 
 
@@ -242,15 +245,35 @@ class TestCertification:
         assert cert.passed
         # D_c = 0 with B_c != 0: passive, but ker D_c is not inside ker B_c
         assert "ker D_c subset ker B_c: False" in cert.detail
-        # a strictly input passive controller: positive feedthrough
-        strict = Controller(a_c=np.array([[-1.0]]), b_c=np.array([[1.0]]),
-                            c_c=np.array([[1.0]]), d_c=np.array([[0.5]]),
-                            state_weight=np.eye(1))
-        cert = check_controller_passive(strict)
-        assert cert.passed
-        assert "ker D_c subset ker B_c: True" in cert.detail
-        kappa = float(cert.detail.split("kappa = ")[1].split(";")[0])
-        assert kappa > 0.1
+        # strictly input passive controllers: positive feedthrough D_c, whose
+        # defect diag(-1, -D_c) gives kappa = D_c + tol exactly
+        for d_c in (0.5, 1e-11):
+            strict = Controller(a_c=np.array([[-1.0]]), b_c=np.array([[1.0]]),
+                                c_c=np.array([[1.0]]), d_c=np.array([[d_c]]),
+                                state_weight=np.eye(1))
+            cert = check_controller_passive(strict)
+            assert cert.passed
+            assert "ker D_c subset ker B_c: True" in cert.detail
+            kappa = float(cert.detail.split("kappa = ")[1].split(";")[0])
+            assert kappa == pytest.approx(d_c + REL_TOL, rel=1e-9, abs=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_state=st.integers(1, 3),
+           n_port=st.integers(1, 3), rank=st.integers(0, 3))
+    def test_input_passivity_margin_matches_bisection(self, seed, n_state, n_port, rank):
+        # the closed-form kappa lies within the old bisection's resolution;
+        # rank < n_port gives a symmetric D_c of that rank, so ker D_c != 0
+        rng = np.random.default_rng(seed)
+        ctrl = random_passive_controller(rng, n_state, n_port)
+        if rank < n_port:
+            g = rng.standard_normal((rank, n_port))
+            ctrl = dataclasses.replace(ctrl, d_c=0.1 * g.T @ g)
+        defect = ctrl.supply_defect()
+        tol, z = _tol_for(defect), null_basis(ctrl.d_c)
+        assert check_controller_passive(ctrl).passed
+        resolution = 2.0 ** -39 * (np.abs(defect).max() + 1.0)
+        assert abs(_input_passivity_margin(defect, null_basis(z.conj().T), tol)
+                   - bisection_kappa(defect, z, tol)) <= resolution
 
     def test_passive_controller_network_certifies(self):
         from phnet import build_mass_damped_string

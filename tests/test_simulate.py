@@ -305,7 +305,7 @@ class TestSimulate:
         assert tr.energies[-1] == stepper.energy(v)
         assert np.array_equal(np.hstack([t[-1] for t in tr.traces]), gen.trace_map @ v)
 
-    @pytest.mark.parametrize("every", [0, -7, 2.0])
+    @pytest.mark.parametrize("every", [0, -7, 2.0, True])
     def test_record_every_must_be_positive(self, damped, every):
         net, gen = damped
         with pytest.raises(ValueError, match="record_every"):
