@@ -4,12 +4,12 @@
 import json
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 from phnet import build_chain, load_network, save_network
 
-workdir = Path(tempfile.mkdtemp(prefix="phnet_demo_"))
+workdir = Path("network_files_demo")
+workdir.mkdir(exist_ok=True)
 
 # A scenario reference keeps the file minimal and rebuilds on load.
 chain_file = workdir / "chain.json"

@@ -113,6 +113,10 @@ def discretize_subsystem(subsystem, n):
     if n < 4 * s.order + 4:
         raise PHStructuralError("n = %d too small for order %d (need >= %d)"
                                 % (n, s.order, 4 * s.order + 4))
+    nd = n * s.dim
+    if nd * nd * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise PHStructuralError("n = %d too large: numpy cannot size the %d x %d operator"
+                                % (n, nd, nd))
     grid = make_grid(n)
     h_vals = s.hamiltonian(grid.points)
     coercive, least, largest = coercivity(h_vals)
@@ -131,7 +135,6 @@ def discretize_subsystem(subsystem, n):
         ends.append(np.einsum("ej,jac->eajc", dk[[-1, 0]], h_vals))
         dk = grid.diff @ dk
         l4 += np.einsum("ij,jac->iajc", dk, pk @ h_vals)
-    nd = n * s.dim
     return SubsystemOperators(l=l4.reshape(nd, nd), mass=grid.quad[:, None, None] * h_vals,
                               t=np.stack(ends, axis=1).reshape(-1, nd), grid=grid)
 
@@ -157,10 +160,11 @@ class DiscreteGenerator:
 
     Built on first use: the companion (a coarser resolution, for the
     two-grid eigenvalue filter) and the eigenvalues of s_red.  The dense
-    views lift and m_full, m_red (= I) and sim_operator() (= s_red) serve
-    the benchmark oracles and the view tests only.  On the ten-string chain
-    at n = 48 (n_red 940) W takes 0.015 MB where lift and m_full would take
-    14.6 MB; on thirty strings (n_red 2820), 0.05 against 131 MB.
+    views lift (= lift_state(I)) and m_full, m_red (= I) and sim_operator()
+    (= s_red) serve the benchmark oracles and the view tests only.  On the
+    ten-string chain at n = 48 (n_red 940) W takes 0.015 MB where lift and
+    m_full would take 14.6 MB; on thirty strings (n_red 2820), 0.05 against
+    131 MB.
     """
 
     s_red: np.ndarray
@@ -198,11 +202,8 @@ class DiscreteGenerator:
 
     @cached_property
     def lift(self):
-        """W^{-1} z_y, dense and read-only, stacked from _lift_rows per block of W."""
-        lift = np.empty((self.n_full, self.n_red), dtype=self.s_red.dtype)
-        for sl, b in self.w:
-            lift[sl] = _lift_rows(sl, np.linalg.inv(b), self.kernel, self.touched, self.free,
-                                  self.s_red.dtype)
+        """W^{-1} z_y, dense and read-only: lift_state of the identity."""
+        lift = self.lift_state(np.eye(self.n_red, dtype=self.s_red.dtype))
         lift.setflags(write=False)
         return lift
 
@@ -279,21 +280,6 @@ def _by_nodes(blocks, x):
     return x
 
 
-def _lift_rows(sl, w_inv_block, kernel, touched, free, dtype):
-    """Rows sl of lift = W^{-1} z_y, an n_j x n_red array, for _reduce and the
-    lift view: z_y is the kernel on the touched columns and the identity on
-    the free ones, kernel columns first.  The free columns then follow in sample order, so each
-    subsystem's free coordinates are one contiguous range of v, and the
-    kernel coordinates lead the Cayley stepper's border."""
-    k = kernel.shape[1]
-    rows = np.zeros((sl.stop - sl.start, k + len(free)), dtype=dtype)
-    t0, t1 = np.searchsorted(touched, [sl.start, sl.stop])
-    rows[touched[t0:t1] - sl.start, :k] = kernel[t0:t1]
-    f0, f1 = np.searchsorted(free, [sl.start, sl.stop])
-    rows[free[f0:f1] - sl.start, k + np.arange(f0, f1)] = 1.0
-    return _by_nodes([(slice(None), w_inv_block)], rows)
-
-
 def assemble_generator(net, n_per_subsystem):
     """The DiscreteGenerator of the closed-loop network (_reduce) with its sym_drift;
     n_per_subsystem is an int (applied to every subsystem) or a list."""
@@ -313,10 +299,11 @@ def _reduce(net, n_per_subsystem):
     lift = W^{-1} z_y and s_red = z_y* W L lift, L lift stacking L_j lift_j
     over A_c lift_c + B_c trace_map.  Subsystems meet only through ports, so
     both are formed one block of W at a time: block j's rows lift_j (n_j x
-    n_red) give its rows t_j lift_j of trace_map and W_j L_j lift_j, whose
-    free rows are rows of s_red as they stand and whose touched rows are
-    gathered for the one product with the kernel; the controller block,
-    which reads trace_map, comes last.  No n_full x n_red array is formed:
+    n_red), formed here and nowhere else, give its rows t_j lift_j of
+    trace_map and W_j L_j lift_j, whose free rows are rows of s_red as they
+    stand and whose touched rows are gathered for the one product with the
+    kernel; the controller block, which reads trace_map, comes last.  No
+    n_full x n_red array is formed:
     on the ten-string chain at n = 48 (n_red 940) the tracemalloc peak is
     10.7 MB against 7.6 MB held after it, on thirty strings (n_red 2820)
     81.7 against 67.9 MB.  M's blocks and W^{-1} are not kept: the
@@ -373,15 +360,26 @@ def _reduce(net, n_per_subsystem):
                                 "%.2e); offending block: subsystem %d (port row %d)"
                                 % (sv[-1] / sv[0] if len(sv) == g.shape[0] else 0.0, j, row))
 
-    # one block of W at a time (the controller's last): its free rows go
-    # straight into s_red and its touched rows into the product with the
-    # kernel, by np.take, whose mode "clip" writes out without a buffer
+    # one block of W at a time (the controller's last).  Its rows of lift are
+    # the kernel on its touched columns and the identity on its free run
+    # k + f0 : k + f1, then W_j^{-1} by nodes; the free columns follow in
+    # sample order, so each subsystem's free coordinates are one contiguous
+    # run of v, and the kernel coordinates lead the Cayley stepper's border.
+    # Its free rows of W L lift go straight into s_red and its touched rows
+    # into the product with the kernel, by np.take, whose mode "clip" writes
+    # out without a buffer
     k = kernel.shape[1]
     s_red = np.empty((k + len(free), k + len(free)), dtype=dtype)
     trace_map = np.empty((t_stack.shape[0], s_red.shape[1]), dtype=dtype)
     w_lz_touched = np.empty((len(touched), s_red.shape[1]), dtype=dtype)
+    bounds = np.append(offs, n_full)
+    t_at, f_at = np.searchsorted(touched, bounds), np.searchsorted(free, bounds)
     for j, ((sl, w_j), (_, w_inv_j)) in enumerate(zip(w, w_inv)):
-        lift_j = _lift_rows(sl, w_inv_j, kernel, touched, free, dtype)
+        (t0, t1), (f0, f1) = t_at[j:j + 2], f_at[j:j + 2]
+        lift_j = np.zeros((sl.stop - sl.start, s_red.shape[1]), dtype=dtype)
+        lift_j[touched[t0:t1] - sl.start, :k] = kernel[t0:t1]
+        lift_j[free[f0:f1] - sl.start, k + np.arange(f0, f1)] = 1.0
+        _by_nodes([(slice(None), w_inv_j)], lift_j)
         if j < len(ops):
             rows = slice(int(t_rows[j]), int(t_rows[j + 1]))
             trace_map[rows] = t_stack[rows, sl] @ lift_j
@@ -393,9 +391,7 @@ def _reduce(net, n_per_subsystem):
             lz = closed.a_c_net @ lift_c + closed.b_c_net @ trace_map
         del lift_j                   # at most two n_j x n_red arrays live at once
         _by_nodes([(slice(None), w_j)], lz)
-        t0, t1 = np.searchsorted(touched, [sl.start, sl.stop])
         np.take(lz, touched[t0:t1] - sl.start, axis=0, out=w_lz_touched[t0:t1], mode="clip")
-        f0, f1 = np.searchsorted(free, [sl.start, sl.stop])
         np.take(lz, free[f0:f1] - sl.start, axis=0, out=s_red[k + f0:k + f1], mode="clip")
         del lz
     s_red[:k] = kernel.conj().T @ w_lz_touched

@@ -125,7 +125,7 @@ def network_from_dict(doc):
 def _network_from_dict(doc):
     if not isinstance(doc, dict):
         raise NetworkFileError("top level must be a JSON object")
-    if doc.get("schema") != 1:
+    if not (_is_integral(doc.get("schema")) and doc["schema"] == 1):
         raise NetworkFileError("unsupported schema %r (expected 1)" % (doc.get("schema"),))
     has_scenario = "scenario" in doc and doc["scenario"] is not None
     has_subsystems = bool(doc.get("subsystems"))

@@ -458,11 +458,21 @@ class TestExitCodes:
         out = ["--out", str(tmp_path / "s.csv")] if command == "spectrum" else []
         self.assert_usage_error(main([command, str(path)] + out), capsys)
 
-    def test_unsupported_schema(self, tmp_path, capsys):
-        path = tmp_path / "schema2.json"
+    @pytest.mark.parametrize("schema", [2, True])
+    def test_unsupported_schema(self, tmp_path, capsys, schema):
+        # True == 1 used to pass the schema check
+        path = tmp_path / "schema.json"
         path.write_text(json.dumps(
-            {"schema": 2, "scenario": {"name": "chain_of_strings", "params": {}}}))
+            {"schema": schema, "scenario": {"name": "chain_of_strings", "params": {}}}))
         self.assert_usage_error(main(["check", str(path)]), capsys)
+
+    def test_schema_integral_float(self, tmp_path, capsys):
+        # 1.0 reads as 1, as every other integer field does
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(
+            {"schema": 1.0, "scenario": {"name": "chain_of_strings", "params": {}}}))
+        assert main(["check", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
     def test_complex_entry_with_three_components(self, tmp_path, capsys):
         doc = network_to_dict(build_chain(m=1, kappa=[0.5]))
@@ -513,6 +523,18 @@ class TestExitCodes:
         rc = main(argv[:1] + [path, "--n", "24", "--out", str(tmp_path / "o.csv")]
                   + [a.format(tmp=tmp_path) for a in argv[1:]])
         self.assert_usage_error(rc, capsys)
+
+    @pytest.mark.parametrize("command", ["spectrum", "resolvent", "simulate"])
+    @pytest.mark.parametrize("n", [10 ** 20, 4 * 10 ** 9])
+    def test_n_too_large(self, tmp_path, capsys, command, n):
+        # refused before any array of size n is allocated; 10**20 used to end
+        # in numpy's "Maximum allowed dimension exceeded" traceback
+        rc = main([command, write_chain(tmp_path, m=1, kappa=[0.5]), "--n", str(n),
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: subsystem 0: n = %d too large" % n)
 
     @pytest.mark.parametrize("command", ["spectrum", "resolvent", "simulate"])
     def test_write_fails(self, tmp_path, capsys, monkeypatch, command):

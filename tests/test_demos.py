@@ -15,10 +15,10 @@ README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_t
                            flags=re.M | re.S)
 
 
-def run_python(args, cwd):
+def run_python(args, cwd, **env_vars):
     # the demos write their artifacts to the working directory, and demo 06
     # starts `python -m phnet.cli`, so phnet must import from any directory
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-W", "error"] + args, cwd=cwd,
@@ -28,7 +28,12 @@ def run_python(args, cwd):
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
-    run_python([str(demo)], tmp_path)
+    # nothing goes to the system temporary directory, which no test cleans
+    work, tmp = tmp_path / "work", tmp_path / "tmp"
+    work.mkdir()
+    tmp.mkdir()
+    run_python([str(demo)], work, TMPDIR=str(tmp))
+    assert list(tmp.iterdir()) == []
 
 
 def test_readme_python_blocks_run(tmp_path):

@@ -409,8 +409,10 @@ class TestFactoredReduction:
         got, residual = gen.project(gen.lift_state(v))
         assert np.abs(got - v).max() <= 1e-13 * np.abs(v).max()
         assert residual <= 1e-13
-        # any state: the residual is the dense |x - lift lift* M x|_M / |x|_M
+        # the dense view is the dense construction, bit for bit
         lift, m_full = dense_lift(net, n), full_space_pencil(net, n)[1]
+        assert gen.lift.dtype == lift.dtype and np.array_equal(gen.lift, lift)
+        # any state: the residual is the dense |x - lift lift* M x|_M / |x|_M
         x = rng.standard_normal(gen.n_full)
         diff = x - lift @ (lift.conj().T @ (m_full @ x))
         want = np.sqrt(np.real(diff.conj() @ m_full @ diff) / np.real(x @ m_full @ x))

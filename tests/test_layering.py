@@ -5,7 +5,8 @@ energy-frame generator s_red and lift_state, never the aliases and dense
 views kept for the benchmark oracles and the view tests, the library
 defines no test-only energy-balance helper,
 the library's one trace extractor is trace_map @ v split by split_traces,
-only the reduction and the dense lift view form rows of lift,
+only the reduction forms rows of lift (the dense lift view is lift_state
+of the identity),
 only the resolvent scan loads scipy (the Cayley stepper runs on numpy), and
 the scan's frequency loop calls no numpy BLAS."""
 
@@ -34,9 +35,9 @@ LOOP_FIELDS = {"k_mat", "coupling", "serial_blocks"}
 # (module, function) of every scipy import: the scan's Schur form and
 # frequency-loop kernels (triangular solve, gemv, norm, tridiagonal eigensolver)
 SCIPY_IMPORTERS = {("analysis.py", "resolvent_scan")}
-# (module, function) of every call to discretize._lift_rows: the reduction
-# and the dense lift view
-LIFT_ROW_CALLERS = {("discretize.py", "_reduce"), ("discretize.py", "lift")}
+# helpers no module may define: _reduce forms its rows of lift inline, and
+# the dense lift view is lift_state of the identity
+LIFT_ROW_HELPERS = {"_lift_rows", "_lift_blocks"}
 # numpy calls that reach numpy's own BLAS or LAPACK
 NUMPY_BLAS = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
 COLD_PATH = """
@@ -174,11 +175,12 @@ def test_scipy_imported_only_inside_the_scan():
     assert _library_scopes(_imports_scipy) == SCIPY_IMPORTERS
 
 
-def test_lift_rows_serve_the_reduction_and_the_dense_view_only():
-    # lift_state is W^{-1} z_y v node by node: no caller forms rows of lift per state
+def test_only_the_reduction_forms_lift_rows():
+    # lift_state is W^{-1} z_y v node by node and forms no rows of lift
+    assert _library_defines(LIFT_ROW_HELPERS) == {}
     calls = _library_scopes(lambda node: isinstance(node, ast.Call)
-                            and ast.unparse(node.func).split(".")[-1] == "_lift_rows")
-    assert calls == LIFT_ROW_CALLERS
+                            and ast.unparse(node.func) == "self.lift_state")
+    assert ("discretize.py", "lift") in calls
 
 
 def test_inverse_lanczos_takes_its_kernels_from_its_arguments():
