@@ -163,7 +163,10 @@ def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None):
 
     norm(beta) = 1 / sigma_min(i beta I - s_red), the energy norm.
     Scans [0, beta_max]; for real-coefficient networks negative beta is
-    implied by conjugate symmetry.  The grid is one np.unique over the
+    implied by conjugate symmetry.  beta_max, given or 8 max |Im lambda|
+    over rep.dominant(20), is capped at the trusted band 0.7 max |Im
+    lambda| (trusted lambda, if any): the norms of under-resolved modes
+    past it fall off and fake a bounded trend.  The grid is one np.unique over the
     uniform samples, every in-band trusted eigenfrequency b0 = |Im lambda|
     and its PEAK_REFINE_LEVELS offsets b0 +- |Re lambda| 10^-l clipped to
     [0, beta_max], so narrow peaks are not missed.  Samples within
@@ -199,7 +202,8 @@ def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None):
     if beta_max is None:
         dom = rep.dominant(20)
         beta_max = 8.0 * float(np.abs(dom.imag).max()) if len(dom) else 1.0
-        beta_max = min(beta_max, trust_band) if trust_band > 0 else beta_max
+    if len(ev) and trust_band > 0:      # past it, under-resolved modes fake decay
+        beta_max = min(beta_max, trust_band)
     beta_max = float(max(beta_max, 1e-6))
 
     # a zero |Re| gives offsets equal to b0, which np.unique drops

@@ -1,8 +1,9 @@
 """Batch front door: phnet check | spectrum | simulate | resolvent | scenario.
 
-Reports are JSON on stdout (schema 1); tabular output goes to CSV files
-with '.' decimals, ',' separators, a header row, and LF line endings.
-Non-finite numbers are reported as null.  Exit codes: 0 success /
+The parser declares every usage rule.  Reports are schema-1 JSON on
+stdout through one encoder: complex numbers as [re, im], NaN and infinity
+(in either part too) as null.  CSV tables have '.' decimals, ','
+separators, a header row and LF line endings.  Exit codes: 0 success /
 certified, 1 failed certification, 2 schema, parse or parameter error,
 non-positive numeric flag, an --out that cannot be written (checked at
 parse time, before any computation), non-finite file entry, a dt and
@@ -59,28 +60,23 @@ def _out_path(text):
 
 
 def _emit(doc):
-    print(json.dumps(_finite(doc), indent=1, default=_json_default))
+    print(json.dumps(_finite(doc), indent=1))
 
 
 def _finite(x):
-    """Copy of a report with NaN and infinities, which JSON lacks, as None."""
+    """Copy of a report in JSON's types: numpy scalars as Python numbers,
+    complex numbers as [re, im], NaN and infinities, which JSON lacks, as None."""
     if isinstance(x, dict):
         return {k: _finite(v) for k, v in x.items()}
-    if isinstance(x, np.ndarray):
+    if isinstance(x, (np.ndarray, np.generic)):
         x = x.tolist()
+    if isinstance(x, complex):
+        x = [x.real, x.imag]
     if isinstance(x, (list, tuple)):
         return [_finite(v) for v in x]
-    if isinstance(x, (float, np.floating)) and not np.isfinite(x):
+    if isinstance(x, float) and not np.isfinite(x):
         return None
     return x
-
-
-def _json_default(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    raise TypeError(repr(x))
 
 
 def cmd_check(args):
@@ -155,27 +151,27 @@ def cmd_simulate(args):
                "H_end": float(trace.energies[-1])}
     if trace.warning:
         summary["warning"] = trace.warning
-    if trace.energies[0] > 0:
-        try:
-            m_const, eta = decay_fit(trace)
-            summary["decay_fit"] = {"M": m_const, "eta": eta}
-        except ValueError as exc:       # too few samples or a nonpositive energy
-            summary["decay_fit"] = None
-            summary["decay_fit_reason"] = str(exc)
+    try:
+        m_const, eta = decay_fit(trace)
+        summary["decay_fit"] = {"M": m_const, "eta": eta}
+    except ValueError as exc:           # too few samples or a nonpositive energy
+        summary["decay_fit"] = None
+        summary["decay_fit_reason"] = str(exc)
     _emit(summary)
     return 0
 
 
-def cmd_scenario(args):
-    if args.action == "list":
-        _emit({"schema": 1,
-               "scenarios": [{"name": k, "doc": v["doc"], "defaults": v["defaults"]}
-                             for k, v in sorted(SCENARIOS.items())]})
-        return 0
+def cmd_scenario_list(args):
+    _emit({"schema": 1,
+           "scenarios": [{"name": k, "doc": v["doc"], "defaults": v["defaults"]}
+                         for k, v in sorted(SCENARIOS.items())]})
+    return 0
+
+
+def cmd_scenario_dump(args):
     params = parse_json(args.params, "--params") if args.params else {}
     net = build_scenario(args.name, params)
-    merged = dict(SCENARIOS[args.name]["defaults"])
-    merged.update(params or {})
+    merged = {**SCENARIOS[args.name]["defaults"], **(params or {})}
     _emit(network_to_dict(net, scenario=(args.name, merged)))
     return 0
 
@@ -200,7 +196,8 @@ def build_parser():
 
     sp = sub.add_parser("resolvent", help="imaginary-axis resolvent scan")
     common(sp)
-    sp.add_argument("--beta-max", type=_positive(float), default=None)
+    sp.add_argument("--beta-max", type=_positive(float), default=None,
+                    help="band top, capped at 0.7 max |Im| of the trusted eigenvalues")
     sp.add_argument("--samples", type=_positive(int), default=200)
     sp.add_argument("--out", type=_out_path, default="resolvent.csv")
     sp.set_defaults(func=cmd_resolvent)
@@ -215,21 +212,19 @@ def build_parser():
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("scenario", help="list built-in scenarios or dump one as JSON")
-    sp.add_argument("action", choices=["list", "dump"])
-    sp.add_argument("name", nargs="?")
-    sp.add_argument("--params", default=None, help="JSON object of overrides")
-    sp.set_defaults(func=cmd_scenario)
+    actions = sp.add_subparsers(dest="action", required=True)
+    ap = actions.add_parser("list", help="names, descriptions and default parameters")
+    ap.set_defaults(func=cmd_scenario_list)
+    ap = actions.add_parser("dump", help="a scenario reference file on stdout")
+    ap.add_argument("name")
+    ap.add_argument("--params", default=None, help="JSON object of overrides")
+    ap.set_defaults(func=cmd_scenario_dump)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "scenario" and args.action == "dump" and not args.name:
-            parser.error("scenario dump needs a name")
-        if args.command == "scenario" and args.action == "list" and (args.name or args.params):
-            parser.error("scenario list takes no name and no --params")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (argparse.ArgumentError, NetworkFileError, ScenarioError,
             PHStructuralError, StepSizeError, MemoryError, OSError) as exc:

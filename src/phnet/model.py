@@ -46,8 +46,7 @@ class MatrixFunction:
     """
 
     def __init__(self, kind, data):
-        if kind not in ("constant", "polynomial", "samples"):
-            raise PHStructuralError("unknown MatrixFunction kind %r" % (kind,))
+        self._check_kind(kind)
         data = np.asarray(data)
         if kind == "constant":
             if data.ndim != 2 or data.shape[0] != data.shape[1]:
@@ -110,11 +109,16 @@ class MatrixFunction:
     def to_dict(self):
         return {"kind": self.kind, "data": _encode_array(self.data)}
 
+    @staticmethod
+    def _check_kind(kind):
+        if kind not in ("constant", "polynomial", "samples"):
+            raise PHStructuralError("unknown MatrixFunction kind %r" % (kind,))
+
     @classmethod
     def from_dict(cls, d):
         kind = d["kind"]
-        depth = 2 if kind == "constant" else 3
-        return cls(kind, _decode_array(d["data"], depth))
+        cls._check_kind(kind)           # before the data's depth is read from it
+        return cls(kind, _decode_array(d["data"], 2 if kind == "constant" else 3))
 
 
 def as_matrix_function(value, dim):

@@ -22,7 +22,7 @@ import numbers
 
 from .model import MatrixFunction, PHSubsystem, _decode_array, _encode_array, _is_integral
 from .network import Controller, Network
-from .scenarios import SCENARIOS, build_scenario
+from .scenarios import build_scenario
 
 
 class NetworkFileError(ValueError):
@@ -134,11 +134,7 @@ def _network_from_dict(doc):
                                "reference, not both")
     if has_scenario:
         sc = doc["scenario"] if isinstance(doc["scenario"], dict) else {}
-        name = sc.get("name")
-        if name not in SCENARIOS:
-            raise NetworkFileError("unknown scenario %r (known: %s)"
-                                   % (name, sorted(SCENARIOS)))
-        return build_scenario(name, sc.get("params"))
+        return build_scenario(sc.get("name"), sc.get("params"))
     if not has_subsystems:
         raise NetworkFileError("need a 'subsystems' list or a 'scenario' reference")
     subsystems = [subsystem_from_dict(d) for d in doc["subsystems"]]

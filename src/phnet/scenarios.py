@@ -406,7 +406,7 @@ SCENARIOS = {
 
 
 def build_scenario(name, params=None):
-    if name not in SCENARIOS:
+    if not (isinstance(name, str) and name in SCENARIOS):
         raise ScenarioError("unknown scenario %r (choose from %s)"
                             % (name, sorted(SCENARIOS)))
     params = {} if params is None else params

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from phnet import (SCENARIOS, MatrixFunction, Network, PHSubsystem, build_beam,
-                   build_chain, build_scenario, network_to_dict, save_network)
-from phnet.cli import main
+                   build_chain, build_scenario, make_initial_state, network_to_dict,
+                   save_network)
+from phnet.cli import _emit, main
 from phnet.simulate import EnergyTrace
 
 
@@ -218,6 +219,24 @@ class TestResolvent:
         assert summary["trend"] > 2.0
         assert "NOT indicated" in summary["verdict"]
 
+    @pytest.mark.parametrize("beta_max", ["100", "1e4"])
+    @pytest.mark.parametrize("name", ["mass_damped_string", "spring_mass_damper_string_beam"])
+    def test_user_band_is_capped_at_the_trusted_band(self, tmp_path, capsys, name, beta_max):
+        # past the trusted band the under-resolved modes' norms fall off:
+        # uncapped, --beta-max 100 read trends 0.017 and 0.15 at n = 32, and
+        # "exponentially stable (surrogate)" on both tip-mass scenarios
+        path = tmp_path / "tip.json"
+        path.write_text(json.dumps(_scenario_dump(name)))
+
+        def run(*flags):
+            assert main(["resolvent", str(path), "--n", "32",
+                         "--out", str(tmp_path / "r.csv"), *flags]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        default, user = run(), run("--beta-max", beta_max)
+        assert "NOT indicated" in user["verdict"]
+        assert user["beta_max"] <= default["beta_max"]
+
 
 class TestScenarioCommand:
     def test_list(self, capsys):
@@ -248,11 +267,44 @@ class TestScenarioCommand:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+# the arguments each command declares, as its --help usage line names them
+USAGE = {("check",): {"file"},
+         ("spectrum",): {"file", "--n", "--out"},
+         ("resolvent",): {"file", "--n", "--beta-max", "--samples", "--out"},
+         ("simulate",): {"file", "--n", "--dt", "--t-end", "--x0", "--record-every", "--out"},
+         ("scenario", "list"): set(),
+         ("scenario", "dump"): {"name", "--params"}}
+
+
+@pytest.mark.parametrize("command, declared", [pytest.param(*item, id=" ".join(item[0]))
+                                               for item in USAGE.items()])
+def test_help_usage_names_the_declared_arguments(capsys, command, declared):
+    with pytest.raises(SystemExit) as stop:
+        main(list(command) + ["--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    prog = "usage: phnet " + " ".join(command)
+    usage = out[:out.index("\n\n")]
+    assert usage.startswith(prog + " ")
+    named = set(re.findall(r"[\w-]+", usage[len(prog):]))
+    # each declared argument, and none that another command declares
+    assert named & set().union(*USAGE.values()) == declared
+
+
 def reject_nonfinite(token):
     raise ValueError("bare %s in JSON output" % token)
 
 
 class TestNonFiniteReports:
+    def test_one_encoder_writes_json_types(self, capsys):
+        _emit({"count": np.int64(3),
+               "nested": {"top": np.float32(np.inf), "values": [1.5, float("nan")],
+                          "poles": [np.complex128(complex(np.nan, 1)), complex(1, np.inf)]}})
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject_nonfinite)
+        assert doc == {"count": 3, "nested": {"top": None, "values": [1.5, None],
+                                              "poles": [[None, 1.0], [1.0, None]]}}
+        assert type(doc["count"]) is int
+
     def test_empty_trusted_spectrum_is_null_and_inconclusive(self, tmp_path, capsys):
         # a kinked (sampled) P_0 keeps every mode from matching its companion
         zs = np.linspace(0.0, 1.0, 7)
@@ -290,6 +342,18 @@ class TestExitCodes:
         path.write_bytes(json.dumps({"schema": 1, "label": "\u00e9"},
                                     ensure_ascii=False).encode("latin-1"))
         self.assert_usage_error(main(["check", str(path)]), capsys)
+
+    @pytest.mark.parametrize("name", ["nope", ["chain_of_strings"]], ids=["string", "list"])
+    def test_unknown_scenario_in_file_reads_as_dump(self, tmp_path, capsys, name):
+        # build_scenario alone owns the names: the file loader kept a second
+        # message, and a list name read "unhashable type: 'list'"
+        assert main(["scenario", "dump", "nope"]) == 2
+        reason = capsys.readouterr().err[len("error: "):].replace("'nope'", repr(name))
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps({"schema": 1, "scenario": {"name": name}}))
+        assert main(["check", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: cannot decode network: " + reason
 
     @pytest.mark.parametrize("where", ["file", "params"])
     @pytest.mark.parametrize("key, depth", [("m", 100000), ("kappa", 500)],
@@ -575,6 +639,17 @@ class TestExitCodes:
         summary = json.loads(capsys.readouterr().out)
         assert summary["decay_fit"] is None
         assert "at least 32 samples" in summary["decay_fit_reason"]
+
+    def test_zero_initial_energy_reports_why_no_fit(self, tmp_path, capsys, monkeypatch):
+        # a guard on H0 > 0 used to drop both keys
+        monkeypatch.setattr("phnet.cli.make_initial_state",
+                            lambda *args, **kwargs: 0.0 * make_initial_state(*args, **kwargs))
+        rc = main(["simulate", write_chain(tmp_path, m=1, kappa=[0.5]), "--n", "24",
+                   "--t-end", "1", "--out", str(tmp_path / "t.csv")])
+        assert rc == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["H0"] == 0.0 and summary["decay_fit"] is None
+        assert summary["decay_fit_reason"] == "decay_fit needs H(0) > 0"
 
 
 def _scenario_dump(name):

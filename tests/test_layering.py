@@ -7,8 +7,9 @@ defines no test-only energy-balance helper,
 the library's one trace extractor is trace_map @ v split by split_traces,
 only the reduction forms rows of lift (the dense lift view is lift_state
 of the identity),
-only the resolvent scan loads scipy (the Cayley stepper runs on numpy), and
-the scan's frequency loop calls no numpy BLAS."""
+only the resolvent scan loads scipy (the Cayley stepper runs on numpy),
+the scan's frequency loop calls no numpy BLAS, and the CLI's parser
+declares every usage rule while one encoder writes every JSON report."""
 
 import ast
 import json
@@ -207,3 +208,23 @@ def test_cold_path_loads_no_scipy(tmp_path):
     assert loaded["cold"] == []
     assert "scipy.linalg" in loaded["scan"]
     assert "scipy.sparse" not in loaded["scan"]
+
+
+def test_cli_main_holds_no_usage_rule():
+    # subcommands and their arguments are argparse declarations; main only
+    # parses, dispatches and maps exceptions to exit 2
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    calls = [ast.unparse(node.func) for node in ast.walk(main) if isinstance(node, ast.Call)]
+    assert [call for call in calls if call.split(".")[-1] == "error"] == []
+    assert {"command", "action"}.isdisjoint(_names(main))
+
+
+def test_cli_writes_json_through_one_encoder():
+    # _finite alone turns numpy scalars, complex numbers and non-finite
+    # values into JSON; a default= hook would be a second encoder
+    dumps = [node for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps"]
+    assert dumps and [kw.arg for node in dumps for kw in node.keywords
+                      if kw.arg == "default"] == []

@@ -271,3 +271,10 @@ class TestMatrixFunction:
         mf = MatrixFunction.constant(np.array([[1.0, 1j], [-1j, 2.0]]))
         back = MatrixFunction.from_dict(mf.to_dict())
         assert np.allclose(back.data, mf.data)
+
+    @pytest.mark.parametrize("data", [[[1.0]], [[[1.0]]], "x"])
+    def test_unknown_kind_is_named_before_the_data_is_read(self, data):
+        # the data's depth follows from the kind; a constant's depth used to
+        # reject [[1.0]] with an array-shape message
+        with pytest.raises(PHStructuralError, match="unknown MatrixFunction kind 'foo'"):
+            MatrixFunction.from_dict({"kind": "foo", "data": data})
