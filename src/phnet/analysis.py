@@ -11,7 +11,7 @@ Exponential stability verdicts are surrogates, not proofs: abscissa <
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ZERO_MODE_REL_TOL = 1e-8
 TRUST_MATCH_RTOL = 1e-6
@@ -34,19 +34,10 @@ class SpectrumReport:
     zero_modes: np.ndarray
     raw_eigenvalues: np.ndarray
     discarded: int
-    meta: dict = field(default_factory=dict)
 
     def dominant(self, count):
         """The `count` slowest-decaying trusted modes: a prefix of eigenvalues."""
         return self.eigenvalues[:count]
-
-    def to_dict(self):
-        return {"abscissa": self.abscissa,
-                "n_trusted": int(len(self.eigenvalues)),
-                "n_raw": int(len(self.raw_eigenvalues)),
-                "discarded": int(self.discarded),
-                "zero_modes": int(len(self.zero_modes)),
-                "sym_drift": self.meta.get("sym_drift")}
 
 
 def _decay_order(vals):
@@ -85,8 +76,7 @@ def spectrum(gen):
         abscissa=float(trusted.real.max()) if len(trusted) else float("nan"),
         zero_modes=zero_modes,
         raw_eigenvalues=vals,
-        discarded=int(len(vals) - len(trusted)),
-        meta={"sym_drift": gen.meta.get("sym_drift")})
+        discarded=int(len(vals) - len(trusted)))
 
 
 @dataclass
@@ -99,12 +89,6 @@ class ResolventScan:
     sup_norm: float
     trend: float
     beta_max: float
-    meta: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {"beta_max": self.beta_max, "samples": int(len(self.betas)),
-                "sup_norm": self.sup_norm, "trend": self.trend,
-                "diverged": int(self.diverged.sum())}
 
 
 def _inverse_lanczos(b, start, basis, ztrtrs, zgemv, dznrm2, dstev):
@@ -198,11 +182,11 @@ def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None):
 
     rep = spectrum_report if spectrum_report is not None else spectrum(gen)
     ev = rep.eigenvalues
-    trust_band = 0.7 * float(np.abs(ev.imag).max()) if len(ev) else 1.0
     if beta_max is None:
         dom = rep.dominant(20)
         beta_max = 8.0 * float(np.abs(dom.imag).max()) if len(dom) else 1.0
-    if len(ev) and trust_band > 0:      # past it, under-resolved modes fake decay
+    trust_band = 0.7 * float(np.abs(ev.imag).max(initial=0.0))
+    if trust_band > 0:      # past it, under-resolved modes fake decay
         beta_max = min(beta_max, trust_band)
     beta_max = float(max(beta_max, 1e-6))
 
@@ -244,8 +228,7 @@ def resolvent_scan(gen, beta_max=None, samples=200, spectrum_report=None):
     else:
         trend = float("nan")
     return ResolventScan(betas=betas, norms=norms, diverged=diverged,
-                         sup_norm=sup_norm, trend=trend, beta_max=beta_max,
-                         meta={"trust_band": trust_band})
+                         sup_norm=sup_norm, trend=trend, beta_max=beta_max)
 
 
 def exponential_verdict(spectrum_report, scan):

@@ -1,8 +1,9 @@
 """Batch front door: phnet check | spectrum | simulate | resolvent | scenario.
 
-The parser declares every usage rule.  Reports are schema-1 JSON on
-stdout through one encoder: complex numbers as [re, im], NaN and infinity
-(in either part too) as null.  CSV tables have '.' decimals, ','
+The parser declares every usage rule.  Each command shapes its whole
+report here, a schema-1 JSON document on stdout, and writes it through
+model's one encoder, which writes network files too: complex numbers as
+[re, im], NaN and infinity (in either part too) as null.  CSV tables have '.' decimals, ','
 separators, a header row and LF line endings.  Exit codes: 0 success /
 certified, 1 failed certification, 2 schema, parse or parameter error,
 non-positive numeric flag, an --out that cannot be written (checked at
@@ -21,7 +22,7 @@ import numpy as np
 
 from .analysis import (decay_fit, exponential_verdict, resolvent_scan, spectrum)
 from .discretize import assemble_generator
-from .model import PHStructuralError, validate_subsystem
+from .model import PHStructuralError, _encode, validate_subsystem
 from .netfile import NetworkFileError, load_network, network_to_dict, parse_json
 from .network import NotSerial, detect_serial_structure
 from .passivity import (certify_network_dissipative, check_controller_passive,
@@ -60,54 +61,36 @@ def _out_path(text):
 
 
 def _emit(doc):
-    print(json.dumps(_finite(doc), indent=1))
+    print(json.dumps(_encode(doc), indent=1))
 
 
-def _finite(x):
-    """Copy of a report in JSON's types: numpy scalars as Python numbers,
-    complex numbers as [re, im], NaN and infinities, which JSON lacks, as None."""
-    if isinstance(x, dict):
-        return {k: _finite(v) for k, v in x.items()}
-    if isinstance(x, (np.ndarray, np.generic)):
-        x = x.tolist()
-    if isinstance(x, complex):
-        x = [x.real, x.imag]
-    if isinstance(x, (list, tuple)):
-        return [_finite(v) for v in x]
-    if isinstance(x, float) and not np.isfinite(x):
-        return None
-    return x
+def _cert_report(cert):
+    """A certificate's report entry; detail and witness only when present."""
+    return {"kind": cert.kind, "pass": cert.passed, "margin": cert.margin,
+            "marginal": cert.marginal, **({"detail": cert.detail} if cert.detail else {}),
+            **({"witness": cert.witness} if cert.witness is not None else {})}
 
 
 def cmd_check(args):
     net = load_network(args.file)
-    report = {"schema": 1, "subsystems": [], "passivity": []}
-    ok_subsystems = True
-    for j, s in enumerate(net.subsystems):
-        rep = validate_subsystem(s)
-        ok_subsystems &= rep.passed
-        report["subsystems"].append(rep.to_dict())
-        report["passivity"].append({
-            "sym_p0": check_sym_p0(s).to_dict(),
-            "impedance": check_impedance(s).to_dict(),
-            "scattering": check_scattering(s).to_dict(),
-        })
-    if net.controllers:
-        report["controllers"] = [check_controller_passive(c).to_dict()
-                                 for c in net.controllers]
+    reports = [validate_subsystem(s) for s in net.subsystems]
+    valid = all(rep.passed for rep in reports)
     cert = certify_network_dissipative(net)
-    report["network_certificate"] = cert.to_dict()
     serial = detect_serial_structure(net)
-    if isinstance(serial, NotSerial):
-        report["serial"] = False
-        report["serial_cycle"] = list(serial.cycle)
-    else:
-        report["serial"] = True
-        report["serial_ordering"] = list(serial.ordering)
-    passed = bool(ok_subsystems and cert.passed)
-    report["subsystems_valid"] = bool(ok_subsystems)
-    report["pass"] = passed
-    _emit(report)
+    cut = isinstance(serial, NotSerial)
+    passed = bool(valid and cert.passed)
+    _emit({"schema": 1,
+           "subsystems": [{"passed": rep.passed, "checks": rep.checks} for rep in reports],
+           "passivity": [{"sym_p0": _cert_report(check_sym_p0(s)),
+                          "impedance": _cert_report(check_impedance(s)),
+                          "scattering": _cert_report(check_scattering(s))}
+                         for s in net.subsystems],
+           **({"controllers": [_cert_report(check_controller_passive(c))
+                               for c in net.controllers]} if net.controllers else {}),
+           "network_certificate": _cert_report(cert),
+           "serial": not cut,
+           **({"serial_cycle": serial.cycle} if cut else {"serial_ordering": serial.ordering}),
+           "subsystems_valid": valid, "pass": passed})
     return 0 if passed else 1
 
 
@@ -116,10 +99,10 @@ def cmd_spectrum(args):
     gen = assemble_generator(net, args.n)
     rep = spectrum(gen)
     write_csv(args.out, ["re", "im"], [rep.eigenvalues.real, rep.eigenvalues.imag])
-    summary = {"schema": 1, "abscissa": rep.abscissa, "n": args.n}
-    summary.update(rep.to_dict())
-    summary["verdict"] = exponential_verdict(rep, None)
-    _emit(summary)
+    _emit({"schema": 1, "abscissa": rep.abscissa, "n": args.n,
+           "n_trusted": len(rep.eigenvalues), "n_raw": len(rep.raw_eigenvalues),
+           "discarded": rep.discarded, "zero_modes": len(rep.zero_modes),
+           "sym_drift": gen.meta["sym_drift"], "verdict": exponential_verdict(rep, None)})
     return 0
 
 
@@ -131,11 +114,10 @@ def cmd_resolvent(args):
                           spectrum_report=rep)
     write_csv(args.out, ["beta", "norm"],
               [scan.betas[~scan.diverged], scan.norms[~scan.diverged]])
-    summary = {"schema": 1, "abscissa": rep.abscissa}
-    summary.update(scan.to_dict())
-    summary["diverged_betas"] = scan.betas[scan.diverged].tolist()
-    summary["verdict"] = exponential_verdict(rep, scan)
-    _emit(summary)
+    _emit({"schema": 1, "abscissa": rep.abscissa, "beta_max": scan.beta_max,
+           "samples": len(scan.betas), "sup_norm": scan.sup_norm, "trend": scan.trend,
+           "diverged": scan.diverged.sum(), "diverged_betas": scan.betas[scan.diverged],
+           "verdict": exponential_verdict(rep, scan)})
     return 0
 
 
@@ -146,18 +128,14 @@ def cmd_simulate(args):
     trace = simulate(gen, x0, dt=args.dt, t_end=args.t_end,
                      record_every=args.record_every)
     trace.to_csv(args.out)
-    summary = {"schema": 1, "dt": trace.meta["dt"], "t_end": args.t_end,
-               "H0": float(trace.energies[0]),
-               "H_end": float(trace.energies[-1])}
-    if trace.warning:
-        summary["warning"] = trace.warning
     try:
         m_const, eta = decay_fit(trace)
-        summary["decay_fit"] = {"M": m_const, "eta": eta}
+        fit = {"decay_fit": {"M": m_const, "eta": eta}}
     except ValueError as exc:           # too few samples or a nonpositive energy
-        summary["decay_fit"] = None
-        summary["decay_fit_reason"] = str(exc)
-    _emit(summary)
+        fit = {"decay_fit": None, "decay_fit_reason": str(exc)}
+    _emit({"schema": 1, "dt": trace.meta["dt"], "t_end": args.t_end,
+           "H0": trace.energies[0], "H_end": trace.energies[-1],
+           **({"warning": trace.warning} if trace.warning else {}), **fit})
     return 0
 
 

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from numpy.polynomial import legendre as npleg
 
 from .model import PHStructuralError, coercivity
-from .network import assemble
+from .network import _block_diag, assemble
 from .passivity import null_basis
 
 GRID_CACHE_SIZE = 64
@@ -334,9 +334,7 @@ def _reduce(net, n_per_subsystem):
     # w_b_net carries the dtype of K, W_B, W_C and the controllers
     dtype = np.result_type(closed.w_b_net, *(o.l for o in ops))
     t_rows = np.cumsum([0] + [o.t.shape[0] for o in ops])
-    t_stack = np.zeros((int(t_rows[-1]), n_pde), dtype=dtype)
-    for o, sl, r in zip(ops, sample_slices, t_rows):
-        t_stack[r:r + o.t.shape[0], sl] = o.t
+    t_stack = _block_diag([o.t for o in ops])
     mass = [(sl, o.mass) for o, sl in zip(ops, sample_slices)]
     mass.append((controller_slice, closed.controller_weight[None]))
     try:

@@ -107,7 +107,7 @@ class MatrixFunction:
         return np.linspace(0.0, 1.0, self.data.shape[0] if self.kind == "samples" else 257)
 
     def to_dict(self):
-        return {"kind": self.kind, "data": _encode_array(self.data)}
+        return {"kind": self.kind, "data": _encode(self.data)}
 
     @staticmethod
     def _check_kind(kind):
@@ -133,14 +133,26 @@ def as_matrix_function(value, dim):
     raise PHStructuralError("cannot coerce array of shape %s to MatrixFunction" % (a.shape,))
 
 
-def _encode_array(a):
-    """Nested lists; complex entries as [re, im] pairs."""
-    a = np.asarray(a)
-    return np.stack([a.real, a.imag], -1).tolist() if np.iscomplexobj(a) else a.tolist()
+def _encode(x):
+    """Copy of x in JSON's types, the one encoder of reports and network
+    files: numpy scalars and arrays as Python numbers and nested lists,
+    complex numbers as [re, im], NaN and infinities, which JSON lacks, as
+    None (null), in either part of a complex number too."""
+    if isinstance(x, dict):
+        return {k: _encode(v) for k, v in x.items()}
+    if isinstance(x, (np.ndarray, np.generic)):
+        x = x.tolist()
+    if isinstance(x, complex):
+        x = [x.real, x.imag]
+    if isinstance(x, (list, tuple)):
+        return [_encode(v) for v in x]
+    if isinstance(x, float) and not np.isfinite(x):
+        return None
+    return x
 
 
 def _decode_array(data, depth):
-    """Inverse of _encode_array given the expected nesting depth."""
+    """Inverse of _encode on an array, given the expected nesting depth."""
     a = np.asarray(data, dtype=float)
     if _has_leaf(data, _is_bool) or not np.isfinite(a).all():    # null reads as NaN
         raise PHStructuralError("matrix entries must be finite numbers, not null, "
@@ -202,9 +214,7 @@ class PHSubsystem:
         if len(ps) != n + 1:
             raise PHStructuralError("need %d coefficient matrices P_0..P_N, got %d"
                                     % (n + 1, len(ps)))
-        p0 = ps[0]
-        if p0 is not None and not isinstance(p0, MatrixFunction):
-            p0 = as_matrix_function(p0, d)
+        p0 = None if ps[0] is None else as_matrix_function(ps[0], d)
         if p0 is not None and p0.dim != d:
             raise PHStructuralError("P_0 has dimension %d, expected %d" % (p0.dim, d))
         coerced = [p0]
@@ -230,9 +240,7 @@ class PHSubsystem:
                 raise PHStructuralError("%s has shape %s, expected (%d, %d)"
                                         % (name.upper(), w.shape, n * d, 2 * n * d))
             object.__setattr__(self, name, w)
-        ham = self.hamiltonian
-        if not isinstance(ham, MatrixFunction):
-            ham = as_matrix_function(ham, d)
+        ham = as_matrix_function(self.hamiltonian, d)
         if ham.dim != d:
             raise PHStructuralError("H has dimension %d, expected %d" % (ham.dim, d))
         object.__setattr__(self, "hamiltonian", ham)
@@ -265,9 +273,6 @@ class ValidationReport:
     @property
     def passed(self):
         return all(c["passed"] for c in self.checks)
-
-    def to_dict(self):
-        return {"passed": self.passed, "checks": self.checks}
 
 
 # relative tolerance policy for all PSD / invertibility style checks

@@ -20,7 +20,7 @@ load, and the serial structure is derived from the closed loop.
 import json
 import numbers
 
-from .model import MatrixFunction, PHSubsystem, _decode_array, _encode_array, _is_integral
+from .model import MatrixFunction, PHSubsystem, _decode_array, _encode, _is_integral
 from .network import Controller, Network
 from .scenarios import build_scenario
 
@@ -50,16 +50,6 @@ def _real(obj, what):
     return float(obj)
 
 
-def subsystem_to_dict(s):
-    p_list = [None if s.p0 is None else s.p0.to_dict()]
-    for k in range(1, s.order + 1):
-        p_list.append(_encode_array(s.p_matrices[k]))
-    return {"order": s.order, "dim": s.dim, "p_matrices": p_list,
-            "hamiltonian": s.hamiltonian.to_dict(),
-            "w_b": _encode_array(s.w_b), "w_c": _encode_array(s.w_c),
-            "interval": list(s.interval), "label": s.label}
-
-
 def subsystem_from_dict(d):
     order, dim = _integer(d["order"], "order"), _integer(d["dim"], "dim")
     raw = d["p_matrices"]
@@ -81,12 +71,6 @@ def subsystem_from_dict(d):
                        label=d.get("label", ""))
 
 
-def controller_to_dict(c):
-    return {"a_c": _encode_array(c.a_c), "b_c": _encode_array(c.b_c),
-            "c_c": _encode_array(c.c_c), "d_c": _encode_array(c.d_c),
-            "state_weight": _encode_array(c.state_weight)}
-
-
 def controller_from_dict(d):
     return Controller(a_c=_matrix(d["a_c"], "A_c"), b_c=_matrix(d["b_c"], "B_c"),
                       c_c=_matrix(d["c_c"], "C_c"), d_c=_matrix(d["d_c"], "D_c"),
@@ -94,20 +78,24 @@ def controller_from_dict(d):
 
 
 def network_to_dict(net, scenario=None):
-    """Serializable document; pass scenario=(name, params) to reference one."""
-    doc = {"schema": 1}
+    """The network's document in JSON's types, in one pass of model's
+    encoder, so a non-finite entry reads null; pass scenario=(name, params)
+    to reference one."""
     if scenario is not None:
         name, params = scenario
-        doc["scenario"] = {"name": name, "params": params or {}}
-        return doc
-    doc["subsystems"] = [subsystem_to_dict(s) for s in net.subsystems]
-    doc["controllers"] = [controller_to_dict(c) for c in net.controllers]
-    doc["coupling"] = [list(c) for c in net.coupling]
-    doc["k_mat"] = None if net.k_mat is None else _encode_array(net.k_mat)
-    doc["external_ports"] = list(net.external_ports)
-    if net.label:
-        doc["label"] = net.label
-    return doc
+        return _encode({"schema": 1, "scenario": {"name": name, "params": params or {}}})
+    return _encode({
+        "schema": 1,
+        "subsystems": [{"order": s.order, "dim": s.dim,
+                        "p_matrices": [None if s.p0 is None else s.p0.to_dict(),
+                                       *s.p_matrices[1:]],
+                        "hamiltonian": s.hamiltonian.to_dict(), "w_b": s.w_b, "w_c": s.w_c,
+                        "interval": s.interval, "label": s.label}
+                       for s in net.subsystems],
+        "controllers": [{"a_c": c.a_c, "b_c": c.b_c, "c_c": c.c_c, "d_c": c.d_c,
+                         "state_weight": c.state_weight} for c in net.controllers],
+        "coupling": net.coupling, "k_mat": net.k_mat, "external_ports": net.external_ports,
+        **({"label": net.label} if net.label else {})})
 
 
 def network_from_dict(doc):

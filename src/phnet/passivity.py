@@ -41,19 +41,6 @@ class PassivityCertificate:
     marginal: bool = False
     detail: str = ""
 
-    def to_dict(self):
-        out = {"kind": self.kind, "pass": self.passed, "margin": self.margin,
-               "marginal": self.marginal}
-        if self.detail:
-            out["detail"] = self.detail
-        if self.witness is not None:
-            w = np.asarray(self.witness)
-            if np.iscomplexobj(w):
-                out["witness"] = [[float(v.real), float(v.imag)] for v in w]
-            else:
-                out["witness"] = [float(v) for v in w]
-        return out
-
 
 def _psd_verdict(form, kind, tol, detail=""):
     """Certificate that the Hermitian `form` is PSD up to -tol.

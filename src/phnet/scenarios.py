@@ -50,7 +50,7 @@ def scalar_profile(value):
     raise ScenarioError("cannot interpret %r as a coefficient profile" % (value,))
 
 
-def _finite(values, what):
+def _require_finite(values, what):
     """values, or ScenarioError when a coefficient overflowed into them."""
     if not np.isfinite(values).all():
         raise ScenarioError("%s is not finite: coefficients out of floating-point range"
@@ -82,7 +82,7 @@ def _diag_hamiltonian(rho, stiffness, length=None):
             vals[:, 0, 0] = 1.0 / inertia(_PROFILE_Z)[:, 0, 0]
             vals[:, 1, 1] = stiffness(_PROFILE_Z)[:, 0, 0]
             ham = MatrixFunction.samples(vals)
-    _finite(ham.data, "H = diag(1/(l rho), T/l)" if wave else "H = diag(1/rho, EI)")
+    _require_finite(ham.data, "H = diag(1/(l rho), T/l)" if wave else "H = diag(1/rho, EI)")
     return ham
 
 
@@ -269,8 +269,8 @@ def _msd_controller(m, k, r):
     1/m in B_c makes the supply rate match <u, C_c x_c> exactly and gives
     Re<A x, x> = -r |x_c2|^2.
     """
-    a_c = _finite(np.array([[0.0, 1.0], [-k / m, -r / m]]), "A_c")
-    b_c = _finite(np.array([[0.0], [1.0 / m]]), "B_c")
+    a_c = _require_finite(np.array([[0.0, 1.0], [-k / m, -r / m]]), "A_c")
+    b_c = _require_finite(np.array([[0.0], [1.0 / m]]), "B_c")
     c_c = np.array([[0.0, 1.0]])
     d_c = np.zeros((1, 1))
     return Controller(a_c=a_c, b_c=b_c, c_c=c_c, d_c=d_c,

@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, JSON reports, CSV outputs."""
 
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -17,6 +18,8 @@ from phnet import (SCENARIOS, MatrixFunction, Network, PHSubsystem, build_beam,
                    save_network)
 from phnet.cli import _emit, main
 from phnet.simulate import EnergyTrace
+
+from helpers import random_passive_network
 
 
 def write_chain(tmp_path, **kwargs):
@@ -322,6 +325,85 @@ class TestNonFiniteReports:
             summary = json.loads(capsys.readouterr().out, parse_constant=reject_nonfinite)
             assert summary["abscissa"] is None
             assert summary["verdict"] == "inconclusive (no trusted eigenvalues)"
+
+    def test_saved_non_finite_entry_is_null(self, tmp_path, capsys):
+        net = build_chain(m=2)
+        k_mat = np.array(net.k_mat)
+        k_mat[0, 1] = np.nan
+        path = tmp_path / "nan.json"
+        save_network(dataclasses.replace(net, k_mat=k_mat), path)
+        doc = json.loads(path.read_text(), parse_constant=reject_nonfinite)
+        assert doc["k_mat"][0][1] is None
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot decode matrix for k_mat: matrix entries "
+                              "must be finite numbers") and err.count("\n") == 1
+
+
+CERTIFICATE_KEYS = ["kind", "pass", "margin", "marginal", "detail"]
+
+
+class TestReportShapes:
+    """Each report's keys, in order; counts are JSON integers."""
+
+    def report(self, capsys, argv, rc=0):
+        assert main(argv) == rc
+        return json.loads(capsys.readouterr().out, parse_constant=reject_nonfinite)
+
+    def assert_certificate(self, cert):
+        # a failed certificate carries its witness, a passed one none
+        assert list(cert) == CERTIFICATE_KEYS + ([] if cert["pass"] else ["witness"])
+
+    def assert_check(self, report, serial_key, controllers):
+        assert list(report) == (["schema", "subsystems", "passivity"]
+                                + (["controllers"] if controllers else [])
+                                + ["network_certificate", "serial", serial_key,
+                                   "subsystems_valid", "pass"])
+        assert type(report["schema"]) is int
+        for rep in report["subsystems"]:
+            assert list(rep) == ["passed", "checks"]
+            assert all(list(c) == ["name", "passed", "margin", "detail"]
+                       for c in rep["checks"])
+        for entry in report["passivity"]:
+            assert list(entry) == ["sym_p0", "impedance", "scattering"]
+            for cert in entry.values():
+                self.assert_certificate(cert)
+        for cert in report.get("controllers", []) + [report["network_certificate"]]:
+            self.assert_certificate(cert)
+        assert all(type(i) is int for i in report[serial_key])
+
+    def test_check_with_a_controller(self, tmp_path, capsys):
+        path = tmp_path / "smd.json"
+        path.write_text(json.dumps(_scenario_dump("spring_mass_damper_string_beam")))
+        report = self.report(capsys, ["check", str(path)])
+        self.assert_check(report, "serial_ordering", controllers=True)
+
+    def test_failing_complex_check(self, tmp_path, capsys):
+        net = random_passive_network(np.random.default_rng(5), 2, complex_ok=True)
+        path = tmp_path / "active.json"
+        save_network(dataclasses.replace(net, k_mat=-net.k_mat), path)
+        report = self.report(capsys, ["check", str(path)], rc=1)
+        self.assert_check(report, "serial_cycle", controllers=False)
+        witness = report["network_certificate"]["witness"]
+        assert witness and all(type(p) is list and len(p) == 2
+                               and all(type(v) is float for v in p) for p in witness)
+
+    def test_analysis_reports(self, tmp_path, capsys):
+        path = tmp_path / "mds.json"
+        path.write_text(json.dumps(_scenario_dump("mass_damped_string")))
+        common = [str(path), "--n", "24", "--out", str(tmp_path / "o.csv")]
+        spec = self.report(capsys, ["spectrum"] + common)
+        assert list(spec) == ["schema", "abscissa", "n", "n_trusted", "n_raw",
+                              "discarded", "zero_modes", "sym_drift", "verdict"]
+        assert all(type(spec[k]) is int
+                   for k in ("schema", "n", "n_trusted", "n_raw", "discarded", "zero_modes"))
+        scan = self.report(capsys, ["resolvent"] + common)
+        assert list(scan) == ["schema", "abscissa", "beta_max", "samples", "sup_norm",
+                              "trend", "diverged", "diverged_betas", "verdict"]
+        assert all(type(scan[k]) is int for k in ("schema", "samples", "diverged"))
+        sim = self.report(capsys, ["simulate"] + common)
+        assert list(sim) == ["schema", "dt", "t_end", "H0", "H_end", "decay_fit"]
+        assert list(sim["decay_fit"]) == ["M", "eta"]
 
 
 class TestExitCodes:

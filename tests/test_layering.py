@@ -8,8 +8,9 @@ the library's one trace extractor is trace_map @ v split by split_traces,
 only the reduction forms rows of lift (the dense lift view is lift_state
 of the identity),
 only the resolvent scan loads scipy (the Cayley stepper runs on numpy),
-the scan's frequency loop calls no numpy BLAS, and the CLI's parser
-declares every usage rule while one encoder writes every JSON report."""
+the scan's frequency loop calls no numpy BLAS, the CLI's parser declares
+every usage rule, the CLI alone shapes its JSON reports, and one encoder
+writes every report and every network file."""
 
 import ast
 import json
@@ -39,6 +40,8 @@ SCIPY_IMPORTERS = {("analysis.py", "resolvent_scan")}
 # helpers no module may define: _reduce forms its rows of lift inline, and
 # the dense lift view is lift_state of the identity
 LIFT_ROW_HELPERS = {"_lift_rows", "_lift_blocks"}
+# the report and file encoders that model._encode replaced
+RETIRED_ENCODERS = {"_finite", "_encode_array"}
 # numpy calls that reach numpy's own BLAS or LAPACK
 NUMPY_BLAS = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
 COLD_PATH = """
@@ -222,9 +225,23 @@ def test_cli_main_holds_no_usage_rule():
 
 
 def test_cli_writes_json_through_one_encoder():
-    # _finite alone turns numpy scalars, complex numbers and non-finite
-    # values into JSON; a default= hook would be a second encoder
-    dumps = [node for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
-             if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps"]
-    assert dumps and [kw.arg for node in dumps for kw in node.keywords
-                      if kw.arg == "default"] == []
+    # model._encode alone turns numpy scalars, complex numbers and non-finite
+    # values into JSON, for the CLI's reports and for saved network files; a
+    # default= hook on any json.dump or json.dumps would be a second encoder
+    dumps = {(path.name, ast.unparse(node.func)): [kw.arg for kw in node.keywords]
+             for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func) in ("json.dump", "json.dumps")}
+    assert {("cli.py", "json.dumps"), ("netfile.py", "json.dump")} <= set(dumps)
+    assert [name for name, kws in dumps.items() if "default" in kws] == []
+
+
+def test_one_report_writer_and_one_encoder():
+    # cli shapes every report; the only to_dict left is the coefficient
+    # file codec, and no module keeps a second encoder
+    to_dicts = [(path.name, cls.name) for path in SRC.glob("*.py")
+                for cls in ast.walk(ast.parse(path.read_text()))
+                if isinstance(cls, ast.ClassDef) for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == "to_dict"]
+    assert to_dicts == [("model.py", "MatrixFunction")]
+    assert _library_defines(RETIRED_ENCODERS) == {}
