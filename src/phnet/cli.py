@@ -66,9 +66,13 @@ def _emit(doc):
 
 def _cert_report(cert):
     """A certificate's report entry; detail and witness only when present."""
-    return {"kind": cert.kind, "pass": cert.passed, "margin": cert.margin,
-            "marginal": cert.marginal, **({"detail": cert.detail} if cert.detail else {}),
-            **({"witness": cert.witness} if cert.witness is not None else {})}
+    entry = {"kind": cert.kind, "pass": cert.passed, "margin": cert.margin,
+             "marginal": cert.marginal}
+    if cert.detail:
+        entry["detail"] = cert.detail
+    if cert.witness is not None:
+        entry["witness"] = cert.witness
+    return entry
 
 
 def cmd_check(args):
@@ -77,20 +81,26 @@ def cmd_check(args):
     valid = all(rep.passed for rep in reports)
     cert = certify_network_dissipative(net)
     serial = detect_serial_structure(net)
-    cut = isinstance(serial, NotSerial)
     passed = bool(valid and cert.passed)
-    _emit({"schema": 1,
-           "subsystems": [{"passed": rep.passed, "checks": rep.checks} for rep in reports],
-           "passivity": [{"sym_p0": _cert_report(check_sym_p0(s)),
-                          "impedance": _cert_report(check_impedance(s)),
-                          "scattering": _cert_report(check_scattering(s))}
-                         for s in net.subsystems],
-           **({"controllers": [_cert_report(check_controller_passive(c))
-                               for c in net.controllers]} if net.controllers else {}),
-           "network_certificate": _cert_report(cert),
-           "serial": not cut,
-           **({"serial_cycle": serial.cycle} if cut else {"serial_ordering": serial.ordering}),
-           "subsystems_valid": valid, "pass": passed})
+    report = {"schema": 1,
+              "subsystems": [{"passed": rep.passed, "checks": rep.checks} for rep in reports],
+              "passivity": [{"sym_p0": _cert_report(check_sym_p0(s)),
+                             "impedance": _cert_report(check_impedance(s)),
+                             "scattering": _cert_report(check_scattering(s))}
+                            for s in net.subsystems]}
+    if net.controllers:
+        report["controllers"] = [_cert_report(check_controller_passive(c))
+                                 for c in net.controllers]
+    report["network_certificate"] = _cert_report(cert)
+    if isinstance(serial, NotSerial):
+        report["serial"] = False
+        report["serial_cycle"] = serial.cycle
+    else:
+        report["serial"] = True
+        report["serial_ordering"] = serial.ordering
+    report["subsystems_valid"] = valid
+    report["pass"] = passed
+    _emit(report)
     return 0 if passed else 1
 
 
@@ -128,14 +138,17 @@ def cmd_simulate(args):
     trace = simulate(gen, x0, dt=args.dt, t_end=args.t_end,
                      record_every=args.record_every)
     trace.to_csv(args.out)
+    report = {"schema": 1, "dt": trace.meta["dt"], "t_end": args.t_end,
+              "H0": trace.energies[0], "H_end": trace.energies[-1]}
+    if trace.warning:
+        report["warning"] = trace.warning
     try:
         m_const, eta = decay_fit(trace)
-        fit = {"decay_fit": {"M": m_const, "eta": eta}}
+        report["decay_fit"] = {"M": m_const, "eta": eta}
     except ValueError as exc:           # too few samples or a nonpositive energy
-        fit = {"decay_fit": None, "decay_fit_reason": str(exc)}
-    _emit({"schema": 1, "dt": trace.meta["dt"], "t_end": args.t_end,
-           "H0": trace.energies[0], "H_end": trace.energies[-1],
-           **({"warning": trace.warning} if trace.warning else {}), **fit})
+        report["decay_fit"] = None
+        report["decay_fit_reason"] = str(exc)
+    _emit(report)
     return 0
 
 

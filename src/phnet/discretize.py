@@ -380,7 +380,7 @@ def _reduce(net, n_per_subsystem):
         _by_nodes([(slice(None), w_inv_j)], lift_j)
         if j < len(ops):
             rows = slice(int(t_rows[j]), int(t_rows[j + 1]))
-            trace_map[rows] = t_stack[rows, sl] @ lift_j
+            trace_map[rows] = ops[j].t @ lift_j
             lz = np.zeros(lift_j.shape, dtype=dtype)
             cols = np.flatnonzero(lift_j.any(axis=0))        # the columns lift_j touches
             lz[:, cols] = ops[j].l @ lift_j[:, cols]

@@ -78,13 +78,15 @@ def controller_from_dict(d):
 
 
 def network_to_dict(net, scenario=None):
-    """The network's document in JSON's types, in one pass of model's
-    encoder, so a non-finite entry reads null; pass scenario=(name, params)
-    to reference one."""
+    """The network's document in JSON's types, by one call of model's
+    encoder on the whole document, so a non-finite entry reads null; the
+    coefficient functions' to_dict has encoded their data already, and the
+    encoder passes it through unchanged.  Pass scenario=(name, params) to
+    reference a scenario instead."""
     if scenario is not None:
         name, params = scenario
         return _encode({"schema": 1, "scenario": {"name": name, "params": params or {}}})
-    return _encode({
+    doc = {
         "schema": 1,
         "subsystems": [{"order": s.order, "dim": s.dim,
                         "p_matrices": [None if s.p0 is None else s.p0.to_dict(),
@@ -94,8 +96,10 @@ def network_to_dict(net, scenario=None):
                        for s in net.subsystems],
         "controllers": [{"a_c": c.a_c, "b_c": c.b_c, "c_c": c.c_c, "d_c": c.d_c,
                          "state_weight": c.state_weight} for c in net.controllers],
-        "coupling": net.coupling, "k_mat": net.k_mat, "external_ports": net.external_ports,
-        **({"label": net.label} if net.label else {})})
+        "coupling": net.coupling, "k_mat": net.k_mat, "external_ports": net.external_ports}
+    if net.label:
+        doc["label"] = net.label
+    return _encode(doc)
 
 
 def network_from_dict(doc):

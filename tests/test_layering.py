@@ -228,12 +228,12 @@ def test_cli_writes_json_through_one_encoder():
     # model._encode alone turns numpy scalars, complex numbers and non-finite
     # values into JSON, for the CLI's reports and for saved network files; a
     # default= hook on any json.dump or json.dumps would be a second encoder
-    dumps = {(path.name, ast.unparse(node.func)): [kw.arg for kw in node.keywords]
+    calls = [(path.name, ast.unparse(node.func), [kw.arg for kw in node.keywords])
              for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call)
-             and ast.unparse(node.func) in ("json.dump", "json.dumps")}
-    assert {("cli.py", "json.dumps"), ("netfile.py", "json.dump")} <= set(dumps)
-    assert [name for name, kws in dumps.items() if "default" in kws] == []
+             and ast.unparse(node.func) in ("json.dump", "json.dumps")]
+    assert {("cli.py", "json.dumps"), ("netfile.py", "json.dump")} <= {c[:2] for c in calls}
+    assert [call for call in calls if "default" in call[2]] == []
 
 
 def test_one_report_writer_and_one_encoder():
