@@ -1,21 +1,22 @@
 # Mixed-order coupling: a wave segment transmitting into an Euler-Bernoulli
 # beam, damped either by a boundary damper or by a tip mass-spring-damper
-# controller.  The controller variant satisfies Re<Ax, x> = -r |x_c,2|^2
+# controller.  The controller network satisfies Re<Ax, x> = -r |x_c,2|^2
 # exactly at the discrete level.
 
 import numpy as np
 
-from phnet import (assemble, assemble_generator, build_coupled,
-                   certify_network_dissipative, spectrum)
+from phnet import (assemble, assemble_generator, build_damper_string_beam,
+                   build_spring_mass_damper_string_beam, certify_network_dissipative,
+                   spectrum)
 
 print("damper-string-beam")
-net = build_coupled(variant="damper_string_beam", kappa=1.0)
+net = build_damper_string_beam(kappa=1.0)
 print("  certified:", certify_network_dissipative(net).passed)
 gen = assemble_generator(net, 40)
 print("  spectral abscissa: %.4f" % spectrum(gen).abscissa)
 
 print("\nspring-mass-damper-string-beam (m = k = r = 1)")
-net = build_coupled(variant="spring_mass_damper_string_beam")
+net = build_spring_mass_damper_string_beam()
 ctrl = net.controllers[0]
 print("  controller eigenvalues:", np.round(np.linalg.eigvals(ctrl.a_c), 6),
       " (exact -(r +- sqrt(r^2-4km))/2m)")

@@ -20,8 +20,9 @@ from .analysis import (ResolventScan, SpectrumReport, asp_diagnostic,
                        spectrum)
 from .simulate import CayleyStepper, EnergyTrace, simulate
 from .scenarios import (SCENARIOS, ScenarioError, build_beam, build_chain,
-                        build_coupled, build_mass_damped_string,
-                        build_scenario, make_initial_state, scalar_profile)
+                        build_damper_string_beam, build_mass_damped_string,
+                        build_scenario, build_spring_mass_damper_string_beam,
+                        make_initial_state, scalar_profile)
 from .netfile import (NetworkFileError, load_network, network_from_dict,
                       network_to_dict, save_network)
 

@@ -57,12 +57,10 @@ def subsystem_from_dict(d):
         raise NetworkFileError("p_matrices must list P_0..P_%d" % order)
     p0 = raw[0]
     if p0 is not None:
-        p0 = (MatrixFunction.from_dict(p0) if isinstance(p0, dict)
-              else MatrixFunction.constant(_matrix(p0, "P_0")))
+        p0 = MatrixFunction.from_dict(p0) if isinstance(p0, dict) else _matrix(p0, "P_0")
     p_list = [p0] + [_matrix(raw[k], "P_%d" % k) for k in range(1, order + 1)]
     ham = d["hamiltonian"]
-    ham = (MatrixFunction.from_dict(ham) if isinstance(ham, dict)
-           else MatrixFunction.constant(_matrix(ham, "H")))
+    ham = MatrixFunction.from_dict(ham) if isinstance(ham, dict) else _matrix(ham, "H")
     return PHSubsystem(order=order, dim=dim, p_matrices=tuple(p_list),
                        hamiltonian=ham,
                        w_b=_matrix(d["w_b"], "W_B"), w_c=_matrix(d["w_c"], "W_C"),

@@ -1,13 +1,16 @@
-"""Constructors for the worked example networks.
+"""Constructors for the worked example networks, one builder per scenario
+(SCENARIOS[name]["build"]): its keywords are the scenario's whole parameter
+set, and its keyword defaults are the scenario's defaults.
 
 chain_of_strings          serially damped wave segments, K with the
                           -kappa0 / +-1 / -kappa_j pattern
 euler_bernoulli_beam      one order-2 subsystem, dissipative left end K_0,
-                          conservative right end from the catalog
-damper_string_beam        wave + beam with conserving transmission and a
-                          boundary damper
+                          clamped (or catalog) right end
+damper_string_beam        wave + pinned beam with conserving transmission
+                          and a boundary damper
 spring_mass_damper_string_beam
-                          same plus the (m, k, r) tip controller
+                          the same with the (m, k, r) tip controller in
+                          place of the damper
 mass_damped_string        wave + tip mass-spring-damper, free far end: the
                           resolvent-growth demonstration (asymptotically
                           but not uniformly exponentially stable)
@@ -205,11 +208,11 @@ def build_chain(*, m=3, rho=None, tension=None, kappa=None, lengths=None,
     if not _is_integral(m) or m < 1:
         raise ScenarioError("m must be a positive integer, got %r" % (m,))
     m = int(m)
-    rho = [scalar_profile(r) for r in (rho or [1.0] * m)]
-    tension = [scalar_profile(t) for t in (tension or [1.0] * m)]
+    rho = [scalar_profile(r) for r in (rho if rho is not None else [1.0] * m)]
+    tension = [scalar_profile(t) for t in (tension if tension is not None else [1.0] * m)]
     kappa = tuple(float(k) for k in (kappa if kappa is not None
                                      else [0.5] + [0.0] * (m - 1)))
-    lengths = [float(v) for v in (lengths or [1.0] * m)]
+    lengths = [float(v) for v in (lengths if lengths is not None else [1.0] * m)]
     if not (len(rho) == len(tension) == len(lengths) == m):
         raise ScenarioError("need one rho, tension, length per segment")
     if len(kappa) != m:
@@ -237,20 +240,18 @@ def build_chain(*, m=3, rho=None, tension=None, kappa=None, lengths=None,
     return Network(subsystems=subsystems, k_mat=k, label="chain_of_strings")
 
 
-def build_beam(*, rho=1.0, ei=1.0, left_bc=None, right_bc="pinned"):
+def build_beam(*, rho=1.0, ei=1.0, left_bc=((1.0, 0.0), (0.0, 0.0)), right_bc="clamped"):
     """One Euler-Bernoulli beam with a dissipative or conservative left end.
 
     left_bc: a 2 x 2 matrix K0 (dissipative end; admissible classes
     diag(k > 0, 0), Sym K0 > 0, or zero = conservative free end; default
     diag(1, 0)) or one of the conservative enum names.  right_bc: pinned |
-    free | shear_hinge | clamped | bc5 | bc6.  The network is the single
-    subsystem with the K = 0 closure.
+    free | shear_hinge | clamped | bc5 | bc6, clamped by default.  The
+    network is the single subsystem with the K = 0 closure.
     """
     if right_bc not in _BEAM_ENDS:
         raise ScenarioError("unknown right_bc %r (choose from %s)"
                             % (right_bc, sorted(_BEAM_ENDS)))
-    if left_bc is None:
-        left_bc = np.diag([1.0, 0.0])
     if isinstance(left_bc, str):
         if left_bc not in _BEAM_ENDS:
             raise ScenarioError("unknown left_bc %r" % (left_bc,))
@@ -269,6 +270,9 @@ def _msd_controller(m, k, r):
     1/m in B_c makes the supply rate match <u, C_c x_c> exactly and gives
     Re<A x, x> = -r |x_c2|^2.
     """
+    if not (m > 0 and k > 0 and r > 0):
+        raise ScenarioError("mass, stiffness, damping must be positive "
+                            "(damping = 0 leaves the loop undamped)")
     a_c = _require_finite(np.array([[0.0, 1.0], [-k / m, -r / m]]), "A_c")
     b_c = _require_finite(np.array([[0.0], [1.0 / m]]), "B_c")
     c_c = np.array([[0.0, 1.0]])
@@ -277,30 +281,17 @@ def _msd_controller(m, k, r):
                       state_weight=np.diag([k, m]))
 
 
-def build_coupled(*, variant="damper_string_beam", rho=1.0, tension=1.0, kappa=1.0,
-                  rho_beam=1.0, ei_beam=1.0, mass=1.0, stiffness=1.0, damping=1.0):
-    """String transmitting into a pinned beam, damped by boundary or tip MSD.
+def _string_beam(rho, tension, rho_beam, ei_beam, string_kind):
+    """(string, pinned beam) and K with the joint rows; the caller closes
+    the string's left end.
 
-    variant damper_string_beam damps the string's left end with kappa > 0;
-    spring_mass_damper_string_beam hangs the (mass, stiffness, damping)
-    tip controller there instead.  Transmission rows (energy coordinates,
-    conserving signs):
+    Transmission rows (energy coordinates, conserving signs):
         y1_beam(0) = y1_string(1)      velocity continuity at the joint
         y2_beam'(0) = -y2_string(1)    shear balances the string force
         y2_beam(0) = 0                 no moment at the joint
         (H x_beam)(1) = 0              pinned right end
     """
-    if variant not in ("damper_string_beam", "spring_mass_damper_string_beam"):
-        raise ScenarioError("unknown coupled variant %r" % (variant,))
-    with_msd = variant == "spring_mass_damper_string_beam"
-    if not with_msd and not kappa > 0:
-        raise ScenarioError("the boundary damper needs kappa > 0")
-    if with_msd and not (mass > 0 and stiffness > 0 and damping > 0):
-        raise ScenarioError("spring-mass-damper needs m, k, r > 0 "
-                            "(r = 0 leaves the loop undamped)")
-    string = _wave_subsystem(rho, tension,
-                             kind="mass_interior" if with_msd else "interior",
-                             label="string")
+    string = _wave_subsystem(rho, tension, kind=string_kind, label="string")
     # beam left end: shear row y2'(0) (junction) and moment row y2(0) = 0
     beam = _beam_subsystem(rho_beam, ei_beam,
                            left_rows=_unit_rows((7, 5)),
@@ -311,14 +302,28 @@ def build_coupled(*, variant="damper_string_beam", rho=1.0, tension=1.0, kappa=1
     k = np.zeros((6, 6))
     k[1, 4] = 1.0       # string's right port equals the beam's left velocity
     k[4, 1] = -1.0      # beam shear row y2'(0) = -y2_string(1)
-    controllers, coupling = (), ()
-    if with_msd:
-        controllers = (_msd_controller(mass, stiffness, damping),)
-        coupling = ((0,),)
-    else:
-        k[0, 0] = -kappa   # -y2(0) = -kappa y1(0): dissipative damper
-    return Network(subsystems=(string, beam), controllers=controllers,
-                   k_mat=k, coupling=coupling, label=variant)
+    return (string, beam), k
+
+
+def build_damper_string_beam(*, rho=1.0, tension=1.0, kappa=1.0, rho_beam=1.0,
+                             ei_beam=1.0):
+    """String transmitting into a pinned beam, its left end damped by kappa > 0."""
+    if not kappa > 0:
+        raise ScenarioError("the boundary damper needs kappa > 0")
+    subsystems, k = _string_beam(rho, tension, rho_beam, ei_beam, "interior")
+    k[0, 0] = -kappa   # -y2(0) = -kappa y1(0): dissipative damper
+    return Network(subsystems=subsystems, k_mat=k, label="damper_string_beam")
+
+
+def build_spring_mass_damper_string_beam(*, rho=1.0, tension=1.0, rho_beam=1.0,
+                                         ei_beam=1.0, mass=1.0, stiffness=1.0,
+                                         damping=1.0):
+    """String transmitting into a pinned beam, the (mass, stiffness,
+    damping) tip controller hung on the string's left end."""
+    controller = _msd_controller(mass, stiffness, damping)
+    subsystems, k = _string_beam(rho, tension, rho_beam, ei_beam, "mass_interior")
+    return Network(subsystems=subsystems, controllers=(controller,), k_mat=k,
+                   coupling=((0,),), label="spring_mass_damper_string_beam")
 
 
 def build_mass_damped_string(*, rho=1.0, tension=1.0, mass=1.0, stiffness=1.0,
@@ -329,11 +334,9 @@ def build_mass_damped_string(*, rho=1.0, tension=1.0, mass=1.0, stiffness=1.0,
     1/beta^2, so the resolvent peaks grow along the imaginary axis: the
     discrete surrogate of asymptotic-but-not-exponential stability.
     """
-    if not (mass > 0 and stiffness > 0 and damping > 0):
-        raise ScenarioError("mass, stiffness, damping must be positive")
+    controller = _msd_controller(mass, stiffness, damping)
     string = _wave_subsystem(rho, tension, kind="mass_free", label="string")
-    return Network(subsystems=(string,),
-                   controllers=(_msd_controller(mass, stiffness, damping),),
+    return Network(subsystems=(string,), controllers=(controller,),
                    k_mat=np.zeros((2, 2)), coupling=((0,),),
                    label="mass_damped_string")
 
@@ -387,13 +390,12 @@ SCENARIOS = {
         "doc": "single beam, dissipative left end K0, conservative right end",
     },
     "damper_string_beam": {
-        "build": lambda **params: build_coupled(variant="damper_string_beam", **params),
+        "build": build_damper_string_beam,
         "defaults": {"kappa": 1.0},
         "doc": "damped string transmitting into a pinned beam",
     },
     "spring_mass_damper_string_beam": {
-        "build": lambda **params: build_coupled(
-            variant="spring_mass_damper_string_beam", **params),
+        "build": build_spring_mass_damper_string_beam,
         "defaults": {"mass": 1.0, "stiffness": 1.0, "damping": 1.0},
         "doc": "string-beam with a tip mass-spring-damper controller",
     },
@@ -422,11 +424,8 @@ def build_scenario(name, params=None):
                      and not np.isfinite(x)):
             raise ScenarioError("parameter %r = %r: every number must be finite, "
                                 "not NaN or infinity" % (key, value))
-    entry = SCENARIOS[name]
-    merged = dict(entry["defaults"])
-    merged.update(params)
     try:
-        return entry["build"](**merged)
+        return SCENARIOS[name]["build"](**params)
     except ScenarioError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -200,10 +200,10 @@ def _step_count(t_end, dt):
 def simulate(gen, x0, dt=None, t_end=10.0, record_every=1):
     """Integrate dv/dt = s_red v from a full sample-coordinate initial state.
 
-    x0 may omit the controller tail (zeros appended).  The initial state is
-    projected M-orthogonally onto the constraint null space; a projection
-    residual above INCOMPATIBLE_TOL sets the warning field (incompatible
-    initial datum: the compatibility conditions at the boundary fail).
+    The initial state x0, of shape (gen.n_full,), is projected
+    M-orthogonally onto the constraint null space; a projection residual
+    above INCOMPATIBLE_TOL sets the warning field (incompatible initial
+    datum: the compatibility conditions at the boundary fail).
     The start, every record_every-th step and the last step are recorded,
     each as its energy and its stacked traces gen.trace_map @ v, split per
     subsystem by gen.split_traces.
@@ -213,13 +213,6 @@ def simulate(gen, x0, dt=None, t_end=10.0, record_every=1):
     if (isinstance(record_every, bool) or not isinstance(record_every, (int, np.integer))
             or record_every < 1):
         raise ValueError("record_every must be a positive integer")
-    x0 = np.asarray(x0)
-    n_full = gen.n_full
-    if x0.shape[0] == gen.controller_slice.start and n_full > x0.shape[0]:
-        x0 = np.concatenate([x0, np.zeros(n_full - x0.shape[0], dtype=x0.dtype)])
-    if x0.shape[0] != n_full:
-        raise ValueError("x0 has length %d, expected %d (or %d without controllers)"
-                         % (x0.shape[0], n_full, gen.controller_slice.start))
     v, residual = gen.project(x0)
     warning = ""
     if residual > INCOMPATIBLE_TOL:

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from phnet import (Network, NotSerial, SerialStructure, assemble_generator,
-                   build_beam, build_chain, build_coupled,
-                   build_mass_damped_string, build_scenario,
+                   build_beam, build_chain, build_mass_damped_string, build_scenario,
+                   build_spring_mass_damper_string_beam,
                    certify_network_dissipative, decay_fit,
                    detect_serial_structure, flux_form, make_initial_state,
                    simulate, spectrum)
@@ -161,8 +161,7 @@ def test_criterion_6_spring_mass_damper():
     constrained states."""
     start = time.perf_counter()
     m_par, k_par, r_par = 1.0, 1.0, 1.0
-    net = build_coupled(variant="spring_mass_damper_string_beam",
-                        mass=m_par, stiffness=k_par, damping=r_par)
+    net = build_spring_mass_damper_string_beam(mass=m_par, stiffness=k_par, damping=r_par)
     ev = np.sort_complex(np.linalg.eigvals(net.controllers[0].a_c))
     disc = np.sqrt(complex(r_par ** 2 - 4 * k_par * m_par))
     expect = np.sort_complex(np.array([(-r_par + disc) / (2 * m_par),

@@ -557,6 +557,23 @@ class TestExitCodes:
         out = ["--out", str(tmp_path / "s.csv")] if command == "spectrum" else []
         self.assert_usage_error(main([command, str(path)] + out), capsys)
 
+    @pytest.mark.parametrize("name, params", [
+        ("damper_string_beam", {"mass": -5}),
+        ("spring_mass_damper_string_beam", {"kappa": -3}),
+        ("chain_of_strings", {"rho": 0}),
+        ("chain_of_strings", {"tension": 0.0}),
+        ("chain_of_strings", {"lengths": []})])
+    def test_scenario_parameter_its_builder_does_not_use(self, tmp_path, capsys, name,
+                                                         params):
+        # each coupled scenario took the other's keys, and a chain read a
+        # falsy rho, tension or lengths as the default: exit 0, with a dump
+        # that recorded values the network never used
+        rc = main(["scenario", "dump", name, "--params", json.dumps(params)])
+        self.assert_usage_error(rc, capsys)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"schema": 1, "scenario": {"name": name, "params": params}}))
+        self.assert_usage_error(main(["check", str(path)]), capsys)
+
     @pytest.mark.parametrize("literal, rc", [(False, 0), (True, 1)])
     def test_literal_bc_sign_boolean(self, tmp_path, capsys, literal, rc):
         assert main(["check", write_chain(tmp_path, literal_bc_sign=literal)]) == rc

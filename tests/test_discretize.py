@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phnet import (MatrixFunction, Network, PHStructuralError, PHSubsystem,
-                   assemble_generator, build_beam, build_chain, build_coupled,
-                   discretize_subsystem, make_grid, make_initial_state, resolvent_scan,
+                   assemble_generator, build_beam, build_chain,
+                   build_spring_mass_damper_string_beam, discretize_subsystem, make_grid, make_initial_state, resolvent_scan,
                    simulate, spectrum)
 from phnet.discretize import DiscreteGenerator, SubsystemOperators
 from phnet.scenarios import SCENARIOS, _wave_subsystem, build_scenario
@@ -238,7 +238,7 @@ class TestAssembleGenerator:
     def test_traces_match_per_subsystem_extraction(self):
         # trace_map = T Z[:n_pde] reassociates tau_j = t_j (Z v)[slice_j],
         # so the two agree to rounding; a string, a beam and a controller
-        net = build_coupled(variant="spring_mass_damper_string_beam")
+        net = build_spring_mass_damper_string_beam()
         gen = assemble_generator(net, 24)
         v = np.random.default_rng(5).standard_normal(gen.n_red)
         x = gen.lift_state(v)

@@ -9,8 +9,9 @@ only the reduction forms rows of lift (the dense lift view is lift_state
 of the identity),
 only the resolvent scan loads scipy (the Cayley stepper runs on numpy),
 the scan's frequency loop calls no numpy BLAS, the CLI's parser declares
-every usage rule, the CLI alone shapes its JSON reports, and one encoder
-writes every report and every network file."""
+every usage rule, the CLI alone shapes its JSON reports, one encoder
+writes every report and every network file, and each scenario names its
+own builder."""
 
 import ast
 import json
@@ -57,7 +58,7 @@ with open(os.devnull, "w") as f, contextlib.redirect_stdout(f):
     assert cli.main(["spectrum", path, "--n", "24", "--out", os.path.join(tmp, "s.csv")]) == 0
     assert cli.main(["simulate", path, "--n", "24", "--t-end", "0.05",
                      "--out", os.path.join(tmp, "t.csv")]) == 0
-net = phnet.build_coupled(variant="spring_mass_damper_string_beam")
+net = phnet.build_spring_mass_damper_string_beam()
 assert net.controllers
 gen = phnet.assemble_generator(net, 24)
 rep = phnet.spectrum(gen)
@@ -234,6 +235,23 @@ def test_cli_writes_json_through_one_encoder():
              and ast.unparse(node.func) in ("json.dump", "json.dumps")]
     assert {("cli.py", "json.dumps"), ("netfile.py", "json.dump")} <= {c[:2] for c in calls}
     assert [call for call in calls if "default" in call[2]] == []
+
+
+def test_each_scenario_names_its_own_builder():
+    # a scenario's builder is a module-level build_* function whose keywords
+    # are the whole parameter set: no lambda over a shared builder, and no
+    # builder that switches on a variant
+    from phnet.scenarios import SCENARIOS
+    tree = ast.parse((SRC / "scenarios.py").read_text())
+    builders = {node.name for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("build_")}
+    assert {name: (entry["build"].__module__, entry["build"].__name__ in builders)
+            for name, entry in SCENARIOS.items()} == {
+        name: ("phnet.scenarios", True) for name in SCENARIOS}
+    switches = [getattr(node, "name", "lambda") for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.Lambda))
+                and "variant" in {arg.arg for arg in node.args.args + node.args.kwonlyargs}]
+    assert switches == []
 
 
 def test_one_report_writer_and_one_encoder():

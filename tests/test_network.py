@@ -73,8 +73,8 @@ class TestAssemble:
         assert np.allclose(closed.w_b_net[0:2], expect)
 
     def test_spring_mass_controller_rows(self):
-        from phnet import build_coupled
-        net = build_coupled(variant="spring_mass_damper_string_beam")
+        from phnet import build_spring_mass_damper_string_beam
+        net = build_spring_mass_damper_string_beam()
         closed = assemble(net)
         # six constraint rows over 12 trace components plus x_c columns
         assert closed.w_b_net.shape == (6, 12)
@@ -127,8 +127,8 @@ class TestAssemble:
             assemble(Network(subsystems=(s,), k_mat=np.zeros((3, 3))))
 
     def test_energy_blocks_emitted(self):
-        from phnet import build_coupled
-        net = build_coupled(variant="spring_mass_damper_string_beam")
+        from phnet import build_spring_mass_damper_string_beam
+        net = build_spring_mass_damper_string_beam()
         closed = assemble(net)
         assert np.allclose(closed.controller_weight, np.diag([1.0, 1.0]))
 
@@ -209,7 +209,8 @@ class TestCertification:
     def test_one_loop_per_network(self, monkeypatch):
         # the certificate, serial detection and both reductions share one
         # read-only closed loop
-        from phnet import assemble_generator, build_coupled, detect_serial_structure
+        from phnet import (assemble_generator, build_spring_mass_damper_string_beam,
+                           detect_serial_structure)
         from phnet.network import ClosedLoopDescription
         built = []
 
@@ -218,7 +219,7 @@ class TestCertification:
             return built[-1]
 
         monkeypatch.setattr("phnet.network.ClosedLoopDescription", counting)
-        net = build_coupled(variant="spring_mass_damper_string_beam")
+        net = build_spring_mass_damper_string_beam()
         assert certify_network_dissipative(net).passed
         detect_serial_structure(net)
         assemble_generator(net, 24).companion

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phnet import (ScenarioError, assemble_generator, build_beam, build_chain,
-                   build_coupled, build_mass_damped_string, build_scenario,
+                   build_damper_string_beam, build_mass_damped_string, build_scenario,
+                   build_spring_mass_damper_string_beam,
                    assemble, certify_network_dissipative, check_impedance,
                    detect_serial_structure, network_from_dict,
                    network_to_dict, null_basis, spectrum, validate_subsystem,
@@ -175,7 +176,7 @@ class TestBeam:
 
 class TestCoupled:
     def test_damper_string_beam_certified_stable(self):
-        net = build_coupled(variant="damper_string_beam", kappa=1.0)
+        net = build_damper_string_beam(kappa=1.0)
         assert certify_network_dissipative(net).passed
         gen = assemble_generator(net, 40)
         assert spectrum(gen).abscissa < 0
@@ -183,7 +184,7 @@ class TestCoupled:
     def test_damper_variant_decay_matches_abscissa(self):
         # time-domain and eigenvalue paths agree on the decay rate
         from phnet import decay_fit, simulate
-        net = build_coupled(variant="damper_string_beam", kappa=1.0)
+        net = build_damper_string_beam(kappa=1.0)
         gen = assemble_generator(net, 40)
         rep = spectrum(gen)
         x0 = slowest_mode(gen, rep)
@@ -193,8 +194,7 @@ class TestCoupled:
 
     def test_controller_eigenvalues_closed_form(self):
         for m, k, r in ((1.0, 1.0, 1.0), (2.0, 3.0, 0.5), (0.5, 1.0, 2.0)):
-            net = build_coupled(variant="spring_mass_damper_string_beam",
-                                mass=m, stiffness=k, damping=r)
+            net = build_spring_mass_damper_string_beam(mass=m, stiffness=k, damping=r)
             ev = np.sort_complex(np.linalg.eigvals(net.controllers[0].a_c))
             disc = np.sqrt(complex(r * r - 4 * k * m))
             expect = np.sort_complex(np.array([(-r + disc) / (2 * m),
@@ -202,14 +202,13 @@ class TestCoupled:
             assert np.allclose(ev, expect, atol=1e-12)
 
     def test_spring_mass_certified(self):
-        net = build_coupled(variant="spring_mass_damper_string_beam")
+        net = build_spring_mass_damper_string_beam()
         assert certify_network_dissipative(net).passed
 
     def test_dissipation_identity(self):
         # Re<A x, x> = -r |x_c,2|^2 on constrained states, to rounding
         r = 1.3
-        net = build_coupled(variant="spring_mass_damper_string_beam",
-                            damping=r)
+        net = build_spring_mass_damper_string_beam(damping=r)
         gen = assemble_generator(net, 32)
         rng = np.random.default_rng(9)
         for _ in range(100):
@@ -225,7 +224,7 @@ class TestCoupled:
         from phnet import make_initial_state, simulate
         from phnet.simulate import CayleyStepper
         r = 0.7
-        net = build_coupled(variant="spring_mass_damper_string_beam", damping=r)
+        net = build_spring_mass_damper_string_beam(damping=r)
         gen = assemble_generator(net, 24)
         x0 = make_initial_state(net, gen, "bump")
         v, _ = gen.project(x0)
@@ -241,11 +240,11 @@ class TestCoupled:
 
     def test_r_zero_rejected(self):
         with pytest.raises(ScenarioError):
-            build_coupled(variant="spring_mass_damper_string_beam", damping=0.0)
+            build_spring_mass_damper_string_beam(damping=0.0)
 
     def test_kappa_zero_rejected_for_damper_variant(self):
         with pytest.raises(ScenarioError):
-            build_coupled(variant="damper_string_beam", kappa=0.0)
+            build_damper_string_beam(kappa=0.0)
 
 
 class TestMassDampedString:
@@ -292,6 +291,16 @@ class TestPortSplitting:
         net = build_beam(left_bc=np.array(k0), right_bc=right)
         assert_invertible_splitting(net.subsystems[0])
         assert certify_network_dissipative(net).passed
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_builder_defaults_are_the_scenario_defaults(self, name):
+        # the builder alone supplies defaults, and the ones a dump records
+        # build the same network; build_beam() used to pin its right end
+        doc = network_to_dict(SCENARIOS[name]["build"]())
+        assert network_to_dict(build_scenario(name)) == doc
+        assert network_to_dict(build_scenario(name, SCENARIOS[name]["defaults"])) == doc
 
 
 class TestRoundTrip:
@@ -376,9 +385,11 @@ def scenario_params(draw):
                                             min_size=2, max_size=2)))
         maybe("right_bc", st.sampled_from(BEAM_ENDS))
     else:
-        keys = ["rho", "tension", "mass", "stiffness", "damping"]
+        # each coupled scenario draws its own builder's keywords only
+        keys = ["rho", "tension"]
         if name != "mass_damped_string":
-            keys += ["kappa", "rho_beam", "ei_beam"]
+            keys += ["rho_beam", "ei_beam"]
+        keys += ["kappa"] if name == "damper_string_beam" else ["mass", "stiffness", "damping"]
         for key in keys:
             maybe(key, profile if key in ("rho", "tension", "rho_beam", "ei_beam")
                   else number)

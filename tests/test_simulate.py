@@ -305,6 +305,14 @@ class TestSimulate:
         assert tr.energies[-1] == stepper.energy(v)
         assert np.array_equal(np.hstack([t[-1] for t in tr.traces]), gen.trace_map @ v)
 
+    def test_initial_state_without_the_controller_tail_is_rejected(self):
+        # a short x0 used to be padded silently with zero controller states
+        net = build_scenario("mass_damped_string")
+        gen = assemble_generator(net, 24)
+        x0 = make_initial_state(net, gen)[:gen.controller_slice.start]
+        with pytest.raises(ValueError, match=r"shape \(48,\), expected \(50,\)"):
+            simulate(gen, x0, dt=1e-2, t_end=0.05)
+
     @pytest.mark.parametrize("every", [0, -7, 2.0, True])
     def test_record_every_must_be_positive(self, damped, every):
         net, gen = damped
