@@ -44,5 +44,3 @@ trace = simulate(gen, x0, dt=5e-3, t_end=10.0, record_every=5)
 m_const, eta = decay_fit(trace)
 print("\nsimulated decay: H(t) <= %.2f exp(%.4f t) H(0)   (2*abscissa = %.4f)"
       % (m_const, eta, 2 * rep.abscissa))
-trace.to_csv("damped_string_trace.csv")
-print("trace written to damped_string_trace.csv")

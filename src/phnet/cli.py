@@ -1,15 +1,15 @@
 """Batch front door: phnet check | spectrum | simulate | resolvent | scenario.
 
 The parser declares every usage rule.  Each command shapes its whole
-report here, a schema-1 JSON document on stdout, and writes it through
-model's one encoder, which writes network files too: complex numbers as
-[re, im], NaN and infinity (in either part too) as null.  CSV tables have '.' decimals, ','
-separators, a header row and LF line endings.  Exit codes: 0 success /
-certified, 1 failed certification, 2 schema, parse or parameter error,
-non-positive numeric flag, an --out that cannot be written (checked at
-parse time, before any computation), non-finite file entry, a dt and
-t_end that give no step count or Cayley factor, or memory exhausted (one
-line on stderr).
+output here: a schema-1 JSON report on stdout, through model's one
+encoder, which writes network files too (complex numbers as [re, im], NaN
+and infinity, in either part too, as null), and a CSV table at --out
+through write_csv ('.' decimals, ',' separators, a header row, LF line
+endings).  Exit codes: 0 success / certified, 1 failed certification, 2
+schema, parse or parameter error, non-positive numeric flag, an --out
+that cannot be written (checked at parse time, before any computation),
+non-finite file entry, a dt and t_end that give no step count or Cayley
+factor, or memory exhausted (one line on stderr).
 The only parallelism is BLAS's, set by OPENBLAS_NUM_THREADS; a random
 start is seeded by --x0 random:<seed> (random alone means random:0).
 """
@@ -23,12 +23,12 @@ import numpy as np
 from .analysis import (decay_fit, exponential_verdict, resolvent_scan, spectrum)
 from .discretize import assemble_generator
 from .model import PHStructuralError, _encode, validate_subsystem
-from .netfile import NetworkFileError, load_network, network_to_dict, parse_json
+from .netfile import NetworkFileError, load_network, parse_json
 from .network import NotSerial, detect_serial_structure
 from .passivity import (certify_network_dissipative, check_controller_passive,
                         check_impedance, check_scattering, check_sym_p0)
 from .scenarios import SCENARIOS, ScenarioError, build_scenario, make_initial_state
-from .simulate import StepSizeError, simulate, write_csv
+from .simulate import StepSizeError, simulate
 
 DEFAULT_N = 48
 
@@ -62,6 +62,14 @@ def _out_path(text):
 
 def _emit(doc):
     print(json.dumps(_encode(doc), indent=1))
+
+
+def write_csv(path, header, columns):
+    """One header row, then one row of %.17g values per entry of the columns."""
+    with open(path, "w", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for row in zip(*columns):
+            f.write(",".join("%.17g" % v for v in row) + "\n")
 
 
 def _cert_report(cert):
@@ -137,7 +145,16 @@ def cmd_simulate(args):
     x0 = make_initial_state(net, gen, preset=args.x0)
     trace = simulate(gen, x0, dt=args.dt, t_end=args.t_end,
                      record_every=args.record_every)
-    trace.to_csv(args.out)
+    # t, H, then s<j>_tau<i> per trace component, each of a complex trace followed by its _im
+    header, columns = ["t", "H"], [trace.times, trace.energies]
+    for j, tr in enumerate(trace.traces):
+        for i in range(tr.shape[1]):
+            header.append("s%d_tau%d" % (j, i))
+            columns.append(tr[:, i].real)
+            if np.iscomplexobj(tr):
+                header.append("s%d_tau%d_im" % (j, i))
+                columns.append(tr[:, i].imag)
+    write_csv(args.out, header, columns)
     report = {"schema": 1, "dt": trace.meta["dt"], "t_end": args.t_end,
               "H0": trace.energies[0], "H_end": trace.energies[-1]}
     if trace.warning:
@@ -161,9 +178,9 @@ def cmd_scenario_list(args):
 
 def cmd_scenario_dump(args):
     params = parse_json(args.params, "--params") if args.params else {}
-    net = build_scenario(args.name, params)
-    merged = {**SCENARIOS[args.name]["defaults"], **(params or {})}
-    _emit(network_to_dict(net, scenario=(args.name, merged)))
+    build_scenario(args.name, params)       # a reference is written only if it builds
+    _emit({"schema": 1, "scenario": {"name": args.name, "params": {
+        **SCENARIOS[args.name]["defaults"], **(params or {})}}})
     return 0
 
 

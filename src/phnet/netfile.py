@@ -1,8 +1,9 @@
 """Network description files: JSON with matrices as nested arrays.
 
 A file carries either explicit subsystems or a scenario reference, never
-both.  Complex entries are [re, im] pairs at the scalar position.  The
-top-level keys are
+both: network_to_dict and save_network write the explicit form, and
+`phnet scenario dump` writes a reference.  Complex entries are [re, im]
+pairs at the scalar position.  The top-level keys are
 
     {"schema": 1,
      "scenario": {"name": ..., "params": {...}}          # or:
@@ -13,8 +14,10 @@ top-level keys are
      "k_mat": [[...]] | null,
      "external_ports": [...]}
 
-Unknown keys are ignored; older files that declare "serial_blocks" still
-load, and the serial structure is derived from the closed loop.
+A list-valued entry that is not a list (an interval a pair) is a schema
+error that names the entry.  Unknown keys are ignored; older files that
+declare "serial_blocks" still load, and the serial structure is derived
+from the closed loop.
 """
 
 import json
@@ -43,6 +46,14 @@ def _integer(obj, what):
     return int(obj)
 
 
+def _list(obj, what, length=None):
+    """obj, a list or tuple (of length entries, when given), or a schema error."""
+    if not isinstance(obj, (list, tuple)) or length is not None and len(obj) != length:
+        raise NetworkFileError("%s must be a list%s, got %r" % (
+            what, "" if length is None else " of %d entries" % length, obj))
+    return obj
+
+
 def _real(obj, what):
     """A real JSON number; booleans and other values are schema errors."""
     if isinstance(obj, bool) or not isinstance(obj, numbers.Real):
@@ -52,9 +63,7 @@ def _real(obj, what):
 
 def subsystem_from_dict(d):
     order, dim = _integer(d["order"], "order"), _integer(d["dim"], "dim")
-    raw = d["p_matrices"]
-    if len(raw) != order + 1:
-        raise NetworkFileError("p_matrices must list P_0..P_%d" % order)
+    raw = _list(d["p_matrices"], "p_matrices (P_0..P_%d)" % order, order + 1)
     p0 = raw[0]
     if p0 is not None:
         p0 = MatrixFunction.from_dict(p0) if isinstance(p0, dict) else _matrix(p0, "P_0")
@@ -65,7 +74,8 @@ def subsystem_from_dict(d):
                        hamiltonian=ham,
                        w_b=_matrix(d["w_b"], "W_B"), w_c=_matrix(d["w_c"], "W_C"),
                        interval=tuple(_real(v, "interval endpoint")
-                                      for v in d.get("interval", (0.0, 1.0))),
+                                      for v in _list(d.get("interval", (0.0, 1.0)),
+                                                     "interval", 2)),
                        label=d.get("label", ""))
 
 
@@ -75,15 +85,11 @@ def controller_from_dict(d):
                       state_weight=_matrix(d["state_weight"], "state_weight"))
 
 
-def network_to_dict(net, scenario=None):
-    """The network's document in JSON's types, by one call of model's
-    encoder on the whole document, so a non-finite entry reads null; the
-    coefficient functions' to_dict has encoded their data already, and the
-    encoder passes it through unchanged.  Pass scenario=(name, params) to
-    reference a scenario instead."""
-    if scenario is not None:
-        name, params = scenario
-        return _encode({"schema": 1, "scenario": {"name": name, "params": params or {}}})
+def network_to_dict(net):
+    """The network's explicit document in JSON's types, by one call of
+    model's encoder on the whole document, so a non-finite entry reads
+    null; the coefficient functions' to_dict has encoded their data
+    already, and the encoder passes it through unchanged."""
     doc = {
         "schema": 1,
         "subsystems": [{"order": s.order, "dim": s.dim,
@@ -127,17 +133,18 @@ def _network_from_dict(doc):
         return build_scenario(sc.get("name"), sc.get("params"))
     if not has_subsystems:
         raise NetworkFileError("need a 'subsystems' list or a 'scenario' reference")
-    subsystems = [subsystem_from_dict(d) for d in doc["subsystems"]]
-    controllers = [controller_from_dict(d) for d in doc.get("controllers") or []]
-    coupling = [tuple(_integer(i, "coupling entry") for i in row)
-                for row in doc.get("coupling") or []]
+    subsystems = [subsystem_from_dict(d) for d in _list(doc["subsystems"], "subsystems")]
+    controllers = [controller_from_dict(d)
+                   for d in _list(doc.get("controllers") or [], "controllers")]
+    coupling = [tuple(_integer(i, "coupling entry") for i in _list(row, "coupling[%d]" % c))
+                for c, row in enumerate(_list(doc.get("coupling") or [], "coupling"))]
     k_mat = doc.get("k_mat")
     if k_mat is not None:
         k_mat = _matrix(k_mat, "k_mat")
     return Network(subsystems=subsystems, controllers=controllers,
                    k_mat=k_mat, coupling=coupling,
-                   external_ports=tuple(_integer(i, "external port")
-                                        for i in doc.get("external_ports") or ()),
+                   external_ports=tuple(_integer(i, "external port") for i in _list(
+                       doc.get("external_ports") or (), "external_ports")),
                    label=doc.get("label", ""))
 
 
@@ -161,7 +168,8 @@ def load_network(path):
     return network_from_dict(parse_json(text, path))
 
 
-def save_network(net, path, scenario=None):
+def save_network(net, path):
+    """Write network_to_dict(net) to path, one space per indent level."""
     with open(path, "w") as f:
-        json.dump(network_to_dict(net, scenario=scenario), f, indent=1)
+        json.dump(network_to_dict(net), f, indent=1)
         f.write("\n")

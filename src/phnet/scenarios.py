@@ -192,6 +192,19 @@ def _validate_k0(k0):
     return k0
 
 
+def _per_segment(values, default, what):
+    """values, one entry per segment as default has, or default for None;
+    anything else is a ScenarioError naming what."""
+    if values is None:
+        return default
+    listed = (isinstance(values, (list, tuple))
+              or isinstance(values, np.ndarray) and values.ndim == 1)
+    if not (listed and len(values) == len(default)):
+        raise ScenarioError("%s must be a list of %d entries, one per segment, got %r"
+                            % (what, len(default), values))
+    return values
+
+
 def build_chain(*, m=3, rho=None, tension=None, kappa=None, lengths=None,
                 literal_bc_sign=False):
     """Chain of m serially connected strings, damped at the left end.
@@ -208,15 +221,10 @@ def build_chain(*, m=3, rho=None, tension=None, kappa=None, lengths=None,
     if not _is_integral(m) or m < 1:
         raise ScenarioError("m must be a positive integer, got %r" % (m,))
     m = int(m)
-    rho = [scalar_profile(r) for r in (rho if rho is not None else [1.0] * m)]
-    tension = [scalar_profile(t) for t in (tension if tension is not None else [1.0] * m)]
-    kappa = tuple(float(k) for k in (kappa if kappa is not None
-                                     else [0.5] + [0.0] * (m - 1)))
-    lengths = [float(v) for v in (lengths if lengths is not None else [1.0] * m)]
-    if not (len(rho) == len(tension) == len(lengths) == m):
-        raise ScenarioError("need one rho, tension, length per segment")
-    if len(kappa) != m:
-        raise ScenarioError("need kappa0..kappa_{m-1} (%d values)" % m)
+    rho = [scalar_profile(r) for r in _per_segment(rho, [1.0] * m, "rho")]
+    tension = [scalar_profile(t) for t in _per_segment(tension, [1.0] * m, "tension")]
+    kappa = [float(k) for k in _per_segment(kappa, [0.5] + [0.0] * (m - 1), "kappa")]
+    lengths = [float(v) for v in _per_segment(lengths, [1.0] * m, "lengths")]
     if not kappa[0] > 0:
         raise ScenarioError("kappa0 > 0 is required (left-end damper)")
     if any(k < 0 for k in kappa[1:]):

@@ -48,27 +48,6 @@ class EnergyTrace:
     warning: str = ""
     meta: dict = field(default_factory=dict)
 
-    def to_csv(self, path):
-        """Columns: t, H, then s<j>_tau<i> flattened trace components; a
-        complex trace adds s<j>_tau<i>_im, its imaginary part, after each."""
-        header, columns = ["t", "H"], [self.times, self.energies]
-        for j, tr in enumerate(self.traces):
-            for i in range(tr.shape[1]):
-                header.append("s%d_tau%d" % (j, i))
-                columns.append(np.real(tr[:, i]))
-                if np.iscomplexobj(tr):
-                    header.append("s%d_tau%d_im" % (j, i))
-                    columns.append(tr[:, i].imag)
-        write_csv(path, header, columns)
-
-
-def write_csv(path, header, columns):
-    """One header row, then one row of %.17g values per entry of the columns."""
-    with open(path, "w", newline="\n") as f:
-        f.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            f.write(",".join("%.17g" % v for v in row) + "\n")
-
 
 class CayleyStepper:
     """Bordered block elimination of A = I - dt/2 s_red for fixed dt, used in
@@ -239,5 +218,4 @@ def simulate(gen, x0, dt=None, t_end=10.0, record_every=1):
 
     return EnergyTrace(times=times, energies=energies, traces=gen.split_traces(tau_rows),
                        warning=warning,
-                       meta={"dt": dt, "t_end": t_end, "steps": n_steps,
-                             "projection_residual": residual})
+                       meta={"dt": dt, "steps": n_steps, "projection_residual": residual})

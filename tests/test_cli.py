@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from phnet import (SCENARIOS, MatrixFunction, Network, PHSubsystem, build_beam,
-                   build_chain, build_scenario, make_initial_state, network_to_dict,
-                   save_network)
+from phnet import (SCENARIOS, MatrixFunction, Network, PHSubsystem, assemble_generator,
+                   build_beam, build_chain, build_scenario, load_network,
+                   make_initial_state, network_to_dict, save_network, simulate)
 from phnet.cli import _emit, main
-from phnet.simulate import EnergyTrace
 
-from helpers import random_passive_network
+from helpers import complex_explicit_network, random_passive_network
 
 
 def write_chain(tmp_path, **kwargs):
@@ -187,6 +186,38 @@ class TestSimulate:
             energies.append(json.loads(capsys.readouterr().out)["H0"])
         assert energies[0] == energies[1]
 
+    def test_csv_headers(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        rc = main(["simulate", write_chain(tmp_path, m=1, kappa=[0.5]), "--n", "32",
+                   "--dt", "1e-2", "--t-end", "0.5", "--out", str(out)])
+        assert rc == 0
+        header = out.read_text().splitlines()[0].split(",")
+        assert header[:2] == ["t", "H"]
+        assert "s0_tau0" in header and "s0_tau3" in header
+        assert not any(h.endswith("_im") for h in header)
+
+    def test_csv_writes_imaginary_parts_of_complex_traces(self, tmp_path, capsys):
+        path, out = tmp_path / "complex.json", tmp_path / "trace.csv"
+        save_network(complex_explicit_network(), path)
+        rc = main(["simulate", str(path), "--n", "16", "--dt", "1e-2", "--t-end", "0.05",
+                   "--out", str(out)])
+        assert rc == 0
+        net = load_network(path)
+        gen = assemble_generator(net, 16)
+        tr = simulate(gen, make_initial_state(net, gen, "sine"), dt=1e-2, t_end=0.05)
+        lines = out.read_text().splitlines()
+        header = lines[0].split(",")
+        want = ["t", "H"]
+        for j, t in enumerate(tr.traces):
+            assert np.iscomplexobj(t)
+            want += [h % (j, i) for i in range(t.shape[1]) for h in ("s%d_tau%d", "s%d_tau%d_im")]
+        assert header == want
+        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        stacked = np.hstack(tr.traces)
+        assert np.array_equal(table[:, :2], np.column_stack([tr.times, tr.energies]))
+        assert np.array_equal(table[:, 2::2], stacked.real)
+        assert np.array_equal(table[:, 3::2], stacked.imag)
+
 
 class TestResolvent:
     def test_damped_wave_bounded(self, tmp_path, capsys):
@@ -256,6 +287,15 @@ class TestScenarioCommand:
         path = tmp_path / "dumped.json"
         path.write_text(json.dumps(doc))
         assert main(["check", str(path)]) == 0
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_dump_with_null_params_is_the_default_dump(self, capsys, name):
+        # null means no overrides, as in a file's scenario reference
+        assert main(["scenario", "dump", name]) == 0
+        default = capsys.readouterr().out
+        assert json.loads(default) == _scenario_dump(name)
+        assert main(["scenario", "dump", name, "--params", "null"]) == 0
+        assert capsys.readouterr().out == default
 
     def test_dump_unknown_name(self, capsys):
         assert main(["scenario", "dump", "nope"]) == 2
@@ -574,6 +614,38 @@ class TestExitCodes:
         path.write_text(json.dumps({"schema": 1, "scenario": {"name": name, "params": params}}))
         self.assert_usage_error(main(["check", str(path)]), capsys)
 
+    @pytest.mark.parametrize("key", ["rho", "tension", "kappa", "lengths"])
+    def test_chain_parameter_not_a_list(self, capsys, key):
+        # each used to read "'int' object is not iterable"
+        rc = main(["scenario", "dump", "chain_of_strings", "--params", '{"%s": 0}' % key])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: %s must be a list of 3 entries, one per segment, got 0\n" % key
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("interval", [0, 1, 2], "interval must be a list of 2 entries, got [0, 1, 2]"),
+        ("interval", 1, "interval must be a list of 2 entries, got 1"),
+        ("p_matrices", 3, "p_matrices (P_0..P_1) must be a list of 2 entries, got 3"),
+        ("coupling", 3, "coupling must be a list, got 3"),
+        ("coupling", [3], "coupling[0] must be a list, got 3"),
+        ("external_ports", 3, "external_ports must be a list, got 3"),
+        ("controllers", 3, "controllers must be a list, got 3"),
+        ("subsystems", {"a": 1}, "subsystems must be a list, got {'a': 1}")],
+        ids=["interval_triple", "interval_number", "p_matrices", "coupling", "coupling_row",
+             "external_ports", "controllers", "subsystems_object"])
+    def test_list_entry_not_a_list(self, tmp_path, capsys, key, value, message):
+        # these used to read "too many values to unpack (expected 2)", "'int'
+        # object is not iterable", "object of type 'int' has no len()" and
+        # "string indices must be integers, not 'str'"
+        doc = network_to_dict(build_scenario("spring_mass_damper_string_beam", {}))
+        (doc["subsystems"][0] if key in ("interval", "p_matrices") else doc)[key] = value
+        path = tmp_path / "lists.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: %s\n" % message
+
     @pytest.mark.parametrize("literal, rc", [(False, 0), (True, 1)])
     def test_literal_bc_sign_boolean(self, tmp_path, capsys, literal, rc):
         assert main(["check", write_chain(tmp_path, literal_bc_sign=literal)]) == rc
@@ -705,7 +777,6 @@ class TestExitCodes:
         def refuse(*args):
             raise PermissionError(13, "Permission denied", "o.csv")
         monkeypatch.setattr("phnet.cli.write_csv", refuse)
-        monkeypatch.setattr(EnergyTrace, "to_csv", refuse)
         extra = ["--t-end", "0.05"] if command == "simulate" else []
         rc = main([command, write_chain(tmp_path, m=1, kappa=[0.5]), "--n", "24",
                    "--out", str(tmp_path / "o.csv")] + extra)
@@ -753,9 +824,8 @@ class TestExitCodes:
 
 def _scenario_dump(name):
     """What `phnet scenario dump <name>` prints, as a JSON document."""
-    params = dict(SCENARIOS[name]["defaults"])
-    return json.loads(json.dumps(network_to_dict(build_scenario(name, params),
-                                                  scenario=(name, params))))
+    return {"schema": 1,
+            "scenario": {"name": name, "params": copy.deepcopy(SCENARIOS[name]["defaults"])}}
 
 
 # the five scenario dumps and one explicit file with a controller

@@ -9,9 +9,9 @@ only the reduction forms rows of lift (the dense lift view is lift_state
 of the identity),
 only the resolvent scan loads scipy (the Cayley stepper runs on numpy),
 the scan's frequency loop calls no numpy BLAS, the CLI's parser declares
-every usage rule, the CLI alone shapes its JSON reports, one encoder
-writes every report and every network file, and each scenario names its
-own builder."""
+every usage rule, the CLI alone shapes its JSON reports and, through its
+one CSV writer, its CSV tables, one encoder writes every report and every
+network file, and each scenario names its own builder."""
 
 import ast
 import json
@@ -254,12 +254,19 @@ def test_each_scenario_names_its_own_builder():
     assert switches == []
 
 
+def _class_methods(name):
+    """[(module name, class name)] of every library class that defines name."""
+    return [(path.name, cls.name) for path in SRC.glob("*.py")
+            for cls in ast.walk(ast.parse(path.read_text()))
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name == name]
+
+
 def test_one_report_writer_and_one_encoder():
-    # cli shapes every report; the only to_dict left is the coefficient
-    # file codec, and no module keeps a second encoder
-    to_dicts = [(path.name, cls.name) for path in SRC.glob("*.py")
-                for cls in ast.walk(ast.parse(path.read_text()))
-                if isinstance(cls, ast.ClassDef) for node in cls.body
-                if isinstance(node, ast.FunctionDef) and node.name == "to_dict"]
-    assert to_dicts == [("model.py", "MatrixFunction")]
+    # cli shapes every report, JSON and CSV, with the one CSV writer; the
+    # only to_dict left is the coefficient file codec, no result type writes
+    # its own table, and no module keeps a second encoder
+    assert _class_methods("to_dict") == [("model.py", "MatrixFunction")]
+    assert _class_methods("to_csv") == []
+    assert _library_defines({"write_csv"}) == {"cli.py": ["write_csv"]}
     assert _library_defines(RETIRED_ENCODERS) == {}

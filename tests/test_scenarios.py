@@ -307,8 +307,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_scenario_reference_roundtrip(self, name):
         net = build_scenario(name, {})
-        doc = network_to_dict(net, scenario=(name, {}))
-        back = network_from_dict(doc)
+        back = network_from_dict({"schema": 1, "scenario": {"name": name, "params": {}}})
         assert np.abs(constraint_projector(back)
                       - constraint_projector(net)).max() <= 1e-12
 
@@ -444,7 +443,8 @@ class TestParameterProperty:
             return
         projector = constraint_projector(net)
         verdict = certify_network_dissipative(net).passed
-        for doc in (network_to_dict(net, scenario=(name, params)), network_to_dict(net)):
+        for doc in ({"schema": 1, "scenario": {"name": name, "params": params}},
+                    network_to_dict(net)):
             back = network_from_dict(json.loads(json.dumps(doc)))
             assert np.abs(constraint_projector(back) - projector).max() <= 1e-12
             assert certify_network_dissipative(back).passed == verdict

@@ -13,8 +13,8 @@ from phnet import (SCENARIOS, Controller, Network, assemble_generator, build_cha
 from phnet.scenarios import _wave_subsystem
 from phnet.simulate import CayleyStepper, StepSizeError
 
-from helpers import (boundary_flux, complex_explicit_network, discrete_energy_rate,
-                     random_constrained_state, random_passive_network)
+from helpers import (boundary_flux, discrete_energy_rate, random_constrained_state,
+                     random_passive_network)
 
 
 def all_border(s_red):
@@ -257,38 +257,6 @@ class TestSimulate:
         net, gen = damped
         tr = simulate(gen, np.zeros(gen.n_full), dt=0.02, t_end=0.05)
         assert tr.meta["steps"] == 3
-
-    def test_csv_headers(self, damped, tmp_path):
-        net, gen = damped
-        x0 = make_initial_state(net, gen, "sine")
-        tr = simulate(gen, x0, dt=1e-2, t_end=0.5)
-        path = tmp_path / "trace.csv"
-        tr.to_csv(path)
-        header = path.read_text().splitlines()[0].split(",")
-        assert header[:2] == ["t", "H"]
-        assert "s0_tau0" in header and "s0_tau3" in header
-
-        assert not any(h.endswith("_im") for h in header)
-
-    def test_csv_writes_imaginary_parts_of_complex_traces(self, tmp_path):
-        net = complex_explicit_network()
-        gen = assemble_generator(net, 16)
-        rng = np.random.default_rng(3)
-        x0 = rng.standard_normal(gen.n_full) + 1j * rng.standard_normal(gen.n_full)
-        tr = simulate(gen, x0, dt=1e-2, t_end=0.05)
-        path = tmp_path / "trace.csv"
-        tr.to_csv(path)
-        lines = path.read_text().splitlines()
-        header = lines[0].split(",")
-        want = ["t", "H"]
-        for j, t in enumerate(tr.traces):
-            assert np.iscomplexobj(t)
-            want += [h % (j, i) for i in range(t.shape[1]) for h in ("s%d_tau%d", "s%d_tau%d_im")]
-        assert header == want
-        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        stacked = np.hstack(tr.traces)
-        assert np.array_equal(table[:, 2::2], stacked.real)
-        assert np.array_equal(table[:, 3::2], stacked.imag)
 
     @pytest.mark.parametrize("steps, every", [(0, 1), (5, 1), (14, 7), (15, 7), (3, 7)])
     def test_records_every_kth_step_and_the_last(self, damped, steps, every):
